@@ -14,11 +14,18 @@ import sys
 from fractions import Fraction
 
 from . import GAUGE_FOR_MODE, MODE_FOR_GAUGE, PRESET_FOR_MODE
-from .cards import arrangement_record, enumerate_contributors, expand_arrangements, moment_by_cards
-from .cfrac import cf_series, cf_spec, render_cf
+from .cards import (
+    NotContributor,
+    arrangement_record,
+    enumerate_contributors,
+    expand_arrangements,
+    moment_by_cards,
+)
+from .cfrac import InsufficientDepth, cf_series, cf_spec, render_cf
 from .fock import (
     OperatorWord,
     ScalarGauge,
+    TruncationOverflow,
     check_adjointness,
     check_commutation,
     check_gram_positivity,
@@ -56,6 +63,9 @@ PRESETS = {
     "tgauge": charlier_t_gauge,
     "ejsmont": ejsmont,
 }
+
+#: Domain errors raised by a request's own arguments: reported as usage errors.
+USAGE_ERRORS = (ValueError, NotContributor, InsufficientDepth, TruncationOverflow)
 
 
 def rational(text: str) -> Fraction:
@@ -484,11 +494,18 @@ def main(argv=None) -> int:
         parser.error("give --n or --word")
     if args.command == "partitions" and args.n < 1:
         parser.error("--n must be >= 1")
+    if args.command == "verify" and args.n_max < 1:
+        parser.error("--n-max must be >= 1")
+    if getattr(args, "workers", 1) < 1:
+        parser.error("--workers must be >= 1")
 
     try:
         return args.func(args)
     except BrokenPipeError:
         return 0
+    except USAGE_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

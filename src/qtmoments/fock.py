@@ -273,8 +273,11 @@ def moment_by_operator(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Pol
     if n < 0:
         raise ValueError("n must be non-negative")
     v = FockVector.vacuum(n + 1)
-    for _ in range(n):
+    for left in range(n - 1, -1, -1):
         v = apply_poisson(v, gauge)
+        # ``left`` steps remain: a level above that can no longer reach the vacuum.
+        for k in range(left + 1, v.dim + 1):
+            v.coeffs[k] = Poly.zero()
     return v.coeffs[0]
 
 

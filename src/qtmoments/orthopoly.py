@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from .fock import CheckReport, FockVector, ScalarGauge, apply_poisson, determinant
@@ -110,6 +111,16 @@ def ejsmont() -> JacobiParams:
     )
 
 
+def _qt_values(q: Fraction, t: Fraction) -> Callable[[int], Fraction]:
+    """k -> [k] at the rational point (q, t), memoised for one Jacobi instance."""
+
+    @cache
+    def num(k: int) -> Fraction:
+        return qt_number(k).eval({"q": q, "t": t}) if k else Fraction(0)
+
+    return num
+
+
 def binomial(m: Fraction, p: Fraction, q: Fraction, t: Fraction) -> JacobiParams:
     """Rational binomial Jacobi data with the finite-support clamp.
 
@@ -118,9 +129,7 @@ def binomial(m: Fraction, p: Fraction, q: Fraction, t: Fraction) -> JacobiParams
     a finitely supported measure.
     """
     m, p, q, t = Fraction(m), Fraction(p), Fraction(q), Fraction(t)
-
-    def num(k: int) -> Fraction:
-        return qt_number(k).eval({"q": q, "t": t}) if k else Fraction(0)
+    num = _qt_values(q, t)
 
     def alpha(n: int) -> Fraction:
         return m * p + (1 - 2 * p) * num(n)
@@ -136,10 +145,7 @@ def binomial(m: Fraction, p: Fraction, q: Fraction, t: Fraction) -> JacobiParams
 def charlier_strict_specialized(lam: Fraction, q: Fraction, t: Fraction) -> JacobiParams:
     """The Poisson family at rational parameters (for numeric comparisons)."""
     lam, q, t = Fraction(lam), Fraction(q), Fraction(t)
-
-    def num(k: int) -> Fraction:
-        return qt_number(k).eval({"q": q, "t": t}) if k else Fraction(0)
-
+    num = _qt_values(q, t)
     return JacobiParams(
         name=f"charlier-strict(lambda={lam})",
         alpha=lambda n: lam + num(n),
@@ -173,15 +179,23 @@ def moments_by_motzkin(j: JacobiParams, n_max: int) -> list:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     one = j.one()
+    # A path of length n_max that ends at height 0 never climbs above n_max // 2.
+    top = n_max // 2
+    alpha = [j.alpha(h) for h in range(top + 1)]
+    omega = [None] + [j.omega(h) for h in range(1, top + 1)]
     out = [one]
     state = {0: one}
-    for _ in range(n_max):
+    for left in range(n_max - 1, -1, -1):
+        # ``left`` steps remain after this one; a path above that height can
+        # no longer come back down, so no level above it is kept.
         new: dict = {}
         for level, w in state.items():
-            new[level + 1] = new.get(level + 1, 0) + w  # up step, weight 1
-            new[level] = new.get(level, 0) + w * j.alpha(level)
+            if level < left:
+                new[level + 1] = new.get(level + 1, 0) + w  # up step, weight 1
+            if level <= left:
+                new[level] = new.get(level, 0) + w * alpha[level]
             if level >= 1:
-                new[level - 1] = new.get(level - 1, 0) + w * j.omega(level)
+                new[level - 1] = new.get(level - 1, 0) + w * omega[level]
         state = new
         out.append(state.get(0, one * 0))
     return out

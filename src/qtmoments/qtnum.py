@@ -12,13 +12,19 @@ being used as an algorithm.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .ring import Poly
 
 __all__ = ["qt_number", "qt_factorial"]
 
 
+@cache
 def qt_number(n: int) -> Poly:
-    """The (q,t)-number [n] as a polynomial; [0] = 0, [1] = 1, [2] = t + q."""
+    """The (q,t)-number [n] as a polynomial; [0] = 0, [1] = 1, [2] = t + q.
+
+    Memoised: a Poly is immutable, so every caller may share the value.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     return Poly.from_terms(

@@ -5,6 +5,19 @@ mapping from exponent vectors to nonzero integer coefficients.  Terms are kept
 in a fixed graded-lexicographic order (total degree first, then exponents with
 lambda most significant), so equal polynomials always serialize identically.
 
+Each exponent vector is stored packed into one int of seven 16-bit fields,
+
+    [total degree | lambda | t | q | x | s | m]
+
+with the total degree most significant (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  Multiplying two monomials is then one int addition, and comparing
+two packed ints is exactly the graded-lexicographic comparison.  Every field
+is bounded by the total degree, so a total degree below 2^16 keeps every
+field from carrying into its neighbour; building or multiplying into a
+monomial of total degree 2^16 or more raises :class:`OverflowError`.  The
+public API still speaks in exponent tuples aligned with ``VARIABLES``.
+
 Two of the variables are internal bookkeeping devices:
 
   * ``s`` stands for the square root of ``lambda`` (contract: s^2 = lambda).
@@ -42,12 +55,18 @@ __all__ = [
 #: graded-lexicographic comparison used everywhere (canonical strings, JSON).
 VARIABLES = ("lambda", "t", "q", "x", "s", "m")
 
-_VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _NVARS = len(VARIABLES)
-_ZERO = (0,) * _NVARS
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+#: Total degrees from this value on do not fit the packed fields.
+_DEGREE_LIMIT = 1 << _BITS
+_DEG_SHIFT = _BITS * _NVARS
+#: (variable, bit offset of its field); lambda sits just below the degree.
+_NAMED_SHIFTS = tuple((name, _BITS * (_NVARS - 1 - i)) for i, name in enumerate(VARIABLES))
+_SHIFT = dict(_NAMED_SHIFTS)
 
-_IDX_LAMBDA = _VAR_INDEX["lambda"]
-_IDX_S = _VAR_INDEX["s"]
+_S_SHIFT = _SHIFT["s"]
+_LAMBDA_SHIFT = _SHIFT["lambda"]
 
 #: A monomial is an exponent vector aligned with ``VARIABLES``.
 Monomial = tuple
@@ -61,23 +80,58 @@ class UnresolvedHalfPower(ValueError):
     """Raised when a polynomial still carries the internal variable ``s``."""
 
 
-def _grlex_key(mono: Monomial) -> tuple:
-    return (sum(mono), mono)
+def _check_degree(deg: int) -> None:
+    if deg >= _DEGREE_LIMIT:
+        raise OverflowError(f"total degree {deg} does not fit a packed monomial (< 2^{_BITS})")
 
 
-def _mono_from_exps(exps: Mapping[str, int]) -> Monomial:
-    vec = [0] * _NVARS
+def _pack(mono: Monomial) -> int:
+    """Packed key of an exponent tuple aligned with ``VARIABLES``."""
+    if len(mono) != _NVARS:
+        raise ValueError(f"monomial needs {_NVARS} exponents, got {len(mono)}")
+    key = deg = 0
+    for e in mono:
+        if e < 0:
+            raise ValueError("negative exponent")
+        key = (key << _BITS) | e
+        deg += e
+    _check_degree(deg)
+    return key | deg << _DEG_SHIFT
+
+
+def _pack_exps(exps: Mapping[str, int]) -> int:
+    """Packed key of a {variable: exponent} mapping."""
+    key = deg = 0
     for name, e in exps.items():
-        if name not in _VAR_INDEX:
+        shift = _SHIFT.get(name)
+        if shift is None:
             raise ValueError(f"unknown variable {name!r}")
         if e < 0:
             raise ValueError(f"negative exponent for {name!r}")
-        vec[_VAR_INDEX[name]] = e
-    return tuple(vec)
+        key += e << shift
+        deg += e
+    _check_degree(deg)
+    return key | deg << _DEG_SHIFT
 
 
-def _mono_to_exps(mono: Monomial) -> dict:
-    return {VARIABLES[i]: e for i, e in enumerate(mono) if e}
+def _unpack(key: int) -> Monomial:
+    return tuple((key >> shift) & _MASK for _, shift in _NAMED_SHIFTS)
+
+
+def _key_to_exps(key: int) -> dict:
+    out = {}
+    for name, shift in _NAMED_SHIFTS:
+        e = (key >> shift) & _MASK
+        if e:
+            out[name] = e
+    return out
+
+
+def _wrap(terms: dict) -> "Poly":
+    """A Poly over an already-clean packed-key dict (no zero coefficients)."""
+    res = Poly.__new__(Poly)
+    res._terms = terms
+    return res
 
 
 class Poly:
@@ -91,12 +145,7 @@ class Poly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    clean[mono] = coeff
-        self._terms = clean
+        self._terms = {_pack(mono): coeff for mono, coeff in (terms or {}).items() if coeff}
 
     # -- constructors -----------------------------------------------------
 
@@ -106,28 +155,27 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls({_ZERO: 1})
+        return _wrap({0: 1})
 
     @classmethod
     def constant(cls, c: int) -> "Poly":
-        return cls({_ZERO: int(c)})
+        c = int(c)
+        return _wrap({0: c} if c else {})
 
     @classmethod
     def variable(cls, name: str, power: int = 1) -> "Poly":
         if power < 0:
             raise ValueError("negative power")
-        if power == 0:
-            return cls.one()
-        return cls({_mono_from_exps({name: power}): 1})
+        return _wrap({_pack_exps({name: power}): 1})
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, Mapping[str, int]]]) -> "Poly":
         """Build from (coefficient, {variable: exponent}) pairs, combining duplicates."""
         acc: dict = {}
         for coeff, exps in terms:
-            mono = _mono_from_exps(exps)
-            acc[mono] = acc.get(mono, 0) + int(coeff)
-        return cls(acc)
+            key = _pack_exps(exps)
+            acc[key] = acc.get(key, 0) + int(coeff)
+        return _wrap({k: c for k, c in acc.items() if c})
 
     @staticmethod
     def _coerce(value) -> "Poly":
@@ -151,14 +199,14 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in descending graded-lexicographic order (the canonical order)."""
-        return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        terms = self._terms
+        return [(_unpack(k), terms[k]) for k in sorted(terms, reverse=True)]
 
     def variables(self) -> set:
         occ = set()
-        for mono in self._terms:
-            for i, e in enumerate(mono):
-                if e:
-                    occ.add(VARIABLES[i])
+        for name, shift in _NAMED_SHIFTS:
+            if any((k >> shift) & _MASK for k in self._terms):
+                occ.add(name)
         return occ
 
     def degree(self, var: str | None = None) -> int:
@@ -166,19 +214,19 @@ class Poly:
         if not self._terms:
             return 0
         if var is None:
-            return max(sum(m) for m in self._terms)
-        i = _VAR_INDEX[var]
-        return max(m[i] for m in self._terms)
+            return max(self._terms) >> _DEG_SHIFT
+        shift = _SHIFT[var]
+        return max((k >> shift) & _MASK for k in self._terms)
 
     def constant_term(self) -> int:
-        return self._terms.get(_ZERO, 0)
+        return self._terms.get(0, 0)
 
     def as_int(self) -> int:
         """The value of a constant polynomial; raises if non-constant."""
         if not self._terms:
             return 0
-        if len(self._terms) == 1 and _ZERO in self._terms:
-            return self._terms[_ZERO]
+        if len(self._terms) == 1 and 0 in self._terms:
+            return self._terms[0]
         raise ValueError(f"not a constant polynomial: {self!r}")
 
     def __eq__(self, other) -> bool:
@@ -198,22 +246,18 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = out.get(mono, 0) + coeff
+        for key, coeff in other._terms.items():
+            new = out.get(key, 0) + coeff
             if new:
-                out[mono] = new
-            elif mono in out:
-                del out[mono]
-        res = Poly.__new__(Poly)
-        res._terms = out
-        return res
+                out[key] = new
+            elif key in out:
+                del out[key]
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        res = Poly.__new__(Poly)
-        res._terms = {m: -c for m, c in self._terms.items()}
-        return res
+        return _wrap({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = Poly._coerce(other)
@@ -233,21 +277,23 @@ class Poly:
             return NotImplemented
         a, b = self._terms, other._terms
         if not a or not b:
-            return Poly.zero()
+            return _wrap({})
+        _check_degree((max(a) >> _DEG_SHIFT) + (max(b) >> _DEG_SHIFT))
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # adding one fixed key is injective and Z has no zero divisors,
+            # so nothing collides or cancels
+            [(ka, ca)] = a.items()
+            return _wrap({ka + kb: ca * cb for kb, cb in b.items()})
         out: dict = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                new = out.get(mono, 0) + ca * cb
-                if new:
-                    out[mono] = new
-                elif mono in out:
-                    del out[mono]
-        res = Poly.__new__(Poly)
-        res._terms = out
-        return res
+        get = out.get
+        b_items = b.items()
+        for ka, ca in a.items():
+            for kb, cb in b_items:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        return _wrap({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -259,82 +305,77 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- structural operations ----------------------------------------------
 
     def coefficient_of(self, var: str, power: int) -> "Poly":
         """The coefficient of ``var**power``, as a polynomial in the other variables."""
-        i = _VAR_INDEX[var]
-        out = {}
-        for mono, coeff in self._terms.items():
-            if mono[i] == power:
-                reduced = mono[:i] + (0,) + mono[i + 1:]
-                out[reduced] = coeff
-        return Poly(out)
+        shift = _SHIFT[var]
+        strip = (power << shift) + (power << _DEG_SHIFT)
+        return _wrap({
+            k - strip: c for k, c in self._terms.items() if ((k >> shift) & _MASK) == power
+        })
 
     def substitute(self, var: str, replacement) -> "Poly":
         """Substitute a polynomial (or integer) for one variable, exactly."""
         rep = Poly._coerce(replacement)
         if rep is NotImplemented:
             raise TypeError("replacement must be a Poly or int")
-        i = _VAR_INDEX[var]
-        powers = {0: Poly.one()}
+        shift = _SHIFT[var]
+        by_power: dict = {}
+        for k, c in self._terms.items():
+            e = (k >> shift) & _MASK
+            by_power.setdefault(e, {})[k - (e << shift) - (e << _DEG_SHIFT)] = c
         out = Poly.zero()
-        for mono, coeff in self.sorted_terms():
-            e = mono[i]
-            if e not in powers:
-                # fill the power cache upward from the largest known entry
-                k = max(powers)
-                acc = powers[k]
-                while k < e:
-                    acc = acc * rep
-                    k += 1
-                    powers[k] = acc
-            stripped = Poly({mono[:i] + (0,) + mono[i + 1:]: coeff})
-            out = out + stripped * powers[e]
+        power, acc = 0, Poly.one()
+        for e in sorted(by_power):
+            while power < e:
+                acc = acc * rep
+                power += 1
+            out = out + _wrap(by_power[e]) * acc
         return out
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
         """Rename variables (e.g. swap q and t).  The mapping must be injective."""
         perm = list(range(_NVARS))
+        index = {name: i for i, name in enumerate(VARIABLES)}
         targets = set()
         for old, new in mapping.items():
-            perm[_VAR_INDEX[old]] = _VAR_INDEX[new]
+            perm[index[old]] = index[new]
             targets.add(new)
         if len(targets) != len(mapping):
             raise ValueError("rename mapping must be injective")
         out: dict = {}
-        for mono, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
             vec = [0] * _NVARS
-            for i, e in enumerate(mono):
+            for i, e in enumerate(_unpack(key)):
                 if e:
                     j = perm[i]
                     if vec[j]:
                         raise ValueError("rename collides with an existing variable")
                     vec[j] = e
-            out[tuple(vec)] = coeff
-        return Poly(out)
+            out[_pack(vec)] = coeff
+        return _wrap(out)
 
     def resolve_half_powers(self) -> "Poly":
         """Replace s^2 by lambda throughout; raises on any odd power of s."""
-        if all(m[_IDX_S] == 0 for m in self._terms):
+        if not any((k >> _S_SHIFT) & _MASK for k in self._terms):
             return self
         out: dict = {}
-        for mono, coeff in self._terms.items():
-            e = mono[_IDX_S]
+        for key, coeff in self._terms.items():
+            e = (key >> _S_SHIFT) & _MASK
             if e % 2:
                 raise UnresolvedHalfPower(
                     f"odd half-power s^{e} cannot be resolved to a lambda power"
                 )
-            vec = list(mono)
-            vec[_IDX_S] = 0
-            vec[_IDX_LAMBDA] += e // 2
-            mono2 = tuple(vec)
-            out[mono2] = out.get(mono2, 0) + coeff
-        return Poly(out)
+            half = e // 2
+            new = key - (e << _S_SHIFT) + (half << _LAMBDA_SHIFT) - (half << _DEG_SHIFT)
+            out[new] = out.get(new, 0) + coeff
+        return _wrap({k: c for k, c in out.items() if c})
 
     # -- evaluation ----------------------------------------------------------
 
@@ -342,19 +383,31 @@ class Poly:
         """Exact rational value at a point covering every variable of the polynomial."""
         values = {}
         for name, v in assignment.items():
-            if name not in _VAR_INDEX:
+            shift = _SHIFT.get(name)
+            if shift is None:
                 raise ValueError(f"unknown variable {name!r}")
-            values[_VAR_INDEX[name]] = Fraction(v)
-        total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            term = Fraction(coeff)
-            for i, e in enumerate(mono):
-                if e:
-                    if i not in values:
-                        raise MissingVariable(VARIABLES[i])
-                    term *= values[i] ** e
-            total += term
-        return total
+            values[shift] = Fraction(v)
+        terms = self._terms
+        # Bring every term over the common denominator prod d_i^(max e_i), so
+        # the sum runs over ints and one Fraction is built at the end.
+        factors = []  # (shift, [num^e * den^(top - e) for e = 0..top])
+        denominator = 1
+        for name, shift in _NAMED_SHIFTS:
+            top = max(((k >> shift) & _MASK for k in terms), default=0)
+            if not top:
+                continue
+            value = values.get(shift)
+            if value is None:
+                raise MissingVariable(name)
+            num, den = value.numerator, value.denominator
+            factors.append((shift, [num**e * den ** (top - e) for e in range(top + 1)]))
+            denominator *= den**top
+        total = 0
+        for key, coeff in terms.items():
+            for shift, scaled_pows in factors:
+                coeff *= scaled_pows[(key >> shift) & _MASK]
+            total += coeff
+        return Fraction(total, denominator)
 
     # -- serialization ---------------------------------------------------------
 
@@ -363,27 +416,30 @@ class Poly:
 
         Refuses to print polynomials still carrying the internal variable s.
         """
-        if any(m[_IDX_S] for m in self._terms):
+        terms = self._terms
+        if any((k >> _S_SHIFT) & _MASK for k in terms):
             raise UnresolvedHalfPower("polynomial still contains s; resolve half powers first")
-        if not self._terms:
+        if not terms:
             return "0"
         pieces = []
-        for idx, (mono, coeff) in enumerate(self.sorted_terms()):
+        for key in sorted(terms, reverse=True):
+            coeff = terms[key]
             factors = []
-            for i, e in enumerate(mono):
+            for name, shift in _NAMED_SHIFTS:
+                e = (key >> shift) & _MASK
                 if e == 1:
-                    factors.append(VARIABLES[i])
-                elif e > 1:
-                    factors.append(f"{VARIABLES[i]}^{e}")
+                    factors.append(name)
+                elif e:
+                    factors.append(f"{name}^{e}")
             mag = abs(coeff)
             if factors:
                 body = "*".join(factors) if mag == 1 else "*".join([str(mag)] + factors)
             else:
                 body = str(mag)
-            if idx == 0:
-                pieces.append(("-" if coeff < 0 else "") + body)
-            else:
+            if pieces:
                 pieces.append((" - " if coeff < 0 else " + ") + body)
+            else:
+                pieces.append(("-" if coeff < 0 else "") + body)
         return "".join(pieces)
 
     def __str__(self) -> str:
@@ -394,7 +450,8 @@ class Poly:
             return f"Poly({self.canonical_str()})"
         except UnresolvedHalfPower:
             body = " + ".join(
-                f"{c}*{_mono_to_exps(m)}" for m, c in self.sorted_terms()
+                f"{self._terms[k]}*{_key_to_exps(k)}"
+                for k in sorted(self._terms, reverse=True)
             )
             return f"Poly[unresolved]({body or '0'})"
 
@@ -432,7 +489,7 @@ class Poly:
             i += 1
         if buf:
             terms.append((sign, "".join(buf).strip()))
-        acc: dict = {}
+        acc: list = []
         for sgn, body in terms:
             if not body:
                 raise ValueError(f"empty term in {text!r}")
@@ -451,32 +508,28 @@ class Poly:
                     e = int(e_str)
                 else:
                     name, e = factor, 1
-                if name not in _VAR_INDEX:
+                if name not in _SHIFT:
                     raise ValueError(f"unknown variable {name!r} in {text!r}")
                 exps[name] = exps.get(name, 0) + e
-            mono = _mono_from_exps(exps)
-            acc[mono] = acc.get(mono, 0) + coeff
-        return cls(acc)
+            acc.append((coeff, exps))
+        return cls.from_terms(acc)
 
     def to_json_dict(self) -> dict:
         """JSON form: coefficients as decimal strings, exponents as name->int maps."""
+        terms = self._terms
         return {
             "terms": [
-                {"coeff": str(coeff), "exps": _mono_to_exps(mono)}
-                for mono, coeff in self.sorted_terms()
+                {"coeff": str(terms[k]), "exps": _key_to_exps(k)}
+                for k in sorted(terms, reverse=True)
             ]
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Poly":
-        acc: dict = {}
-        for entry in data["terms"]:
-            mono = _mono_from_exps(entry["exps"])
-            acc[mono] = acc.get(mono, 0) + int(entry["coeff"])
-        return cls(acc)
+        return cls.from_terms((entry["coeff"], entry["exps"]) for entry in data["terms"])
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
-        return iter(self._terms.items())
+        return ((_unpack(k), c) for k, c in self._terms.items())
 
 
 # Handy singletons for building expressions.

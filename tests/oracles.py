@@ -45,6 +45,37 @@ def catalan_numbers(n_max: int) -> list:
     return cat
 
 
+def tridiagonal_moments(alpha, omega, n_max: int) -> list:
+    """(0,0) entries of the powers 0..n_max of the tridiagonal array
+    (sub-diagonal 1, diagonal alpha_i, super-diagonal omega_{i+1}).
+
+    The row e_0 M^k is carried over the whole (n_max+1)-square array, with no
+    pruning of rows that can no longer return to row 0.
+    """
+    size = n_max + 1
+    zero = alpha(0) * 0
+    matrix = [[zero] * size for _ in range(size)]
+    for i in range(size):
+        matrix[i][i] = alpha(i)
+        if i + 1 < size:
+            matrix[i][i + 1] = omega(i + 1)
+            matrix[i + 1][i] = zero + 1
+
+    row = [zero + 1] + [zero] * n_max
+    out = [row[0]]
+    for _ in range(n_max):
+        nxt = [zero] * size
+        for i, ri in enumerate(row):
+            if ri == 0:
+                continue
+            for j in range(size):
+                if matrix[i][j] != 0:
+                    nxt[j] = nxt[j] + ri * matrix[i][j]
+        row = nxt
+        out.append(row[0])
+    return out
+
+
 def tridiagonal_moment(alpha, omega, n: int):
     """(0,0) entry of the n-th power of the tridiagonal array
     (sub-diagonal 1, diagonal alpha_i, super-diagonal omega_{i+1})."""

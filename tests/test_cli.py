@@ -1,9 +1,13 @@
 """CLI surface: subcommands, exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qtmoments
 from qtmoments.cli import main, rational
 from qtmoments.ring import Poly
 
@@ -171,3 +175,32 @@ def test_workers_determinism(capsys):
     _, out2, _ = run(capsys, "moments", "--n", "6", "--method", "partitions",
                      "--workers", "2", "--output", "json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cards", "--word", "XYZ"],
+        ["cards", "--word", "CA"],
+        ["charlier", "--n-max", "-1"],
+        ["cfrac", "--order", "4", "--depth", "0"],
+        ["cfrac", "--order", "4", "--depth", "1"],
+        ["cfrac", "--order", "-1"],
+        ["moments", "--n", "3", "--workers", "0"],
+        ["verify", "--n-max", "0"],
+        ["verify", "--suite", "moments", "--workers", "0"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_input_is_a_usage_error(argv):
+    src = os.path.dirname(os.path.dirname(qtmoments.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("QTMOMENTS_WORKERS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtmoments", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+    assert proc.stdout == ""

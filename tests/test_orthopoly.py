@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtmoments.fock import ScalarGauge, moment_by_operator
 from qtmoments.orthopoly import (
     InsufficientMoments,
     binomial,
@@ -30,6 +31,7 @@ from oracles import (
     catalan_numbers,
     classical_binomial_moments,
     tridiagonal_moment,
+    tridiagonal_moments,
 )
 
 
@@ -81,6 +83,22 @@ def test_motzkin_matches_tridiagonal_power_oracle():
         j = preset()
         for n in range(7):
             assert moment_by_motzkin(j, n) == tridiagonal_moment(j.alpha, j.omega, n)
+
+
+@pytest.mark.parametrize("preset", [charlier_strict, charlier_t_gauge])
+def test_pruned_motzkin_matches_unpruned_tridiagonal_powers(preset):
+    j = preset()
+    assert moments_by_motzkin(j, 12) == tridiagonal_moments(j.alpha, j.omega, 12)
+
+
+@pytest.mark.parametrize(
+    "preset, gauge",
+    [(charlier_strict, ScalarGauge.IDENTITY), (charlier_t_gauge, ScalarGauge.T_POWER_N)],
+)
+def test_pruned_operator_matches_motzkin_at_large_n(preset, gauge):
+    motzkin = moments_by_motzkin(preset(), 18)
+    for n in (16, 18):
+        assert moment_by_operator(n, gauge) == motzkin[n]
 
 
 def test_motzkin_matches_partition_sum():

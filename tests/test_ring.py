@@ -173,3 +173,83 @@ def test_pow_and_degree():
 def test_big_coefficients_are_exact():
     p = (LAMBDA + 1) ** 64
     assert p.coefficient_of("lambda", 32).as_int() == 1832624140942590534
+
+
+# -- packed exponent vectors ---------------------------------------------------
+
+_ALL_VARS = ("lambda", "t", "q", "x", "s", "m")
+
+
+def _polys_over(names, max_exp, coeffs, max_size):
+    exps = st.fixed_dictionaries({}, optional={n: st.integers(0, max_exp) for n in names})
+    return st.lists(st.tuples(coeffs, exps), max_size=max_size).map(Poly.from_terms)
+
+
+_big = st.integers(-(10**30), 10**30)
+wide_polys = _polys_over(_ALL_VARS, 40, _big, 8)
+# canonical_str refuses s, so the text round trip draws from the other five
+printable_polys = _polys_over([n for n in _ALL_VARS if n != "s"], 40, _big, 8)
+# small exponents make many terms share a total degree, so the tie-break shows
+dense_polys = _polys_over(_ALL_VARS, 2, st.integers(-9, 9), 12)
+
+
+@given(st.one_of(dense_polys, wide_polys))
+@settings(max_examples=100, deadline=None)
+def test_sorted_terms_is_graded_lex_over_all_variables(p):
+    expected = sorted(p.terms(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    assert p.sorted_terms() == expected
+    assert all(len(mono) == 6 for mono, _ in expected)
+
+
+@given(printable_polys)
+@settings(max_examples=100, deadline=None)
+def test_packed_text_round_trip(p):
+    assert Poly.parse(p.canonical_str()) == p
+
+
+@given(wide_polys)
+@settings(max_examples=100, deadline=None)
+def test_packed_json_round_trip(p):
+    assert Poly.from_json_dict(p.to_json_dict()) == p
+
+
+def _to_sympy(p, sympy, gens):
+    return sympy.Poly.from_dict(dict(p.terms()) or {(0,) * 6: 0}, *gens, domain="ZZ")
+
+
+@given(wide_polys, wide_polys)
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("lambda t q x s m")
+    expected = (_to_sympy(a, sympy, gens) * _to_sympy(b, sympy, gens)).as_dict()
+    assert dict((a * b).terms()) == {mono: int(c) for mono, c in expected.items() if c}
+
+
+_point6 = st.fixed_dictionaries({name: rationals for name in _ALL_VARS})
+
+
+@given(wide_polys, _point6)
+@settings(max_examples=60, deadline=None)
+def test_eval_matches_sympy(p, point):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("lambda t q x s m")
+    value = _to_sympy(p, sympy, gens).eval(
+        {g: sympy.Rational(point[name].numerator, point[name].denominator)
+         for g, name in zip(gens, _ALL_VARS)}
+    )
+    assert p.eval(point) == Fraction(int(value.p), int(value.q))
+
+
+def test_packed_degree_limit():
+    with pytest.raises(OverflowError):
+        Poly.variable("lambda", 40000) * Poly.variable("t", 30000)
+    with pytest.raises(OverflowError):
+        Poly.from_terms([(1, {"lambda": 40000, "q": 25536})])
+    with pytest.raises(OverflowError):
+        Poly.from_terms([(1, {"m": 2**16})])
+    below = Poly.variable("lambda", 40000) * Poly.variable("t", 25535)
+    assert below.degree() == 2**16 - 1
+    assert below.sorted_terms() == [((40000, 25535, 0, 0, 0, 0), 1)]
+    top = Poly.variable("m", 2**16 - 1)
+    assert top.degree("m") == 2**16 - 1 and top.degree("lambda") == 0
