@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from .fock import OperatorLetter, OperatorWord, ScalarGauge
@@ -248,7 +249,11 @@ def expand_arrangements(
 
 
 def moment_by_cards(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
-    """The n-th moment as the sum of arrangement weights over all contributors."""
+    """The n-th moment as the sum of arrangement weights over all contributors.
+
+    Only the weight of each arrangement is kept, not its cards or partition:
+    each tuple of line choices is one arrangement.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n > 10:
@@ -256,13 +261,22 @@ def moment_by_cards(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
     covered = gauge is ScalarGauge.T_POWER_N
     acc: dict = {}
     for app_letters in _contributor_letter_stream(n):
-        word = OperatorWord(tuple(reversed(app_letters)))
-        lam = sum(
-            1 for letter in app_letters
-            if letter in (OperatorLetter.CREATION, OperatorLetter.SCALAR)
-        )
-        for _cards, _owner, q_exp, t_exp, single_lv in _expansion_states(word):
-            key = (lam, q_exp, t_exp + (single_lv if covered else 0))
+        levels = []  # the level of each annihilation/intermediate card
+        level = t_shift = 0
+        for letter in app_letters:
+            if letter is OperatorLetter.CREATION:
+                level += 1
+            elif letter is OperatorLetter.SCALAR:
+                t_shift += level
+            else:
+                levels.append(level)
+                if letter is OperatorLetter.ANNIHILATION:
+                    level -= 1
+        lam = n - len(levels)  # one block per creation or singleton card
+        # choice j at level i adds j-1 to q and i-j to t, which sum to i-1
+        t_top = sum(levels) - len(levels) + (t_shift if covered else 0)
+        for q_exp in map(sum, product(*[range(i) for i in levels])):
+            key = (lam, q_exp, t_top - q_exp)
             acc[key] = acc.get(key, 0) + 1
     return Poly.from_terms(
         (count, {"lambda": b, "q": qe, "t": te}) for (b, qe, te), count in acc.items()

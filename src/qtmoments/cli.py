@@ -442,9 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_charlier)
 
     p = sub.add_parser("cards", help="dump card arrangements")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--word", type=str, default=None,
-                   help="one operator word over C,A,N,S (leftmost applied last)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=int, default=None)
+    source.add_argument("--word", type=str, default=None,
+                        help="one operator word over C,A,N,S (leftmost applied last)")
     add_common(p)
     p.set_defaults(func=cmd_cards)
 
@@ -490,8 +491,6 @@ def main(argv=None) -> int:
         args.params = given if all(v is not None for v in given) else None
         if args.n < 1:
             parser.error("--n must be >= 1")
-    if args.command == "cards" and args.n is None and args.word is None:
-        parser.error("give --n or --word")
     if args.command == "partitions" and args.n < 1:
         parser.error("--n must be >= 1")
     if args.command == "verify" and args.n_max < 1:

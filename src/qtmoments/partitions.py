@@ -25,11 +25,15 @@ lambda^3 + 3*lambda^2 + lambda); COVERED_SINGLETON matches the scalar part
 lambda*t^N and reproduces the closed tables (third moment
 lambda^3 + (2+t)*lambda^2 + lambda).  See :mod:`qtmoments.fock` for the
 matching operator gauges.
+
+Per partition the statistics are counted from these definitions; the moment
+sum carries them down the rgs search instead (:func:`_weight_census`).
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -138,23 +142,16 @@ def _arcs_and_singletons(rgs: Sequence[int]) -> tuple:
     return arcs, singles
 
 
-def _rgs_stream(n: int, prefix: tuple = ()) -> Iterator[tuple]:
-    """All restricted growth strings of length n extending ``prefix``, lex order."""
-    top = max(prefix) if prefix else -1
-    if not prefix:
-        prefix = (0,)
-        top = 0
-        if n == 1:
-            yield prefix
-            return
-    stack = [(prefix, top)]
+def _rgs_stream(n: int) -> Iterator[tuple]:
+    """All restricted growth strings of length n, lex order."""
+    stack = [((0,), 0)]
     # iterative DFS keeping lexicographic order
     while stack:
         cur, top = stack.pop()
         if len(cur) == n:
             yield cur
             continue
-        for v in range(min(top + 1, len(cur)), -1, -1):
+        for v in range(top + 1, -1, -1):
             stack.append((cur + (v,), max(top, v)))
 
 
@@ -210,23 +207,51 @@ def _count_covered_singletons(arcs: Sequence[tuple], singles: Sequence[int]) -> 
 
 
 def _weight_census(n: int, prefix: tuple = ()) -> dict:
-    """Histogram {(blocks, crossings, strict nestings, covered-singleton pairs): count}."""
+    """Histogram {(blocks, crossings, strict nestings, covered-singleton pairs): count}
+    over the partitions whose rgs extends ``prefix``.
+
+    Element e joining the block ending at a closes the arc (a,e).  Each closed
+    arc (a',c') ends before e: a' < a < c' is a crossing, a < a' a nesting.
+    The arc covers the singletons above a; if a was one, the closed arcs
+    covering it (those the new arc crosses) no longer cover a singleton.
+    """
     census: dict = {}
-    for rgs in _rgs_stream(n, prefix):
-        arcs, singles = _arcs_and_singletons(rgs)
-        key = (
-            max(rgs) + 1,
-            _count_crossings(arcs),
-            _count_nestings(arcs),
-            _count_covered_singletons(arcs, singles),
-        )
-        census[key] = census.get(key, 0) + 1
+    last: list = []  # last element of each block
+    arcs: list = []  # closed arcs
+
+    def grow(e: int, rc: int, rn: int, cov: int, singles: tuple) -> None:
+        if e > n:
+            key = (len(last), rc, rn, cov)
+            census[key] = census.get(key, 0) + 1
+            return
+        blocks = len(last)
+        for b in (prefix[e - 1],) if e <= len(prefix) else range(blocks + 1):
+            if b == blocks:
+                last.append(e)
+                grow(e + 1, rc, rn, cov, singles + (e,))
+                last.pop()
+                continue
+            a = last[b]
+            crossed = nested = 0
+            for a2, c2 in arcs:
+                if a2 > a:
+                    nested += 1
+                elif a < c2:
+                    crossed += 1
+            i = bisect_right(singles, a)
+            covered = len(singles) - i
+            rest = singles
+            if i and singles[i - 1] == a:
+                covered -= crossed
+                rest = singles[: i - 1] + singles[i:]
+            arcs.append((a, e))
+            last[b] = e
+            grow(e + 1, rc + crossed, rn + nested, cov + covered, rest)
+            last[b] = a
+            arcs.pop()
+
+    grow(1, 0, 0, 0, ())
     return census
-
-
-def _census_unit(args: tuple) -> dict:
-    n, prefix = args
-    return _weight_census(n, prefix)
 
 
 def _census_to_moment(census: dict, mode: NestingMode) -> Poly:
@@ -257,10 +282,10 @@ def moment_by_partitions(n: int, mode: NestingMode, workers: int = 1) -> Poly:
     if n < 1:
         raise ValueError("n must be positive")
     if workers > 1 and n >= 6:
-        units = [(n, prefix) for prefix in _prefix_units(n)]
+        prefixes = _prefix_units(n)
         census: dict = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_census_unit, units):
+            for part in pool.map(_weight_census, [n] * len(prefixes), prefixes):
                 for key, count in part.items():
                     census[key] = census.get(key, 0) + count
     else:
@@ -271,10 +296,11 @@ def moment_by_partitions(n: int, mode: NestingMode, workers: int = 1) -> Poly:
 def partition_record(p: SetPartition) -> dict:
     """The JSON-line record used by the CLI listing."""
     arcs, singles = _arcs_and_singletons(p.rgs)
+    nestings = _count_nestings(arcs)
     return {
         "rgs": list(p.rgs),
         "blocks": p.block_count,
         "rc": _count_crossings(arcs),
-        "rn_strict": _count_nestings(arcs),
-        "rn_covered": _count_nestings(arcs) + _count_covered_singletons(arcs, singles),
+        "rn_strict": nestings,
+        "rn_covered": nestings + _count_covered_singletons(arcs, singles),
     }

@@ -146,6 +146,13 @@ def quadruple_nestings(blocks: list) -> int:
     return count
 
 
+def quadruple_covered_singletons(blocks: list) -> int:
+    """Covered singletons straight from the definition: pairs (a<e<c) where c
+    follows a in one block and e is alone in its block."""
+    singles = [b[0] for b in blocks if len(b) == 1]
+    return sum(1 for (a, c) in _follow_pairs(blocks) for e in singles if a < e < c)
+
+
 def _follow_pairs(blocks: list) -> list:
     pairs = []
     for block in blocks:

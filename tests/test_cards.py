@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from qtmoments import PRESET_FOR_MODE
 from qtmoments.cards import (
     Card,
     NotContributor,
@@ -27,6 +28,7 @@ from qtmoments.partitions import (
     restricted_crossings,
     restricted_nestings,
 )
+from qtmoments.orthopoly import moments_by_motzkin
 from qtmoments.ring import Poly
 
 IDENTITY = ScalarGauge.IDENTITY
@@ -212,3 +214,21 @@ def test_arrangement_record():
     assert record["word"] == "AASNCC"
     assert record["cards"][0] == "C0"
     assert record["partition"][0][0] == 1
+
+
+def test_moment_by_cards_matches_expanded_weights():
+    for n in range(1, 9):
+        for gauge in (IDENTITY, TPOWER):
+            total = Poly.zero()
+            for word in enumerate_contributors(n):
+                for arr in expand_arrangements(word, gauge):
+                    total = total + arr.weight
+            assert moment_by_cards(n, gauge) == total, (n, gauge)
+
+
+def test_partitions_cards_and_motzkin_agree_at_n10():
+    for mode, gauge in ((NestingMode.STRICT, IDENTITY),
+                        (NestingMode.COVERED_SINGLETON, TPOWER)):
+        motzkin = moments_by_motzkin(PRESET_FOR_MODE[mode](), 10)[10]
+        assert moment_by_partitions(10, mode) == motzkin
+        assert moment_by_cards(10, gauge) == motzkin

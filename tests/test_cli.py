@@ -182,6 +182,7 @@ def test_workers_determinism(capsys):
     [
         ["cards", "--word", "XYZ"],
         ["cards", "--word", "CA"],
+        ["cards", "--n", "8", "--word", "AC"],
         ["charlier", "--n-max", "-1"],
         ["cfrac", "--order", "4", "--depth", "0"],
         ["cfrac", "--order", "4", "--depth", "1"],

@@ -1,10 +1,14 @@
 """Partition enumeration, crossing/nesting statistics, and the moment sum."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtmoments.partitions import (
     NestingMode,
     SetPartition,
+    _weight_census,
     enumerate_partitions,
     moment_by_partitions,
     partition_record,
@@ -16,6 +20,7 @@ from qtmoments.ring import LAMBDA, Poly
 from oracles import (
     bell_numbers,
     catalan_numbers,
+    quadruple_covered_singletons,
     quadruple_crossings,
     quadruple_nestings,
     tridiagonal_moment,
@@ -160,3 +165,68 @@ def test_partition_record():
         "rn_strict": 0,
         "rn_covered": 1,
     }
+
+
+def test_parallel_enumeration_matches_serial_n9():
+    for mode in (STRICT, COVERED):
+        assert moment_by_partitions(9, mode, workers=2) == moment_by_partitions(9, mode)
+
+
+@functools.cache
+def _oracle_census(n: int) -> tuple:
+    """(rgs, (blocks, crossings, strict nestings, covered singletons)) for every
+    partition of {1..n}, each statistic taken from the quadruple oracles."""
+    out = []
+    for p in enumerate_partitions(n):
+        blocks = p.blocks()
+        stats = (
+            len(blocks),
+            quadruple_crossings(blocks),
+            quadruple_nestings(blocks),
+            quadruple_covered_singletons(blocks),
+        )
+        out.append((p.rgs, stats))
+    return tuple(out)
+
+
+def test_moment_matches_quadruple_oracle_sum():
+    for n in range(1, 9):
+        for mode in (STRICT, COVERED):
+            expected = Poly.from_terms(
+                (1, {"lambda": b, "q": rc, "t": rn + cov if mode is COVERED else rn})
+                for _, (b, rc, rn, cov) in _oracle_census(n)
+            )
+            assert moment_by_partitions(n, mode) == expected, (n, mode)
+
+
+@st.composite
+def growth_strings(draw, min_len: int = 1, max_len: int = 12) -> tuple:
+    """A restricted growth string: each entry at most one above the running max."""
+    rgs = [0]
+    for _ in range(draw(st.integers(min_len, max_len)) - 1):
+        rgs.append(draw(st.integers(0, max(rgs) + 1)))
+    return tuple(rgs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(growth_strings())
+def test_random_rgs_statistics_match_quadruple_oracles(rgs):
+    p = SetPartition(len(rgs), rgs)
+    blocks = p.blocks()
+    nestings = quadruple_nestings(blocks)
+    assert restricted_crossings(p) == quadruple_crossings(blocks)
+    assert restricted_nestings(p, STRICT) == nestings
+    assert restricted_nestings(p, COVERED) == nestings + quadruple_covered_singletons(blocks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_prefix_census_matches_brute_force(data):
+    n = data.draw(st.integers(1, 8))
+    rgs = data.draw(growth_strings(min_len=n, max_len=n))
+    prefix = rgs[: data.draw(st.integers(0, n))]
+    expected: dict = {}
+    for full, stats in _oracle_census(n):
+        if full[: len(prefix)] == prefix:
+            expected[stats] = expected.get(stats, 0) + 1
+    assert _weight_census(n, prefix) == expected
