@@ -5,9 +5,11 @@ A finite-depth J-fraction
     1 / (1 - b_0 z - lam_1 z^2 / (1 - b_1 z - lam_2 z^2 / ( ... )))
 
 with b_n and lam_n taken from Jacobi data reproduces the moment generating
-series: the coefficient of z^n is the n-th moment.  Reaching depth h costs at
-least 2h powers of z, so depth ceil(order/2) already pins every coefficient
-up to z^order; the default adds one spare level.
+series: the coefficient of z^n is the n-th moment.  A path that reaches depth h
+and comes back spends at least 2h powers of z, so depth order // 2 already
+pins every coefficient up to z^order; the default adds one spare level.  The
+expansion (orthopoly.jfraction_series_from_arrays) keeps only the
+coefficients of each level that can still reach z^order.
 """
 
 from __future__ import annotations
@@ -58,12 +60,12 @@ def cf_spec(j: JacobiParams, depth: int) -> ContinuedFractionSpec:
 def cf_series(spec: ContinuedFractionSpec, order: int) -> list:
     """Series coefficients z^0..z^order of the truncated fraction.
 
-    Independent of the truncation depth once depth >= ceil(order/2); shallower
+    Independent of the truncation depth once depth >= order // 2; shallower
     truncations would silently drop reachable levels, so they raise.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    needed = (order + 1) // 2
+    needed = order // 2
     if spec.depth < needed:
         raise InsufficientDepth(f"order {order} needs depth >= {needed}, got {spec.depth}")
     return jfraction_series_from_arrays(list(spec.b), list(spec.lam), order)

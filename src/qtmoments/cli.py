@@ -38,6 +38,7 @@ from .orthopoly import (
     charlier_t_gauge,
     check_charlier_fock_identity,
     check_orthogonality,
+    default_jfraction_depth,
     ejsmont,
     jfraction_series,
     moments_by_motzkin,
@@ -251,7 +252,7 @@ def cmd_cards(args) -> int:
 
 def cmd_cfrac(args) -> int:
     preset = PRESETS[args.preset]()
-    depth = args.depth if args.depth is not None else (args.order + 1) // 2 + 1
+    depth = args.depth if args.depth is not None else default_jfraction_depth(args.order)
     spec = cf_spec(preset, depth)
     series = cf_series(spec, args.order)
     strings = [c.canonical_str() for c in series]

@@ -64,6 +64,7 @@ __all__ = [
     "check_charlier_fock_identity",
     "LimitReport",
     "poisson_limit_check",
+    "default_jfraction_depth",
     "jfraction_series",
     "jfraction_series_from_arrays",
     "hankel_determinants",
@@ -366,62 +367,49 @@ def poisson_limit_check(
     return LimitReport(symbolic=symbolic, deviations=deviations, numeric_ok=numeric_ok)
 
 
-# -- truncated power series over ring elements ---------------------------------
+# -- J-fraction series ---------------------------------------------------------
 
 
-def _series_mul(a: list, b: list, order: int) -> list:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order or ai == 0:
-            continue
-        for k in range(min(order - i, len(b) - 1) + 1):
-            bk = b[k]
-            if bk != 0:
-                out[i + k] = out[i + k] + ai * bk
-    return out
-
-
-def _series_inv_one_minus(w: list, order: int) -> list:
-    """Series inverse of 1 - w(z), where w has zero constant term."""
-    out = [0] * (order + 1)
-    out[0] = 1
-    for k in range(1, order + 1):
-        acc = 0
-        for j in range(1, min(k, len(w) - 1) + 1):
-            wj = w[j]
-            if wj != 0:
-                acc = acc + wj * out[k - j]
-        out[k] = acc
-    return out
+def default_jfraction_depth(order: int) -> int:
+    """Truncation depth used when none is given: one spare level past order // 2."""
+    return (order + 1) // 2 + 1
 
 
 def jfraction_series_from_arrays(b: Sequence, lam: Sequence, order: int) -> list:
     """Coefficients z^0..z^order of 1/(1 - b0 z - lam1 z^2/(1 - b1 z - ...)).
 
-    ``b`` holds b_0..b_depth and ``lam`` holds lam_1..lam_depth.  Depth levels
-    beyond order/2 are unreachable within the requested order.
+    ``b`` holds b_0..b_depth and ``lam`` holds lam_1..lam_depth.  The fraction
+    is expanded bottom-up, one level at a time: the series S_h of level h is
+    the inverse of 1 - b_h z - lam_{h+1} z^2 S_{h+1}.  S_h enters the surface
+    series only through the factor lam_1 ... lam_h z^(2h), so only its
+    coefficients z^0..z^(order-2h) can reach z^order; higher ones are never
+    formed, and levels deeper than order // 2 are skipped altogether.
     """
     depth = len(b) - 1
     if len(lam) != depth:
         raise ValueError("need exactly one lam entry per level below the surface")
-    inner = [0] * (order + 1)  # series of the level below the deepest: zero
-    for h in range(depth, -1, -1):
-        w = [0] * (order + 1)
-        if order >= 1:
-            w[1] = b[h]
-        if h < depth and order >= 2:
-            tail = _series_mul(inner, [0, 0, lam[h]], order)  # lam[h] is omega_{h+1}
-            w = [u + v for u, v in zip(w, tail)]
-        inner = _series_inv_one_minus(w, order)
-    one = b[0] * 0 + 1 if b else 1
-    return [c * one for c in inner]
+    one = b[0] * 0 + 1
+    zero = one * 0
+    inner: list = []  # the kept part of the level below; empty below the last
+    for h in range(min(depth, order // 2), -1, -1):
+        # w = b_h z + lam_{h+1} z^2 S_{h+1}; lam[h] is lam_{h+1}.
+        w = [zero, b[h]] + [lam[h] * c for c in inner]
+        series = [one]
+        for k in range(1, order - 2 * h + 1):
+            acc = zero
+            for j in range(1, min(k, len(w) - 1) + 1):
+                if w[j] != 0:
+                    acc = acc + w[j] * series[k - j]
+            series.append(acc)
+        inner = series
+    return inner
 
 
 def jfraction_series(j: JacobiParams, order: int) -> list:
-    """Moment series from the J-fraction of the Jacobi data (depth auto-chosen)."""
+    """Moment series from the J-fraction of the Jacobi data (default depth)."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    depth = (order + 1) // 2 + 1
+    depth = default_jfraction_depth(order)
     b = [j.alpha(h) for h in range(depth + 1)]
     lam = [j.omega(h) for h in range(1, depth + 1)]
     return jfraction_series_from_arrays(b, lam, order)

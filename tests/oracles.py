@@ -2,9 +2,10 @@
 
 Each helper recomputes a quantity by a different route than the code under
 test: schoolbook convolution for products, counting recurrences for Bell and
-Catalan numbers, explicit matrix powers for path-weighted moments, and
-exhaustive scans for small combinatorial counts.  Tests freeze values from
-these, never from the implementation being checked.
+Catalan numbers, explicit matrix powers for path-weighted moments, full-order
+series inversion for J-fractions, and exhaustive scans for small
+combinatorial counts.  Tests freeze values from these, never from the
+implementation being checked.
 """
 
 from __future__ import annotations
@@ -74,6 +75,32 @@ def tridiagonal_moments(alpha, omega, n_max: int) -> list:
         row = nxt
         out.append(row[0])
     return out
+
+
+def unpruned_jfraction_series(b, lam, order: int) -> list:
+    """Coefficients z^0..z^order of 1/(1 - b0 z - lam1 z^2/(1 - b1 z - ...)).
+
+    Every level of the truncated fraction, from the deepest up, is expanded to
+    the full order z^0..z^order and inverted as a series, with no pruning of
+    coefficients or levels that cannot reach z^order.
+    """
+    zero = b[0] * 0
+    inner = [zero] * (order + 1)
+    for h in range(len(b) - 1, -1, -1):
+        w = [zero] * (order + 1)  # b_h z + lam_{h+1} z^2 S_{h+1}
+        if order >= 1:
+            w[1] = b[h]
+        if h < len(lam):
+            for k in range(2, order + 1):
+                w[k] = lam[h] * inner[k - 2]
+        series = [zero + 1]
+        for k in range(1, order + 1):
+            acc = zero
+            for i in range(1, k + 1):
+                acc = acc + w[i] * series[k - i]
+            series.append(acc)
+        inner = series
+    return inner
 
 
 def tridiagonal_moment(alpha, omega, n: int):

@@ -1,15 +1,19 @@
 """Continued-fraction spec, series, depth behavior, rendering."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtmoments.cfrac import ContinuedFractionSpec, InsufficientDepth, cf_series, cf_spec, render_cf
 from qtmoments.orthopoly import (
     binomial,
     charlier_strict,
+    charlier_strict_specialized,
     charlier_t_gauge,
     ejsmont,
+    jfraction_series_from_arrays,
     moments_by_motzkin,
 )
 from qtmoments.partitions import NestingMode, moment_by_partitions
@@ -60,6 +64,49 @@ def test_insufficient_depth_raises():
         cf_series(spec, 6)
     # order 4 needs depth 2 exactly
     assert cf_series(spec, 4)[4] == moments_by_motzkin(charlier_strict(), 4)[4]
+
+
+@pytest.mark.parametrize("preset", [charlier_strict, charlier_t_gauge])
+def test_depth_half_the_order_is_exact_and_tight(preset):
+    j = preset()
+    moments = moments_by_motzkin(j, 11)
+    for order in range(12):
+        assert cf_series(cf_spec(j, max(1, order // 2)), order) == moments[: order + 1]
+        if order // 2 > 1:
+            shallow = cf_spec(j, order // 2 - 1)
+            with pytest.raises(InsufficientDepth):
+                cf_series(shallow, order)
+            # the check is needed: one level less changes the series
+            series = jfraction_series_from_arrays(list(shallow.b), list(shallow.lam), order)
+            assert series != moments[: order + 1]
+
+
+PRESETS = {"strict": charlier_strict, "tgauge": charlier_t_gauge, "ejsmont": ejsmont}
+
+
+@cache
+def _deep_series(preset: str, order: int) -> list:
+    return cf_series(cf_spec(PRESETS[preset](), order // 2 + 4), order)
+
+
+@st.composite
+def _order_and_depth(draw):
+    order = draw(st.integers(0, 12))
+    return order, draw(st.integers(max(1, order // 2), order // 2 + 4))
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(PRESETS)), _order_and_depth(), _rationals, _rationals, _rationals)
+def test_series_ignores_depth_and_specializes(preset, order_depth, lam, q, t):
+    order, depth = order_depth
+    series = cf_series(cf_spec(PRESETS[preset](), depth), order)
+    assert series == _deep_series(preset, order)
+    point = {"lambda": lam, "q": q, "t": t}
+    strict = cf_spec(charlier_strict_specialized(lam, q, t), depth)
+    assert cf_series(strict, order) == [c.eval(point) for c in _deep_series("strict", order)]
 
 
 def test_spec_validation():

@@ -9,6 +9,7 @@ import pytest
 
 import qtmoments
 from qtmoments.cli import main, rational
+from qtmoments.orthopoly import charlier_strict, moments_by_motzkin
 from qtmoments.ring import Poly
 
 
@@ -144,6 +145,16 @@ def test_cfrac_series(capsys):
     code, out, _ = run(capsys, "cfrac", "--order", "4", "--output", "json")
     record = json.loads(out)
     assert record["series"][2] == "lambda^2 + lambda"
+
+
+def test_cfrac_depth_half_an_odd_order(capsys):
+    code, out, _ = run(capsys, "cfrac", "--order", "5", "--depth", "2", "--output", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["depth"] == 2
+    assert record["series"] == [
+        m.canonical_str() for m in moments_by_motzkin(charlier_strict(), 5)
+    ]
 
 
 def test_binomial_moments(capsys):

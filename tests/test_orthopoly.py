@@ -13,9 +13,11 @@ from qtmoments.orthopoly import (
     charlier_t_gauge,
     check_charlier_fock_identity,
     check_orthogonality,
+    default_jfraction_depth,
     ejsmont,
     hankel_determinants,
     jfraction_series,
+    jfraction_series_from_arrays,
     moment_by_motzkin,
     moment_functional,
     moments_by_motzkin,
@@ -32,6 +34,7 @@ from oracles import (
     classical_binomial_moments,
     tridiagonal_moment,
     tridiagonal_moments,
+    unpruned_jfraction_series,
 )
 
 
@@ -266,6 +269,35 @@ def test_jfraction_matches_motzkin_for_all_presets():
 def test_jfraction_rational_data():
     j = binomial(Fraction(10), Fraction(1, 10), Fraction(1, 3), Fraction(2, 3))
     assert jfraction_series(j, 8) == moments_by_motzkin(j, 8)
+
+
+@pytest.mark.parametrize("preset", [charlier_strict, charlier_t_gauge])
+def test_jfraction_matches_motzkin_at_order_16(preset):
+    j = preset()
+    assert jfraction_series(j, 16) == moments_by_motzkin(j, 16)
+
+
+@pytest.mark.parametrize(
+    "jacobi",
+    [
+        charlier_strict,
+        charlier_t_gauge,
+        ejsmont,
+        lambda: binomial(Fraction(10), Fraction(1, 10), Fraction(1, 3), Fraction(2, 3)),
+        # omega = 2/3, 8/9, 2/3, 0, 0, ...: the fraction stops inside the order
+        lambda: binomial(Fraction(3), Fraction(1, 3), Fraction(1), Fraction(1)),
+    ],
+    ids=["strict", "tgauge", "ejsmont", "binomial-10", "binomial-3-clamped"],
+)
+def test_pruned_jfraction_matches_unpruned_expansion(jacobi):
+    j = jacobi()
+    for order in range(11):
+        # the default depth, and a truncation shallower than order // 2
+        for depth in (default_jfraction_depth(order), 1):
+            b = [j.alpha(h) for h in range(depth + 1)]
+            lam = [j.omega(h) for h in range(1, depth + 1)]
+            expected = unpruned_jfraction_series(b, lam, order)
+            assert jfraction_series_from_arrays(b, lam, order) == expected, (order, depth)
 
 
 def test_hankel_positivity_samples():
