@@ -41,6 +41,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .qtnum import qt_number
@@ -294,6 +295,12 @@ def inversions(perm: Sequence[int]) -> int:
     return count
 
 
+@cache
+def _inversion_counts(n: int) -> bytes:
+    """inv(sigma) per permutation of range(n) in itertools order, one byte each."""
+    return bytes(inversions(sigma) for sigma in itertools.permutations(range(n)))
+
+
 def qt_inner_product(gram: Sequence[Sequence]) -> Poly:
     """Permutation expansion of the deformed inner product, symbolically in q and t.
 
@@ -311,14 +318,13 @@ def qt_inner_product(gram: Sequence[Sequence]) -> Poly:
         warnings.warn(f"summing over {n}! permutations")
     top = n * (n - 1) // 2
     total = Poly.zero()
-    for sigma in itertools.permutations(range(n)):
+    for sigma, inv in zip(itertools.permutations(range(n)), _inversion_counts(n)):
         prod = Poly.one()
         for k in range(n):
             prod = prod * gram[k][sigma[k]]
             if prod.is_zero:
                 break
         if not prod.is_zero:
-            inv = inversions(sigma)
             total = total + Q**inv * T ** (top - inv) * prod
     return total
 
@@ -336,7 +342,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.checked > 0 and not self.failures
 
     def record(self, ok: bool, message: str) -> None:
         self.checked += 1
@@ -345,6 +351,8 @@ class CheckReport:
 
     def __str__(self) -> str:
         status = "ok" if self.passed else f"{len(self.failures)} failure(s)"
+        if not self.checked:
+            status = "nothing checked"
         return f"{self.name}: {self.checked} checks, {status}"
 
 
@@ -387,33 +395,61 @@ def basis_words(d: int, n: int) -> list:
     return out
 
 
-def _gram_fraction(gram: Sequence[Sequence]) -> list:
-    return [[Fraction(x) for x in row] for row in gram]
+class _WordForm:
+    """The multi-mode inner product at one exact (gram, q, t): the Gram matrix
+    is converted to Fractions once and the weights q^inv t^(M-inv) are
+    tabulated once per word length, for a whole check."""
+
+    def __init__(self, gram: Sequence[Sequence], q: Fraction, t: Fraction):
+        self.g = [[Fraction(x) for x in row] for row in gram]
+        self.q, self.t = Fraction(q), Fraction(t)
+        self.weights: dict = {}  # m -> [q^i t^(M-i) for i = 0..M]
+
+    def words(self, u: Sequence[int], v: Sequence[int]) -> Fraction:
+        if len(u) != len(v):
+            return Fraction(0)
+        m = len(u)
+        if m not in self.weights:
+            top = m * (m - 1) // 2
+            self.weights[m] = [self.q**i * self.t ** (top - i) for i in range(top + 1)]
+        weights = self.weights[m]
+        rows = [self.g[a] for a in u]
+        total = Fraction(0)
+        for sigma, inv in zip(itertools.permutations(range(m)), _inversion_counts(m)):
+            prod = Fraction(1)
+            for k in range(m):
+                prod *= rows[k][v[sigma[k]]]
+                if prod == 0:
+                    break
+            if prod:
+                total += weights[inv] * prod
+        return total
+
+    def inner(self, u_vec: dict, v_vec: dict) -> Fraction:
+        total = Fraction(0)
+        for u, cu in u_vec.items():
+            for v, cv in v_vec.items():
+                total += cu * cv * self.words(u, v)
+        return total
+
+    def annihilate(self, i: int, vec: dict) -> dict:
+        out: dict = {}
+        for word, coeff in vec.items():
+            m = len(word)
+            for k in range(1, m + 1):
+                w = self.q ** (k - 1) * self.t ** (m - k) * self.g[i][word[k - 1]]
+                if w == 0:
+                    continue
+                new = tuple(word[: k - 1] + word[k:])
+                out[new] = out.get(new, Fraction(0)) + coeff * w
+        return {w: c for w, c in out.items() if c != 0}
 
 
 def word_inner_product(
     u: Sequence[int], v: Sequence[int], gram: Sequence[Sequence], q: Fraction, t: Fraction
 ) -> Fraction:
     """Deformed inner product of two basis words (0 when lengths differ)."""
-    if len(u) != len(v):
-        return Fraction(0)
-    m = len(u)
-    if m == 0:
-        return Fraction(1)
-    g = _gram_fraction(gram)
-    q, t = Fraction(q), Fraction(t)
-    top = m * (m - 1) // 2
-    total = Fraction(0)
-    for sigma in itertools.permutations(range(m)):
-        prod = Fraction(1)
-        for k in range(m):
-            prod *= g[u[k]][v[sigma[k]]]
-            if prod == 0:
-                break
-        if prod:
-            inv = inversions(sigma)
-            total += q**inv * t ** (top - inv) * prod
-    return total
+    return _WordForm(gram, q, t).words(u, v)
 
 
 def multimode_create(i: int, vec: dict, max_level: int) -> dict:
@@ -433,35 +469,14 @@ def multimode_annihilate(
     i: int, vec: dict, gram: Sequence[Sequence], q: Fraction, t: Fraction
 ) -> dict:
     """Remove each slot k with weight q^(k-1) t^(m-k) g[i][slot letter]."""
-    g = _gram_fraction(gram)
-    q, t = Fraction(q), Fraction(t)
-    out: dict = {}
-    for word, coeff in vec.items():
-        if coeff == 0:
-            continue
-        m = len(word)
-        for k in range(1, m + 1):
-            w = q ** (k - 1) * t ** (m - k) * g[i][word[k - 1]]
-            if w == 0:
-                continue
-            new = tuple(word[: k - 1] + word[k:])
-            out[new] = out.get(new, Fraction(0)) + coeff * w
-    return {w: c for w, c in out.items() if c != 0}
+    return _WordForm(gram, q, t).annihilate(i, vec)
 
 
 def multimode_inner(
     u_vec: dict, v_vec: dict, gram: Sequence[Sequence], q: Fraction, t: Fraction
 ) -> Fraction:
     """Sesquilinear extension of the word inner product (real scalars)."""
-    total = Fraction(0)
-    for u, cu in u_vec.items():
-        if cu == 0:
-            continue
-        for v, cv in v_vec.items():
-            if cv == 0:
-                continue
-            total += cu * cv * word_inner_product(u, v, gram, q, t)
-    return total
+    return _WordForm(gram, q, t).inner(u_vec, v_vec)
 
 
 def check_adjointness(
@@ -469,6 +484,7 @@ def check_adjointness(
 ) -> CheckReport:
     """Verify <A*(xi_i) u | v> = <u | A(xi_i) v> on all basis pairs, exactly."""
     report = CheckReport(name=f"adjointness(d={d}, n={n}, q={q}, t={t})")
+    form = _WordForm(gram, q, t)
     words = basis_words(d, n)
     for i in range(d):
         for u in words:
@@ -477,9 +493,8 @@ def check_adjointness(
             else:
                 created = {}  # leaves the truncated space; pairs below are level-mismatched
             for v in words:
-                lhs = multimode_inner(created, {v: Fraction(1)}, gram, q, t)
-                annihilated = multimode_annihilate(i, {v: Fraction(1)}, gram, q, t)
-                rhs = multimode_inner({u: Fraction(1)}, annihilated, gram, q, t)
+                lhs = form.inner(created, {v: Fraction(1)})
+                rhs = form.inner({u: Fraction(1)}, form.annihilate(i, {v: Fraction(1)}))
                 report.record(
                     lhs == rhs,
                     f"letter {i}, u={u}, v={v}: {lhs} != {rhs}",
@@ -491,11 +506,9 @@ def multimode_gram(
     d: int, n: int, gram: Sequence[Sequence], q: Fraction, t: Fraction
 ) -> list:
     """Gram matrix of all basis words up to level n, exact rationals."""
+    form = _WordForm(gram, q, t)
     words = basis_words(d, n)
-    return [
-        [word_inner_product(u, v, gram, q, t) for v in words]
-        for u in words
-    ]
+    return [[form.words(u, v) for v in words] for u in words]
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -521,16 +534,29 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list:
-    """Determinants of the leading k-by-k blocks, k = 1..n.
+    """Determinants of the leading k-by-k blocks, k = 1..n, from one elimination.
 
-    Each block is eliminated independently; row swaps inside one block do not
-    leak into the others, so these really are the minors of the input matrix.
+    Elimination without row exchanges leaves every leading minor unchanged, so
+    the k-th minor is the product of the first k pivots.  From the first zero
+    pivot on, each remaining block goes to :func:`determinant` (which may
+    exchange rows), so zero and negative minors stay exact.
     """
     n = len(matrix)
-    return [
-        determinant([row[: k + 1] for row in matrix[: k + 1]])
-        for k in range(n)
-    ]
+    work = [[Fraction(x) for x in row[:n]] for row in matrix]
+    minors: list = []
+    det = Fraction(1)
+    for k in range(n):
+        pivot = work[k][k]
+        if pivot == 0:
+            return minors + [determinant([r[:s] for r in matrix[:s]]) for s in range(k + 1, n + 1)]
+        det *= pivot
+        minors.append(det)
+        for r in range(k + 1, n):
+            if work[r][k] != 0:
+                factor = work[r][k] / pivot
+                for c in range(k + 1, n):
+                    work[r][c] -= factor * work[k][c]
+    return minors
 
 
 def check_gram_positivity(

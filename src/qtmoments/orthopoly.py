@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence
 
-from .fock import CheckReport, FockVector, ScalarGauge, apply_poisson, determinant
+from .fock import CheckReport, FockVector, ScalarGauge, apply_poisson, leading_principal_minors
 from .qtnum import qt_number
 from .ring import LAMBDA, M, Poly, T, X
 
@@ -225,16 +225,32 @@ def moment_functional(p: Poly, moments: Sequence):
 
 
 def check_orthogonality(j: JacobiParams, n_max: int, moments: Sequence) -> CheckReport:
-    """Verify L(P_n P_m) = delta_{nm} prod_{i<=n} omega_i exactly for n,m <= n_max."""
+    """Verify L(P_n P_m) = delta_{nm} prod_{i<=n} omega_i exactly for n,m <= n_max.
+
+    L is linear, so with P_m = sum_k p_{m,k} x^k no product P_n P_m is formed:
+
+        L(P_n P_m) = sum_k p_{m,k} L(x^k P_n),   L(x^k P_n) = sum_j p_{n,j} mu_{j+k},
+
+    from mixed moments L(x^k P_n), k <= n_max, tabulated once from the given
+    moments.  Each value equals ``moment_functional(P_n * P_m, moments)``.
+    """
+    if len(moments) <= 2 * n_max:
+        raise InsufficientMoments(f"need moments up to degree {2 * n_max}, got {len(moments)}")
     report = CheckReport(name=f"orthogonality({j.name}, n_max={n_max})")
     seq = three_term_polys(j, n_max).polys
+    coeffs = [[p.coefficient_of("x", k) for k in range(n + 1)] for n, p in enumerate(seq)]
+    zero = Poly.zero()
+    mixed = [
+        [sum((c * mu for c, mu in zip(cs, moments[k:])), zero) for k in range(n_max + 1)]
+        for cs in coeffs
+    ]
     norms = [Poly.one()]
     for i in range(1, n_max + 1):
         norms.append(norms[-1] * j.omega(i))
     for n in range(n_max + 1):
         for m in range(n_max + 1):
-            value = moment_functional(seq[n] * seq[m], moments)
-            expected = norms[n] if n == m else Poly.zero()
+            value = sum((c * mx for c, mx in zip(coeffs[m], mixed[n])), zero)
+            expected = norms[n] if n == m else zero
             report.record(
                 value == expected,
                 f"L(P_{n} P_{m}) = {value}, expected {expected}",
@@ -417,8 +433,5 @@ def jfraction_series(j: JacobiParams, order: int) -> list:
 
 def hankel_determinants(moments: Sequence[Fraction], k_max: int) -> list:
     """det[m_{i+j}] for leading blocks of sizes 1..k_max+1 (rational moments)."""
-    out = []
-    for k in range(k_max + 1):
-        block = [[Fraction(moments[i + j]) for j in range(k + 1)] for i in range(k + 1)]
-        out.append(determinant(block))
-    return out
+    block = [[Fraction(moments[i + j]) for j in range(k_max + 1)] for i in range(k_max + 1)]
+    return leading_principal_minors(block)

@@ -4,8 +4,9 @@ Each helper recomputes a quantity by a different route than the code under
 test: schoolbook convolution for products, counting recurrences for Bell and
 Catalan numbers, explicit matrix powers for path-weighted moments, full-order
 series inversion for J-fractions, and exhaustive scans for small
-combinatorial counts.  Tests freeze values from these, never from the
-implementation being checked.
+combinatorial counts, full products under the moment functional for
+orthogonality, and block-by-block determinants for leading minors.  Tests
+freeze values from these, never from the implementation being checked.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
+from qtmoments.fock import determinant
 from qtmoments.ring import Poly
 
 
@@ -132,6 +134,26 @@ def tridiagonal_moment(alpha, omega, n: int):
                         nxt[i][j] = nxt[i][j] + pik * matrix[k][j]
         power = nxt
     return power[0][0]
+
+
+def product_orthogonality_values(polys, moments) -> dict:
+    """L(P_n P_m) for every pair (n, m) of the given polynomials: each product
+    is formed in full and every x^k in it is replaced by moments[k]."""
+    out = {}
+    for n, pn in enumerate(polys):
+        for m, pm in enumerate(polys):
+            prod = pn * pm
+            value = Poly.zero()
+            for k in range(prod.degree("x") + 1):
+                value = value + prod.coefficient_of("x", k) * moments[k]
+            out[n, m] = value
+    return out
+
+
+def blockwise_leading_minors(matrix) -> list:
+    """Leading principal minors, each k-by-k block eliminated on its own
+    (row exchanges allowed) by :func:`qtmoments.fock.determinant`."""
+    return [determinant([row[: k + 1] for row in matrix[: k + 1]]) for k in range(len(matrix))]
 
 
 def inversion_sum(n: int) -> Poly:

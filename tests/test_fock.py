@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qtmoments.fock import (
     FockVector,
@@ -13,12 +14,15 @@ from qtmoments.fock import (
     TruncationOverflow,
     apply_letter,
     apply_word,
+    basis_words,
     check_adjointness,
     check_commutation,
     check_gram_positivity,
+    leading_principal_minors,
     moment_by_operator,
     multimode_annihilate,
     multimode_create,
+    multimode_gram,
     multimode_inner,
     qt_inner_product,
     vacuum_expectation_word,
@@ -28,7 +32,7 @@ from qtmoments.partitions import NestingMode, moment_by_partitions
 from qtmoments.qtnum import qt_factorial, qt_number
 from qtmoments.ring import LAMBDA, Poly, Q, T
 
-from oracles import inversion_sum
+from oracles import blockwise_leading_minors, inversion_sum
 
 IDENTITY = ScalarGauge.IDENTITY
 TPOWER = ScalarGauge.T_POWER_N
@@ -214,6 +218,67 @@ def test_gram_positivity_samples():
     for q, t in samples:
         assert check_gram_positivity(2, 4, identity, q, t).passed
         assert check_gram_positivity(1, 4, [[1]], q, t).passed
+
+
+def test_a_check_that_checks_nothing_fails():
+    for report in (
+        check_commutation(0),
+        check_adjointness(0, 3, [[1]], Fraction(1, 3), Fraction(1, 2)),
+    ):
+        assert report.checked == 0
+        assert not report.passed
+        assert str(report) == f"{report.name}: 0 checks, nothing checked"
+
+
+def test_multimode_gram_matches_symbolic_inner_product():
+    # a non-symmetric integer Gram and q != t pin which letter pairs and which
+    # permutation weight q^inv t^(M-inv) each term gets
+    gram = [[2, 1], [0, 3]]
+    q, t = Fraction(1, 3), Fraction(1, 2)
+    matrix = multimode_gram(2, 3, gram, q, t)
+    for u, row in zip(basis_words(2, 3), matrix):
+        for v, entry in zip(basis_words(2, 3), row):
+            if len(u) == len(v):
+                pairs = [[gram[a][b] for b in v] for a in u]
+                expected = qt_inner_product(pairs).eval({"q": q, "t": t})
+            else:
+                expected = 0
+            assert entry == expected, (u, v)
+
+
+# zeros twice as likely, so that zero pivots and zero minors are common
+_small_entries = st.sampled_from([Fraction(x) for x in ("0", "0", "1", "-1", "2", "1/2", "-1/3")])
+
+
+def _square(n: int):
+    row = st.lists(_small_entries, min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(_square))
+@example([[0, 1], [1, 0]])  # zero first pivot, then a negative minor
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])  # zero pivot inside, minors 1, 0, -1
+@example([[1, 2], [2, 4]])  # singular: last minor 0
+def test_one_pass_minors_match_blockwise_determinants(matrix):
+    assert leading_principal_minors(matrix) == blockwise_leading_minors(matrix)
+
+
+@pytest.mark.parametrize(
+    "q, sign",
+    [(Fraction(-1), 0), (Fraction(-2), -1)],
+    ids=["zero-minor", "negative-minor"],
+)
+def test_gram_positivity_fails_with_blockwise_messages(q, sign):
+    # at t = 1 the two-letter word 00 has norm [2] = 1 + q: 0 at q = -1, -1 at q = -2
+    identity, t = [[1, 0], [0, 1]], Fraction(1)
+    minors = blockwise_leading_minors(multimode_gram(2, 4, identity, q, t))
+    assert any((m > 0) - (m < 0) == sign for m in minors)
+    report = check_gram_positivity(2, 4, identity, q, t)
+    assert report.checked == 31
+    assert report.failures == [
+        f"leading minor {k} = {m} not positive" for k, m in enumerate(minors, 1) if not m > 0
+    ]
 
 
 def test_apply_word_matches_letterwise():

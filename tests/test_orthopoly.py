@@ -7,6 +7,7 @@ import pytest
 from qtmoments.fock import ScalarGauge, moment_by_operator
 from qtmoments.orthopoly import (
     InsufficientMoments,
+    JacobiParams,
     binomial,
     charlier_strict,
     charlier_strict_specialized,
@@ -32,6 +33,7 @@ from oracles import (
     bell_numbers,
     catalan_numbers,
     classical_binomial_moments,
+    product_orthogonality_values,
     tridiagonal_moment,
     tridiagonal_moments,
     unpruned_jfraction_series,
@@ -158,6 +160,53 @@ def test_mismatched_pairing_fails_at_one_two():
     seq = three_term_polys(strict, 2).polys
     value = moment_functional(seq[1] * seq[2], wrong_moments)
     assert value == (T - 1) * LAMBDA**2
+
+
+def _corrupted(moments: list, k: int) -> list:
+    return moments[:k] + [moments[k] + LAMBDA * Q] + moments[k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "preset, moment_preset, n_max, corrupt",
+    [
+        (charlier_strict, charlier_strict, 6, None),
+        (charlier_t_gauge, charlier_t_gauge, 6, None),
+        (charlier_strict, charlier_t_gauge, 4, None),
+        (charlier_t_gauge, charlier_t_gauge, 4, 5),
+    ],
+    ids=["strict", "tgauge", "mismatched", "corrupted-mu5"],
+)
+def test_orthogonality_matches_product_oracle(preset, moment_preset, n_max, corrupt):
+    j = preset()
+    moments = moments_by_motzkin(moment_preset(), 2 * n_max)
+    if corrupt is not None:
+        moments = _corrupted(moments, corrupt)
+    values = product_orthogonality_values(three_term_polys(j, n_max).polys, moments)
+    norms = [Poly.one()]
+    for i in range(1, n_max + 1):
+        norms.append(norms[-1] * j.omega(i))
+    expected_failures = []
+    for (n, m), value in values.items():
+        expected = norms[n] if n == m else Poly.zero()
+        if value != expected:
+            expected_failures.append(f"L(P_{n} P_{m}) = {value}, expected {expected}")
+    assert (preset is moment_preset and corrupt is None) == (not expected_failures)
+
+    report = check_orthogonality(j, n_max, moments)
+    assert report.checked == (n_max + 1) ** 2
+    assert report.failures == expected_failures
+
+
+def test_orthogonality_rejects_short_moment_lists_before_any_work():
+    def untouched(n):
+        raise AssertionError("Jacobi data read before the moment count was checked")
+
+    j = JacobiParams(name="untouched", alpha=untouched, omega=untouched)
+    moments = moments_by_motzkin(charlier_strict(), 6)
+    for n_max in (4, 5):
+        with pytest.raises(InsufficientMoments):
+            check_orthogonality(j, n_max, moments)
+    assert check_orthogonality(charlier_strict(), 3, moments).passed
 
 
 def test_charlier_fock_identity():
