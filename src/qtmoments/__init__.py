@@ -9,20 +9,16 @@ test suite cross-verifies the routes as polynomial identities.
 
 from .ring import (
     LAMBDA,
-    M,
     MissingVariable,
     Monomial,
     Poly,
     Q,
-    S,
     T,
-    UnresolvedHalfPower,
     VARIABLES,
     X,
 )
 from .qtnum import qt_factorial, qt_number
 from .partitions import (
-    ArcDiagram,
     NestingMode,
     SetPartition,
     enumerate_partitions,
@@ -72,7 +68,6 @@ from .orthopoly import (
     ejsmont,
     hankel_determinants,
     jfraction_series,
-    moment_by_motzkin,
     moment_functional,
     moments_by_motzkin,
     poisson_limit_check,

@@ -4,17 +4,18 @@ whose line concatenation produces a set partition.
 Each letter of a contributor word gets one card at its level i (the number of
 open lines when the letter acts):
 
-    creation card      C_i       weight s                  opens a new line
-    annihilation card  A_i_j     weight s t^(i-j) q^(j-1)  ends the j-th line
+    creation card      C_i       weight lambda             opens a new line
+    annihilation card  A_i_j     weight t^(i-j) q^(j-1)    ends the j-th line
     intermediate card  I_i_j     weight t^(i-j) q^(j-1)    re-anchors the j-th line
     singleton card     S_i       weight lambda             its own one-point block
                                  (lambda t^i under the T_POWER_N gauge)
 
-Here s stands for sqrt(lambda) and j counts lines from the bottom of the
-stack, the bottom line being the most recently opened one.  Ending the j-th
-line crosses the j-1 lines below it (counted by q) and passes under the i-j
-lines above it (counted by t); this is exactly how the arrangement weight
-reproduces lambda^blocks q^crossings t^nestings of the induced partition.
+The weights follow the rescaled basis of :mod:`qtmoments.fock`, where a
+creation weighs lambda, and j counts lines from the bottom of the stack, the
+bottom line being the most recently opened one.  Ending the j-th line crosses
+the j-1 lines below it (counted by q) and passes under the i-j lines above it
+(counted by t); this is exactly how the arrangement weight reproduces
+lambda^blocks q^crossings t^nestings of the induced partition.
 
 The open-line stack evolves as:
 
@@ -86,24 +87,21 @@ class Card:
         return f"{prefix}{self.level}_{self.choice}"
 
     def weight(self, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
-        """The card weight as a monomial (s stands for sqrt(lambda))."""
+        """The card weight as a monomial, in the rescaled basis of the operator."""
         if self.kind is OperatorLetter.CREATION:
-            return Poly.from_terms([(1, {"s": 1})])
+            return Poly.from_terms([(1, {"lambda": 1})])
         if self.kind is OperatorLetter.SCALAR:
             exps = {"lambda": 1}
             if gauge is ScalarGauge.T_POWER_N and self.level:
                 exps["t"] = self.level
             return Poly.from_terms([(1, exps)])
-        exps = {"t": self.level - self.choice, "q": self.choice - 1}
-        if self.kind is OperatorLetter.ANNIHILATION:
-            exps["s"] = 1
-        return Poly.from_terms([(1, {k: v for k, v in exps.items() if v})])
+        return Poly.from_terms([(1, {"t": self.level - self.choice, "q": self.choice - 1})])
 
 
 @dataclass(frozen=True)
 class CardArrangement:
-    """One admissible card choice for a contributor, with its weight (already
-    resolved, s^2 -> lambda) and the induced partition."""
+    """One admissible card choice for a contributor, with its weight (the
+    product of its card weights) and the induced partition."""
 
     word: OperatorWord
     cards: tuple
@@ -111,7 +109,7 @@ class CardArrangement:
     partition: SetPartition
 
 
-def _contributor_letter_stream(n: int, prefix_level: int = 0) -> Iterator[tuple]:
+def _contributor_letter_stream(n: int) -> Iterator[tuple]:
     """DFS over application-order letter tuples satisfying the level rules."""
     # letter order fixes the deterministic enumeration order
     order = (
@@ -147,7 +145,7 @@ def _contributor_letter_stream(n: int, prefix_level: int = 0) -> Iterator[tuple]
                 acc.append(letter)
                 yield from walk(pos + 1, level, acc)
                 acc.pop()
-    yield from walk(0, prefix_level, [])
+    yield from walk(0, 0, [])
 
 
 def enumerate_contributors(n: int) -> Iterator[OperatorWord]:
@@ -214,12 +212,6 @@ def _expansion_states(word: OperatorWord) -> Iterator[tuple]:
     yield from walk(0, (), 0, [], [], 0, 0, 0)
 
 
-def _owner_to_partition(n: int, owner: tuple) -> SetPartition:
-    # block ids are created in order of first appearance, which is exactly
-    # the restricted-growth normalization
-    return SetPartition(n, owner)
-
-
 def expand_arrangements(
     word: OperatorWord, gauge: ScalarGauge = ScalarGauge.IDENTITY
 ) -> list:
@@ -242,7 +234,9 @@ def expand_arrangements(
                 word=word,
                 cards=cards,
                 weight=weight,
-                partition=_owner_to_partition(n, owner),
+                # block ids are created in order of first appearance, which
+                # is exactly the restricted-growth normalization
+                partition=SetPartition(n, owner),
             )
         )
     return out

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -80,13 +79,6 @@ def rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid rational {text!r}: {exc}")
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("QTMOMENTS_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _resolve_mode_gauge(args) -> tuple:
     """Mode and gauge are linked; deriving the missing one, warning on mismatch."""
     mode = MODES[args.mode] if args.mode else None
@@ -106,10 +98,10 @@ def _resolve_mode_gauge(args) -> tuple:
     return mode, gauge
 
 
-def _moment_methods(n: int, mode: NestingMode, gauge: ScalarGauge, workers: int) -> dict:
+def _moment_methods(n: int, mode: NestingMode, gauge: ScalarGauge) -> dict:
     preset = PRESET_FOR_MODE[mode]()
     return {
-        "partitions": lambda: moment_by_partitions(n, mode, workers=workers),
+        "partitions": lambda: moment_by_partitions(n, mode),
         "operator": lambda: moment_by_operator(n, gauge),
         "cards": lambda: moment_by_cards(n, gauge),
         "motzkin": lambda: moments_by_motzkin(preset, n)[n],
@@ -129,7 +121,7 @@ def _emit_poly(p: Poly, args, extra: dict | None = None) -> None:
 
 def cmd_moments(args) -> int:
     mode, gauge = _resolve_mode_gauge(args)
-    methods = _moment_methods(args.n, mode, gauge, args.workers)
+    methods = _moment_methods(args.n, mode, gauge)
     chosen = list(methods) if args.method == "all" else [args.method]
     results = {name: methods[name]() for name in chosen}
     values = list(results.values())
@@ -290,7 +282,7 @@ def cmd_binomial(args) -> int:
     return 0
 
 
-def _verify_moments(n_max: int, workers: int, failures: list) -> None:
+def _verify_moments(n_max: int, failures: list) -> None:
     for mode in (NestingMode.STRICT, NestingMode.COVERED_SINGLETON):
         gauge = GAUGE_FOR_MODE[mode]
         preset = PRESET_FOR_MODE[mode]()
@@ -298,7 +290,7 @@ def _verify_moments(n_max: int, workers: int, failures: list) -> None:
         series = jfraction_series(preset, n_max)
         for n in range(1, n_max + 1):
             values = {
-                "partitions": moment_by_partitions(n, mode, workers=workers),
+                "partitions": moment_by_partitions(n, mode),
                 "operator": moment_by_operator(n, gauge),
                 "cards": moment_by_cards(n, gauge),
                 "motzkin": motzkin[n],
@@ -317,7 +309,7 @@ def cmd_verify(args) -> int:
     suites = {"moments", "fock", "orthopoly", "cards"} if args.suite == "all" else {args.suite}
 
     if "moments" in suites:
-        _verify_moments(args.n_max, args.workers, failures)
+        _verify_moments(args.n_max, failures)
 
     if "fock" in suites:
         reports = [check_commutation(12)]
@@ -412,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--gauge", choices=sorted(GAUGES), default=None,
                            help="scalar gauge (default linked to mode)")
         p.add_argument("--output", choices=["json", "csv", "pretty"], default="pretty")
-        p.add_argument("--workers", type=int, default=_default_workers())
 
     p = sub.add_parser("moments", help="moment polynomial by one or all methods")
     p.add_argument("--n", type=int, required=True)
@@ -475,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["all", "moments", "fock", "orthopoly", "cards"],
                    default="all")
     p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -496,8 +486,6 @@ def main(argv=None) -> int:
         parser.error("--n must be >= 1")
     if args.command == "verify" and args.n_max < 1:
         parser.error("--n-max must be >= 1")
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be >= 1")
 
     try:
         return args.func(args)

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 from .fock import CheckReport, FockVector, ScalarGauge, apply_poisson, leading_principal_minors
 from .qtnum import qt_number
-from .ring import LAMBDA, M, Poly, T, X
+from .ring import LAMBDA, Poly, T, X
 
 __all__ = [
     "JacobiParams",
@@ -56,7 +56,6 @@ __all__ = [
     "binomial",
     "charlier_strict_specialized",
     "three_term_polys",
-    "moment_by_motzkin",
     "moments_by_motzkin",
     "InsufficientMoments",
     "moment_functional",
@@ -202,11 +201,6 @@ def moments_by_motzkin(j: JacobiParams, n_max: int) -> list:
     return out
 
 
-def moment_by_motzkin(j: JacobiParams, n: int):
-    """The n-th moment of the family (Poly for symbolic data, Fraction otherwise)."""
-    return moments_by_motzkin(j, n)[n]
-
-
 class InsufficientMoments(Exception):
     """The moment list does not reach the x-degree of the polynomial."""
 
@@ -317,7 +311,8 @@ def poisson_limit_check(
     a b [n]  (= b^2 lambda [n]) in m^2, with no higher m-terms: exactly the
     statement that alpha_n -> lambda + [n] and omega_n -> lambda [n].  Each
     cleared form is also cross-checked against :func:`binomial` at every
-    sampled m.
+    sampled m.  The ring variable x stands for m; no other polynomial of this
+    check contains x.
 
     Numeric part: at the given rational (q, t, lambda) the absolute deviation
     of each binomial moment from the Poisson moment must strictly decrease
@@ -336,18 +331,18 @@ def poisson_limit_check(
     omega_scaled = {}
     for n in range(n_max + 1):
         num = qt_number(n)
-        scaled_a = a * M + (b * M - 2 * a) * num
+        scaled_a = a * X + (b * X - 2 * a) * num
         alpha_scaled[n] = scaled_a
         symbolic.record(
-            scaled_a.coefficient_of("m", 1) == a + b * num and scaled_a.degree("m") <= 1,
+            scaled_a.coefficient_of("x", 1) == a + b * num and scaled_a.degree("x") <= 1,
             f"alpha_{n}: leading m-term is not lambda + [{n}]",
         )
         if n >= 1:
-            scaled_w = a * num * (M - qt_number(n - 1)) * (b * M - a)
+            scaled_w = a * num * (X - qt_number(n - 1)) * (b * X - a)
             omega_scaled[n] = scaled_w
             symbolic.record(
-                scaled_w.coefficient_of("m", 2) == a * b * num
-                and scaled_w.degree("m") <= 2,
+                scaled_w.coefficient_of("x", 2) == a * b * num
+                and scaled_w.degree("x") <= 2,
                 f"omega_{n}: leading m^2-term is not lambda [{n}]",
             )
 
@@ -358,13 +353,13 @@ def poisson_limit_check(
         p = lam / mv
         binom = binomial(Fraction(mv), p, q, t)
         for n in range(n_max + 1):
-            lhs = alpha_scaled[n].eval({"m": mv, "q": q, "t": t}) / (b * mv)
+            lhs = alpha_scaled[n].eval({"x": mv, "q": q, "t": t}) / (b * mv)
             symbolic.record(
                 lhs == binom.alpha(n),
                 f"alpha_{n} cleared form mismatch at m={mv}",
             )
             if n >= 1:
-                lhs = omega_scaled[n].eval({"m": mv, "q": q, "t": t}) / (b * mv) ** 2
+                lhs = omega_scaled[n].eval({"x": mv, "q": q, "t": t}) / (b * mv) ** 2
                 symbolic.record(
                     lhs == binom.omega(n),
                     f"omega_{n} cleared form mismatch at m={mv}",

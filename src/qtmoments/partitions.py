@@ -3,8 +3,7 @@ partition-sum moment formula.
 
 A partition is stored as a restricted growth string (rgs): entry k is the
 block index of element k+1, blocks numbered 0,1,... in order of first
-appearance.  Enumeration is in lexicographic rgs order, which is deterministic
-and lets the search space be split by rgs prefix for parallel runs.
+appearance.  Enumeration is in lexicographic rgs order, which is deterministic.
 
 Statistics are computed on the arc diagram: each block {b1 < b2 < ... < bm}
 contributes the arcs (b1,b2), ..., (b_{m-1},b_m).  For arcs (a,c) and (b,d)
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -44,7 +42,6 @@ from .ring import Poly
 __all__ = [
     "NestingMode",
     "SetPartition",
-    "ArcDiagram",
     "enumerate_partitions",
     "restricted_crossings",
     "restricted_nestings",
@@ -61,14 +58,6 @@ class NestingMode(Enum):
 
     STRICT = "strict"
     COVERED_SINGLETON = "covered"
-
-
-@dataclass(frozen=True)
-class ArcDiagram:
-    """Arcs between consecutive block elements plus the singleton elements."""
-
-    arcs: tuple
-    singletons: tuple
 
 
 @dataclass(frozen=True)
@@ -117,10 +106,6 @@ class SetPartition:
         for i, b in enumerate(self.rgs):
             out[b].append(i + 1)
         return out
-
-    def arc_diagram(self) -> ArcDiagram:
-        arcs, singles = _arcs_and_singletons(self.rgs)
-        return ArcDiagram(tuple(arcs), tuple(singles))
 
     def __str__(self) -> str:
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks()) + "}"
@@ -206,9 +191,9 @@ def _count_covered_singletons(arcs: Sequence[tuple], singles: Sequence[int]) -> 
     return sum(1 for a, c in arcs for e in singles if a < e < c)
 
 
-def _weight_census(n: int, prefix: tuple = ()) -> dict:
+def _weight_census(n: int) -> dict:
     """Histogram {(blocks, crossings, strict nestings, covered-singleton pairs): count}
-    over the partitions whose rgs extends ``prefix``.
+    over the partitions of {1..n}.
 
     Element e joining the block ending at a closes the arc (a,e).  Each closed
     arc (a',c') ends before e: a' < a < c' is a crossing, a < a' a nesting.
@@ -225,7 +210,7 @@ def _weight_census(n: int, prefix: tuple = ()) -> dict:
             census[key] = census.get(key, 0) + 1
             return
         blocks = len(last)
-        for b in (prefix[e - 1],) if e <= len(prefix) else range(blocks + 1):
+        for b in range(blocks + 1):
             if b == blocks:
                 last.append(e)
                 grow(e + 1, rc, rn, cov, singles + (e,))
@@ -266,31 +251,11 @@ def _census_to_moment(census: dict, mode: NestingMode) -> Poly:
     )
 
 
-def _prefix_units(n: int) -> list:
-    """Disjoint rgs prefixes covering all partitions of {1..n}, in lex order."""
-    depth = min(3, n)
-    return sorted(_rgs_stream(depth))
-
-
-def moment_by_partitions(n: int, mode: NestingMode, workers: int = 1) -> Poly:
-    """The n-th moment as the partition sum of lambda^blocks q^rc t^rn.
-
-    With ``workers > 1`` the enumeration is split by rgs prefix across
-    processes; exact arithmetic and a fixed merge order make the result
-    identical to the serial one.
-    """
+def moment_by_partitions(n: int, mode: NestingMode) -> Poly:
+    """The n-th moment as the partition sum of lambda^blocks q^rc t^rn."""
     if n < 1:
         raise ValueError("n must be positive")
-    if workers > 1 and n >= 6:
-        prefixes = _prefix_units(n)
-        census: dict = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_weight_census, [n] * len(prefixes), prefixes):
-                for key, count in part.items():
-                    census[key] = census.get(key, 0) + count
-    else:
-        census = _weight_census(n)
-    return _census_to_moment(census, mode)
+    return _census_to_moment(_weight_census(n), mode)
 
 
 def partition_record(p: SetPartition) -> dict:

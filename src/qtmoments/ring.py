@@ -1,13 +1,13 @@
 """Exact sparse multivariate polynomial arithmetic over arbitrary-precision integers.
 
-A polynomial lives in Z[lambda, t, q, x, s, m] and is stored sparsely as a
-mapping from exponent vectors to nonzero integer coefficients.  Terms are kept
-in a fixed graded-lexicographic order (total degree first, then exponents with
+A polynomial lives in Z[lambda, t, q, x] and is stored sparsely as a mapping
+from exponent vectors to nonzero integer coefficients.  Terms are kept in a
+fixed graded-lexicographic order (total degree first, then exponents with
 lambda most significant), so equal polynomials always serialize identically.
 
-Each exponent vector is stored packed into one int of seven 16-bit fields,
+Each exponent vector is stored packed into one int of five 16-bit fields,
 
-    [total degree | lambda | t | q | x | s | m]
+    [total degree | lambda | t | q | x]
 
 with the total degree most significant (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -17,16 +17,6 @@ is bounded by the total degree, so a total degree below 2^16 keeps every
 field from carrying into its neighbour; building or multiplying into a
 monomial of total degree 2^16 or more raises :class:`OverflowError`.  The
 public API still speaks in exponent tuples aligned with ``VARIABLES``.
-
-Two of the variables are internal bookkeeping devices:
-
-  * ``s`` stands for the square root of ``lambda`` (contract: s^2 = lambda).
-    Operator weights may carry odd powers of s mid-computation, but every
-    vacuum expectation pairs them up; public results are resolved via
-    :meth:`Poly.resolve_half_powers` and never contain s.
-  * ``m`` is an auxiliary large-size parameter used only by the binomial
-    limit checks (denominators in 1/m are cleared by hand before it enters
-    the ring).
 
 Rational values (exact parameter samples) are plain :class:`fractions.Fraction`
 objects; evaluation of a polynomial at rational points is exact.
@@ -42,18 +32,15 @@ __all__ = [
     "Monomial",
     "Poly",
     "MissingVariable",
-    "UnresolvedHalfPower",
     "LAMBDA",
     "T",
     "Q",
     "X",
-    "S",
-    "M",
 ]
 
 #: Fixed variable order, most significant first.  This order defines the
 #: graded-lexicographic comparison used everywhere (canonical strings, JSON).
-VARIABLES = ("lambda", "t", "q", "x", "s", "m")
+VARIABLES = ("lambda", "t", "q", "x")
 
 _NVARS = len(VARIABLES)
 _BITS = 16
@@ -65,19 +52,12 @@ _DEG_SHIFT = _BITS * _NVARS
 _NAMED_SHIFTS = tuple((name, _BITS * (_NVARS - 1 - i)) for i, name in enumerate(VARIABLES))
 _SHIFT = dict(_NAMED_SHIFTS)
 
-_S_SHIFT = _SHIFT["s"]
-_LAMBDA_SHIFT = _SHIFT["lambda"]
-
 #: A monomial is an exponent vector aligned with ``VARIABLES``.
 Monomial = tuple
 
 
 class MissingVariable(KeyError):
     """Raised when evaluating a polynomial with an incomplete assignment."""
-
-
-class UnresolvedHalfPower(ValueError):
-    """Raised when a polynomial still carries the internal variable ``s``."""
 
 
 def _check_degree(deg: int) -> None:
@@ -201,13 +181,6 @@ class Poly:
         """Terms in descending graded-lexicographic order (the canonical order)."""
         terms = self._terms
         return [(_unpack(k), terms[k]) for k in sorted(terms, reverse=True)]
-
-    def variables(self) -> set:
-        occ = set()
-        for name, shift in _NAMED_SHIFTS:
-            if any((k >> shift) & _MASK for k in self._terms):
-                occ.add(name)
-        return occ
 
     def degree(self, var: str | None = None) -> int:
         """Total degree, or the maximum exponent of one variable.  Zero poly has degree 0."""
@@ -361,22 +334,6 @@ class Poly:
             out[_pack(vec)] = coeff
         return _wrap(out)
 
-    def resolve_half_powers(self) -> "Poly":
-        """Replace s^2 by lambda throughout; raises on any odd power of s."""
-        if not any((k >> _S_SHIFT) & _MASK for k in self._terms):
-            return self
-        out: dict = {}
-        for key, coeff in self._terms.items():
-            e = (key >> _S_SHIFT) & _MASK
-            if e % 2:
-                raise UnresolvedHalfPower(
-                    f"odd half-power s^{e} cannot be resolved to a lambda power"
-                )
-            half = e // 2
-            new = key - (e << _S_SHIFT) + (half << _LAMBDA_SHIFT) - (half << _DEG_SHIFT)
-            out[new] = out.get(new, 0) + coeff
-        return _wrap({k: c for k, c in out.items() if c})
-
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
@@ -412,13 +369,8 @@ class Poly:
     # -- serialization ---------------------------------------------------------
 
     def canonical_str(self) -> str:
-        """Deterministic, round-trippable text form (terms in canonical order).
-
-        Refuses to print polynomials still carrying the internal variable s.
-        """
+        """Deterministic, round-trippable text form (terms in canonical order)."""
         terms = self._terms
-        if any((k >> _S_SHIFT) & _MASK for k in terms):
-            raise UnresolvedHalfPower("polynomial still contains s; resolve half powers first")
         if not terms:
             return "0"
         pieces = []
@@ -446,14 +398,7 @@ class Poly:
         return self.canonical_str()
 
     def __repr__(self) -> str:
-        try:
-            return f"Poly({self.canonical_str()})"
-        except UnresolvedHalfPower:
-            body = " + ".join(
-                f"{self._terms[k]}*{_key_to_exps(k)}"
-                for k in sorted(self._terms, reverse=True)
-            )
-            return f"Poly[unresolved]({body or '0'})"
+        return f"Poly({self.canonical_str()})"
 
     @classmethod
     def parse(cls, text: str) -> "Poly":
@@ -537,5 +482,3 @@ LAMBDA = Poly.variable("lambda")
 T = Poly.variable("t")
 Q = Poly.variable("q")
 X = Poly.variable("x")
-S = Poly.variable("s")
-M = Poly.variable("m")

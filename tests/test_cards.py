@@ -1,8 +1,11 @@
 """Card arrangements: expansion, weights, induced partitions, bijection."""
 
 import itertools
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtmoments import PRESET_FOR_MODE
 from qtmoments.cards import (
@@ -161,14 +164,51 @@ def test_weight_equals_partition_statistics():
                     assert arr.weight == expected, (word.to_string(), str(p))
 
 
+def _card_product(arr, gauge) -> Poly:
+    return reduce(mul, (card.weight(gauge) for card in arr.cards), Poly.one())
+
+
 def test_arrangement_weights_sum_to_vacuum_expectation():
     for n in range(1, 8):
         for word in enumerate_contributors(n):
             for gauge in (IDENTITY, TPOWER):
                 total = Poly.zero()
                 for arr in expand_arrangements(word, gauge):
+                    assert _card_product(arr, gauge) == arr.weight, word.to_string()
                     total = total + arr.weight
                 assert total == vacuum_expectation_word(word, gauge), word.to_string()
+
+
+@st.composite
+def contributor_words(draw, max_len: int = 10):
+    """A random contributor, built letter by letter in application order: each
+    letter keeps the level non-negative and able to return to 0 in time."""
+    n = draw(st.integers(1, max_len))
+    letters, level = [], 0
+    for pos in range(n):
+        remaining = n - pos - 1  # letters still to come after this one
+        allowed = []
+        if level + 1 <= remaining:
+            allowed.append(OperatorLetter.CREATION)
+        if level >= 1:
+            allowed.append(OperatorLetter.ANNIHILATION)
+        if level <= remaining:
+            if level >= 1:
+                allowed.append(OperatorLetter.NUMBER)
+            allowed.append(OperatorLetter.SCALAR)
+        letter = draw(st.sampled_from(allowed))
+        letters.append(letter)
+        level += letter.level_step
+    return OperatorWord(tuple(reversed(letters)))
+
+
+@given(contributor_words(), st.sampled_from([IDENTITY, TPOWER]))
+@settings(max_examples=60, deadline=None)
+def test_card_weight_sum_is_vacuum_expectation(word, gauge):
+    assert word.is_contributor
+    total = sum((_card_product(arr, gauge) for arr in expand_arrangements(word, gauge)),
+                Poly.zero())
+    assert total == vacuum_expectation_word(word, gauge)
 
 
 def test_intermediate_card_is_annihilation_then_creation():
@@ -191,10 +231,15 @@ def test_card_validation():
 
 
 def test_card_weights():
+    # the rescaled operator basis: a creation weighs lambda, an annihilation
+    # only its crossing/nesting monomial
+    assert Card(OperatorLetter.CREATION, 0).weight() == Poly.parse("lambda")
+    assert Card(OperatorLetter.CREATION, 2).weight(TPOWER) == Poly.parse("lambda")
     s2_tpow = Card(OperatorLetter.SCALAR, 2).weight(TPOWER)
     assert s2_tpow == Poly.from_terms([(1, {"lambda": 1, "t": 2})])
     a32 = Card(OperatorLetter.ANNIHILATION, 3, 2).weight()
-    assert a32 == Poly.from_terms([(1, {"s": 1, "t": 1, "q": 1})])
+    assert a32 == Poly.from_terms([(1, {"t": 1, "q": 1})])
+    assert Card(OperatorLetter.ANNIHILATION, 1, 1).weight() == Poly.one()
     i31 = Card(OperatorLetter.NUMBER, 3, 1).weight()
     assert i31 == Poly.from_terms([(1, {"t": 2})])
 

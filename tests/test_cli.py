@@ -180,14 +180,6 @@ def test_verify_small(capsys):
     assert "all checks passed" in out
 
 
-def test_workers_determinism(capsys):
-    _, out1, _ = run(capsys, "moments", "--n", "6", "--method", "partitions",
-                     "--workers", "1", "--output", "json")
-    _, out2, _ = run(capsys, "moments", "--n", "6", "--method", "partitions",
-                     "--workers", "2", "--output", "json")
-    assert out1 == out2
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -198,16 +190,13 @@ def test_workers_determinism(capsys):
         ["cfrac", "--order", "4", "--depth", "0"],
         ["cfrac", "--order", "4", "--depth", "1"],
         ["cfrac", "--order", "-1"],
-        ["moments", "--n", "3", "--workers", "0"],
         ["verify", "--n-max", "0"],
-        ["verify", "--suite", "moments", "--workers", "0"],
     ],
     ids=" ".join,
 )
 def test_invalid_input_is_a_usage_error(argv):
     src = os.path.dirname(os.path.dirname(qtmoments.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("QTMOMENTS_WORKERS", None)
     proc = subprocess.run(
         [sys.executable, "-m", "qtmoments", *argv],
         capture_output=True, text=True, env=env, timeout=60,

@@ -19,7 +19,6 @@ from qtmoments.orthopoly import (
     hankel_determinants,
     jfraction_series,
     jfraction_series_from_arrays,
-    moment_by_motzkin,
     moment_functional,
     moments_by_motzkin,
     poisson_limit_check,
@@ -78,16 +77,16 @@ def test_ejsmont_recurrence():
 
 def test_motzkin_moments_basic():
     j = charlier_strict()
-    assert moment_by_motzkin(j, 0) == Poly.one()
-    assert moment_by_motzkin(j, 1) == LAMBDA
-    assert moment_by_motzkin(j, 2) == LAMBDA**2 + LAMBDA
+    assert moments_by_motzkin(j, 0)[0] == Poly.one()
+    assert moments_by_motzkin(j, 1)[1] == LAMBDA
+    assert moments_by_motzkin(j, 2)[2] == LAMBDA**2 + LAMBDA
 
 
 def test_motzkin_matches_tridiagonal_power_oracle():
     for preset in (charlier_strict, charlier_t_gauge, ejsmont):
         j = preset()
         for n in range(7):
-            assert moment_by_motzkin(j, n) == tridiagonal_moment(j.alpha, j.omega, n)
+            assert moments_by_motzkin(j, n)[n] == tridiagonal_moment(j.alpha, j.omega, n)
 
 
 @pytest.mark.parametrize("preset", [charlier_strict, charlier_t_gauge])
@@ -107,10 +106,10 @@ def test_pruned_operator_matches_motzkin_at_large_n(preset, gauge):
 
 
 def test_motzkin_matches_partition_sum():
-    assert moment_by_motzkin(charlier_strict(), 4) == moment_by_partitions(
+    assert moments_by_motzkin(charlier_strict(), 4)[4] == moment_by_partitions(
         4, NestingMode.STRICT
     )
-    assert moment_by_motzkin(charlier_t_gauge(), 4) == moment_by_partitions(
+    assert moments_by_motzkin(charlier_t_gauge(), 4)[4] == moment_by_partitions(
         4, NestingMode.COVERED_SINGLETON
     )
 
@@ -224,7 +223,7 @@ def test_q_charlier_specialization_at_t_equal_one():
             assert j.omega(n).substitute("t", 1) == LAMBDA * q_num
     # and the moments, symbolically in q and lambda
     for n in range(7):
-        lhs = moment_by_motzkin(j, n).substitute("t", 1)
+        lhs = moments_by_motzkin(j, n)[n].substitute("t", 1)
         rhs = tridiagonal_moment(
             lambda k: LAMBDA + qt_number(k).substitute("t", 1),
             lambda k: LAMBDA * qt_number(k).substitute("t", 1),

@@ -151,11 +151,6 @@ def test_catalan_specialization():
         assert value == cat[n]
 
 
-def test_parallel_enumeration_matches_serial():
-    for mode in (STRICT, COVERED):
-        assert moment_by_partitions(8, mode, workers=2) == moment_by_partitions(8, mode)
-
-
 def test_partition_record():
     p = SetPartition.from_blocks([[1, 3], [2]])
     assert partition_record(p) == {
@@ -165,11 +160,6 @@ def test_partition_record():
         "rn_strict": 0,
         "rn_covered": 1,
     }
-
-
-def test_parallel_enumeration_matches_serial_n9():
-    for mode in (STRICT, COVERED):
-        assert moment_by_partitions(9, mode, workers=2) == moment_by_partitions(9, mode)
 
 
 @functools.cache
@@ -219,14 +209,9 @@ def test_random_rgs_statistics_match_quadruple_oracles(rgs):
     assert restricted_nestings(p, COVERED) == nestings + quadruple_covered_singletons(blocks)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_prefix_census_matches_brute_force(data):
-    n = data.draw(st.integers(1, 8))
-    rgs = data.draw(growth_strings(min_len=n, max_len=n))
-    prefix = rgs[: data.draw(st.integers(0, n))]
-    expected: dict = {}
-    for full, stats in _oracle_census(n):
-        if full[: len(prefix)] == prefix:
+def test_census_matches_brute_force():
+    for n in range(1, 9):
+        expected: dict = {}
+        for _, stats in _oracle_census(n):
             expected[stats] = expected.get(stats, 0) + 1
-    assert _weight_census(n, prefix) == expected
+        assert _weight_census(n) == expected, n

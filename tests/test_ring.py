@@ -10,9 +10,8 @@ from qtmoments.ring import (
     MissingVariable,
     Poly,
     Q,
-    S,
     T,
-    UnresolvedHalfPower,
+    VARIABLES,
     X,
 )
 
@@ -58,10 +57,8 @@ def test_mul_against_schoolbook_oracle():
 @given(polys, polys)
 @settings(max_examples=60, deadline=None)
 def test_mul_matches_schoolbook(a, b):
-    a_terms = [(c, {k: v for k, v in zip(("lambda", "t", "q", "x", "s", "m"), m) if v})
-               for m, c in a.terms()]
-    b_terms = [(c, {k: v for k, v in zip(("lambda", "t", "q", "x", "s", "m"), m) if v})
-               for m, c in b.terms()]
+    a_terms = [(c, {k: v for k, v in zip(VARIABLES, m) if v}) for m, c in a.terms()]
+    b_terms = [(c, {k: v for k, v in zip(VARIABLES, m) if v}) for m, c in b.terms()]
     assert a * b == schoolbook_mul(a_terms, b_terms)
 
 
@@ -135,15 +132,6 @@ def test_json_shape():
     }
 
 
-def test_half_power_resolution():
-    assert (S**2).resolve_half_powers() == LAMBDA
-    assert (S**4 * T).resolve_half_powers() == LAMBDA**2 * T
-    with pytest.raises(UnresolvedHalfPower):
-        (S**3).resolve_half_powers()
-    with pytest.raises(UnresolvedHalfPower):
-        (S * T).canonical_str()
-
-
 def test_substitute():
     p = T**2 + Q
     assert p.substitute("t", 1) == Q + 1
@@ -177,7 +165,7 @@ def test_big_coefficients_are_exact():
 
 # -- packed exponent vectors ---------------------------------------------------
 
-_ALL_VARS = ("lambda", "t", "q", "x", "s", "m")
+_ALL_VARS = ("lambda", "t", "q", "x")
 
 
 def _polys_over(names, max_exp, coeffs, max_size):
@@ -187,8 +175,6 @@ def _polys_over(names, max_exp, coeffs, max_size):
 
 _big = st.integers(-(10**30), 10**30)
 wide_polys = _polys_over(_ALL_VARS, 40, _big, 8)
-# canonical_str refuses s, so the text round trip draws from the other five
-printable_polys = _polys_over([n for n in _ALL_VARS if n != "s"], 40, _big, 8)
 # small exponents make many terms share a total degree, so the tie-break shows
 dense_polys = _polys_over(_ALL_VARS, 2, st.integers(-9, 9), 12)
 
@@ -198,10 +184,10 @@ dense_polys = _polys_over(_ALL_VARS, 2, st.integers(-9, 9), 12)
 def test_sorted_terms_is_graded_lex_over_all_variables(p):
     expected = sorted(p.terms(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
     assert p.sorted_terms() == expected
-    assert all(len(mono) == 6 for mono, _ in expected)
+    assert all(len(mono) == 4 for mono, _ in expected)
 
 
-@given(printable_polys)
+@given(wide_polys)
 @settings(max_examples=100, deadline=None)
 def test_packed_text_round_trip(p):
     assert Poly.parse(p.canonical_str()) == p
@@ -214,26 +200,26 @@ def test_packed_json_round_trip(p):
 
 
 def _to_sympy(p, sympy, gens):
-    return sympy.Poly.from_dict(dict(p.terms()) or {(0,) * 6: 0}, *gens, domain="ZZ")
+    return sympy.Poly.from_dict(dict(p.terms()) or {(0,) * 4: 0}, *gens, domain="ZZ")
 
 
 @given(wide_polys, wide_polys)
 @settings(max_examples=60, deadline=None)
 def test_mul_matches_sympy(a, b):
     sympy = pytest.importorskip("sympy")
-    gens = sympy.symbols("lambda t q x s m")
+    gens = sympy.symbols("lambda t q x")
     expected = (_to_sympy(a, sympy, gens) * _to_sympy(b, sympy, gens)).as_dict()
     assert dict((a * b).terms()) == {mono: int(c) for mono, c in expected.items() if c}
 
 
-_point6 = st.fixed_dictionaries({name: rationals for name in _ALL_VARS})
+_point4 = st.fixed_dictionaries({name: rationals for name in _ALL_VARS})
 
 
-@given(wide_polys, _point6)
+@given(wide_polys, _point4)
 @settings(max_examples=60, deadline=None)
 def test_eval_matches_sympy(p, point):
     sympy = pytest.importorskip("sympy")
-    gens = sympy.symbols("lambda t q x s m")
+    gens = sympy.symbols("lambda t q x")
     value = _to_sympy(p, sympy, gens).eval(
         {g: sympy.Rational(point[name].numerator, point[name].denominator)
          for g, name in zip(gens, _ALL_VARS)}
@@ -247,9 +233,20 @@ def test_packed_degree_limit():
     with pytest.raises(OverflowError):
         Poly.from_terms([(1, {"lambda": 40000, "q": 25536})])
     with pytest.raises(OverflowError):
-        Poly.from_terms([(1, {"m": 2**16})])
+        Poly.from_terms([(1, {"x": 2**16})])
     below = Poly.variable("lambda", 40000) * Poly.variable("t", 25535)
     assert below.degree() == 2**16 - 1
-    assert below.sorted_terms() == [((40000, 25535, 0, 0, 0, 0), 1)]
-    top = Poly.variable("m", 2**16 - 1)
-    assert top.degree("m") == 2**16 - 1 and top.degree("lambda") == 0
+    assert below.sorted_terms() == [((40000, 25535, 0, 0), 1)]
+    # x is the least significant field: a full one must not carry into q
+    top = Poly.variable("x", 2**16 - 1)
+    assert top.degree("x") == 2**16 - 1 and top.degree("q") == 0
+    assert top.degree("lambda") == 0 and top.sorted_terms() == [((0, 0, 0, 2**16 - 1), 1)]
+    # s and m are not ring variables: every constructor rejects them
+    assert VARIABLES == ("lambda", "t", "q", "x")
+    for name in ("s", "m"):
+        with pytest.raises(ValueError, match="unknown variable"):
+            Poly.parse(f"{name}^2 + 1")
+        with pytest.raises(ValueError, match="unknown variable"):
+            Poly.from_terms([(1, {name: 1})])
+        with pytest.raises(ValueError, match="unknown variable"):
+            Poly.variable(name)
