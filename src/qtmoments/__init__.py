@@ -71,6 +71,7 @@ from .orthopoly import (
     moment_functional,
     moments_by_motzkin,
     poisson_limit_check,
+    specialize,
     three_term_polys,
 )
 from .cfrac import (

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import GAUGE_FOR_MODE, MODE_FOR_GAUGE, PRESET_FOR_MODE
 from .cards import (
@@ -42,6 +43,7 @@ from .orthopoly import (
     jfraction_series,
     moments_by_motzkin,
     poisson_limit_check,
+    specialize,
     three_term_polys,
 )
 from .partitions import (
@@ -127,11 +129,7 @@ def cmd_moments(args) -> int:
     values = list(results.values())
     agree = all(v == values[0] for v in values)
 
-    if args.params:
-        point = {"q": args.params[0], "t": args.params[1], "lambda": args.params[2]}
-    else:
-        point = None
-
+    point = args.point
     if args.output == "json":
         record = {
             "schema": SCHEMA,
@@ -185,14 +183,9 @@ def cmd_partitions(args) -> int:
 
 def cmd_charlier(args) -> int:
     preset = PRESETS[args.preset]()
-    given = [args.q, args.t, args.lam]
-    if any(v is not None for v in given):
-        if any(v is None for v in given):
-            print("error: give all of --q, --t, --lambda or none", file=sys.stderr)
-            return 2
-        point = {"q": args.q, "t": args.t, "lambda": args.lam}
-        moments = moments_by_motzkin(preset, args.n_max)
-        rows = [(n, p.eval(point)) for n, p in enumerate(moments)]
+    if args.point is not None:
+        # Over exact fractions at the point: no symbolic moment is formed.
+        moments = moments_by_motzkin(specialize(preset, args.point), args.n_max)
         if args.output == "json":
             print(json.dumps(
                 {
@@ -201,14 +194,14 @@ def cmd_charlier(args) -> int:
                     "moments": [
                         {"n": n, "q": str(args.q), "t": str(args.t),
                          "lambda": str(args.lam), "moment": str(v)}
-                        for n, v in rows
+                        for n, v in enumerate(moments)
                     ],
                 },
                 sort_keys=True,
             ))
         else:
             print("n,q,t,lambda,moment")
-            for n, v in rows:
+            for n, v in enumerate(moments):
                 print(f"{n},{args.q},{args.t},{args.lam},{v}")
         return 0
     seq = three_term_polys(preset, args.n_max)
@@ -390,7 +383,11 @@ def cmd_word(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared for the life of
+    the process: every ``main`` call parses with the same tree, which holds no
+    per-request state."""
     parser = argparse.ArgumentParser(
         prog="qtmoments",
         description="Exact cross-verified moments of a two-parameter deformed Poisson model.",
@@ -472,17 +469,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one request; the parser is built once per process and reused."""
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "moments":
-        given = [args.q, args.t, args.lam]
-        if any(v is not None for v in given) and any(v is None for v in given):
+    if args.command in ("moments", "charlier"):
+        given = {"q": args.q, "t": args.t, "lambda": args.lam}
+        if any(v is not None for v in given.values()) and None in given.values():
             parser.error("give all of --q, --t, --lambda or none")
-        args.params = given if all(v is not None for v in given) else None
-        if args.n < 1:
-            parser.error("--n must be >= 1")
-    if args.command == "partitions" and args.n < 1:
+        args.point = None if args.q is None else given
+    if args.command in ("moments", "partitions") and args.n < 1:
         parser.error("--n must be >= 1")
     if args.command == "verify" and args.n_max < 1:
         parser.error("--n-max must be >= 1")

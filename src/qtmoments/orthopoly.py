@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .fock import CheckReport, FockVector, ScalarGauge, apply_poisson, leading_principal_minors
 from .qtnum import qt_number
@@ -54,6 +54,7 @@ __all__ = [
     "charlier_t_gauge",
     "ejsmont",
     "binomial",
+    "specialize",
     "charlier_strict_specialized",
     "three_term_polys",
     "moments_by_motzkin",
@@ -111,14 +112,24 @@ def ejsmont() -> JacobiParams:
     )
 
 
-def _qt_values(q: Fraction, t: Fraction) -> Callable[[int], Fraction]:
-    """k -> [k] at the rational point (q, t), memoised for one Jacobi instance."""
+def specialize(j: JacobiParams, point: Mapping[str, Fraction | int]) -> JacobiParams:
+    """The symbolic Jacobi data of ``j`` evaluated at a rational point.
 
-    @cache
-    def num(k: int) -> Fraction:
-        return qt_number(k).eval({"q": q, "t": t}) if k else Fraction(0)
-
-    return num
+    ``point`` assigns every variable the data uses, for the Charlier presets
+    ``{"q": q, "t": t, "lambda": lam}``; each entry is evaluated once and
+    memoised.  Evaluation at a point is a ring homomorphism Z[lambda, t, q]
+    -> Q, and the Motzkin and J-fraction routes build every moment from alpha
+    and omega with + and * alone.  So the moments of the specialized data,
+    computed over Fraction, are exactly the symbolic moments evaluated at the
+    point, and no polynomial product is formed on the way.
+    """
+    point = {name: Fraction(v) for name, v in point.items()}
+    label = ", ".join(f"{name}={v}" for name, v in point.items())
+    return JacobiParams(
+        name=f"{j.name}({label})",
+        alpha=cache(lambda n: j.alpha(n).eval(point)),
+        omega=cache(lambda n: j.omega(n).eval(point)),
+    )
 
 
 def binomial(m: Fraction, p: Fraction, q: Fraction, t: Fraction) -> JacobiParams:
@@ -129,7 +140,7 @@ def binomial(m: Fraction, p: Fraction, q: Fraction, t: Fraction) -> JacobiParams
     a finitely supported measure.
     """
     m, p, q, t = Fraction(m), Fraction(p), Fraction(q), Fraction(t)
-    num = _qt_values(q, t)
+    num = specialize(ejsmont(), {"q": q, "t": t}).alpha  # k -> [k] at (q, t)
 
     def alpha(n: int) -> Fraction:
         return m * p + (1 - 2 * p) * num(n)
@@ -144,13 +155,7 @@ def binomial(m: Fraction, p: Fraction, q: Fraction, t: Fraction) -> JacobiParams
 
 def charlier_strict_specialized(lam: Fraction, q: Fraction, t: Fraction) -> JacobiParams:
     """The Poisson family at rational parameters (for numeric comparisons)."""
-    lam, q, t = Fraction(lam), Fraction(q), Fraction(t)
-    num = _qt_values(q, t)
-    return JacobiParams(
-        name=f"charlier-strict(lambda={lam})",
-        alpha=lambda n: lam + num(n),
-        omega=lambda n: lam * num(n),
-    )
+    return specialize(charlier_strict(), {"q": q, "t": t, "lambda": lam})
 
 
 @dataclass(frozen=True)

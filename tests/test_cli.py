@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import qtmoments
-from qtmoments.cli import main, rational
+from qtmoments.cli import build_parser, main, rational
 from qtmoments.orthopoly import charlier_strict, moments_by_motzkin
 from qtmoments.ring import Poly
 
@@ -180,6 +180,40 @@ def test_verify_small(capsys):
     assert "all checks passed" in out
 
 
+#: A mixed request sequence for one shared parser: a usage error, both arms
+#: of the cards --n/--word exclusive group, and point/no-point requests.
+MIXED_REQUESTS = [
+    ["moments", "--n", "3", "--q=1/2"],
+    ["cards", "--n", "3"],
+    ["cards", "--word", "AASNCC"],
+    ["moments", "--n", "4", "--method", "motzkin", "--q=-1/4", "--t=2/3",
+     "--lambda=3/2", "--output", "json"],
+    ["charlier", "--n-max", "5", "--q=1/3", "--t=2/3", "--lambda=1"],
+    ["charlier", "--n-max", "3"],
+]
+
+
+def _serve(capsys, requests) -> dict:
+    outputs = {}
+    for argv in requests:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        outputs[" ".join(argv)] = (code, capsys.readouterr().out)
+    return outputs
+
+
+def test_one_parser_serves_requests_in_any_order(capsys):
+    forward = _serve(capsys, MIXED_REQUESTS)
+    shuffled = _serve(capsys, [MIXED_REQUESTS[i] for i in (2, 0, 5, 1, 4, 3)])
+    assert forward == shuffled
+    codes = [code for code, _ in forward.values()]
+    assert codes == [2, 0, 0, 0, 0, 0]
+    assert all(out for code, out in forward.values() if code == 0)
+    assert build_parser() is build_parser()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -187,6 +221,7 @@ def test_verify_small(capsys):
         ["cards", "--word", "CA"],
         ["cards", "--n", "8", "--word", "AC"],
         ["charlier", "--n-max", "-1"],
+        ["charlier", "--n-max", "3", "--q=1/2"],
         ["cfrac", "--order", "4", "--depth", "0"],
         ["cfrac", "--order", "4", "--depth", "1"],
         ["cfrac", "--order", "-1"],

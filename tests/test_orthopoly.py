@@ -1,8 +1,10 @@
 """Three-term recurrences, Motzkin/J-fraction moments, orthogonality, limits."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qtmoments.fock import ScalarGauge, moment_by_operator
 from qtmoments.orthopoly import (
@@ -22,6 +24,7 @@ from qtmoments.orthopoly import (
     moment_functional,
     moments_by_motzkin,
     poisson_limit_check,
+    specialize,
     three_term_polys,
 )
 from qtmoments.partitions import NestingMode, moment_by_partitions
@@ -358,3 +361,30 @@ def test_hankel_positivity_samples():
         j = charlier_strict_specialized(lam, q, t)
         hankel = hankel_determinants(moments_by_motzkin(j, 10), 5)
         assert all(h > 0 for h in hankel), (q, t, lam)
+
+
+SYMBOLIC_PRESETS = {p().name: p for p in (charlier_strict, charlier_t_gauge, ejsmont)}
+
+
+@cache
+def _symbolic_moments(preset: str, n: int) -> list:
+    return moments_by_motzkin(SYMBOLIC_PRESETS[preset](), n)
+
+
+_point_values = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SYMBOLIC_PRESETS)), st.integers(0, 12),
+       _point_values, _point_values, _point_values)
+@example("charlier-strict", 12, Fraction(-1, 2), Fraction(5, 4), Fraction(4, 3))
+@example("charlier-tgauge", 11, Fraction(-2, 3), Fraction(3, 2), Fraction(3, 4))
+@example("ejsmont", 12, Fraction(-1, 4), Fraction(7, 3), Fraction(1, 2))
+def test_specialized_motzkin_equals_evaluated_symbolic_moments(preset, n, q, t, lam):
+    """Evaluation is a ring homomorphism, so the order does not matter."""
+    point = {"q": q, "t": t, "lambda": lam}
+    direct = moments_by_motzkin(specialize(SYMBOLIC_PRESETS[preset](), point), n)
+    evaluated = [p.eval(point) for p in _symbolic_moments(preset, n)]
+    assert direct == evaluated
+    assert all(isinstance(v, Fraction) for v in direct)
+    assert [str(v) for v in direct] == [str(v) for v in evaluated]
