@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import product
 from typing import Iterator
 
@@ -77,7 +78,7 @@ class Card:
         if self.level < 0 or (needs_choice and self.level < 1):
             raise ValueError("invalid card level")
 
-    @property
+    @cached_property
     def name(self) -> str:
         if self.kind is OperatorLetter.CREATION:
             return f"C{self.level}"
@@ -111,41 +112,30 @@ class CardArrangement:
 
 def _contributor_letter_stream(n: int) -> Iterator[tuple]:
     """DFS over application-order letter tuples satisfying the level rules."""
-    # letter order fixes the deterministic enumeration order
-    order = (
+    C, A, N, S = (
         OperatorLetter.CREATION,
         OperatorLetter.ANNIHILATION,
         OperatorLetter.NUMBER,
         OperatorLetter.SCALAR,
     )
-    def walk(pos: int, level: int, acc: list) -> Iterator[tuple]:
-        if pos == n:
+    # letters are pushed in reverse so they pop in the order C, A, N, S,
+    # which fixes the deterministic enumeration order
+    todo = [((), 0)]
+    while todo:
+        acc, level = todo.pop()
+        remaining = n - len(acc)
+        if not remaining:
             if level == 0:
-                yield tuple(acc)
-            return
-        remaining = n - pos
-        for letter in order:
-            if letter is OperatorLetter.CREATION:
-                if level + 1 > remaining - 1:
-                    continue  # cannot come back down to 0 in time
-                acc.append(letter)
-                yield from walk(pos + 1, level + 1, acc)
-                acc.pop()
-            elif letter is OperatorLetter.ANNIHILATION:
-                if level < 1:
-                    continue
-                acc.append(letter)
-                yield from walk(pos + 1, level - 1, acc)
-                acc.pop()
-            else:
-                if letter is OperatorLetter.NUMBER and level < 1:
-                    continue
-                if level > remaining - 1:
-                    continue
-                acc.append(letter)
-                yield from walk(pos + 1, level, acc)
-                acc.pop()
-    yield from walk(0, 0, [])
+                yield acc
+            continue
+        if level <= remaining - 1:
+            todo.append((acc + (S,), level))
+            if level:
+                todo.append((acc + (N,), level))
+        if level:
+            todo.append((acc + (A,), level - 1))
+        if level + 1 <= remaining - 1:  # else it cannot come back down to 0 in time
+            todo.append((acc + (C,), level + 1))
 
 
 def enumerate_contributors(n: int) -> Iterator[OperatorWord]:
@@ -163,6 +153,12 @@ def contributor_count(n: int) -> int:
     return sum(1 for _ in _contributor_letter_stream(n))
 
 
+@cache
+def _card(kind: OperatorLetter, level: int, choice: int | None = None) -> Card:
+    """The one validated :class:`Card` with these fields."""
+    return Card(kind, level, choice)
+
+
 def _expansion_states(word: OperatorWord) -> Iterator[tuple]:
     """DFS over the line choices of a contributor.
 
@@ -170,46 +166,40 @@ def _expansion_states(word: OperatorWord) -> Iterator[tuple]:
     block_of_element[k] is the 0-based block id of element k+1, q_exp/t_exp
     the accumulated crossing/nesting exponents from annihilation and
     intermediate cards, and singleton_levels the sum of levels of singleton
-    cards (the extra t-exponent under the T_POWER_N gauge).
+    cards (the extra t-exponent under the T_POWER_N gauge).  The open lines
+    are a tuple, bottom line first.
     """
+    C, A, S = OperatorLetter.CREATION, OperatorLetter.ANNIHILATION, OperatorLetter.SCALAR
     letters = word.application_order()
     n = len(letters)
-
-    def walk(pos, stack, next_block, cards, owner, q_exp, t_exp, single_lv):
+    todo = [(0, (), 0, (), (), 0, 0, 0)]
+    while todo:
+        pos, stack, next_block, cards, owner, q_exp, t_exp, single_lv = todo.pop()
+        # creation and singleton cards have no choice: lay them in place
+        while pos < n and (letters[pos] is C or letters[pos] is S):
+            letter = letters[pos]
+            level = len(stack)
+            cards += (_card(letter, level),)
+            owner += (next_block,)
+            if letter is C:
+                stack = (next_block,) + stack
+            else:
+                single_lv += level
+            next_block += 1
+            pos += 1
         if pos == n:
-            yield tuple(cards), tuple(owner), q_exp, t_exp, single_lv
-            return
+            yield cards, owner, q_exp, t_exp, single_lv
+            continue
         letter = letters[pos]
         level = len(stack)
-        if letter is OperatorLetter.CREATION:
-            cards.append(Card(letter, level))
-            owner.append(next_block)
-            yield from walk(pos + 1, (next_block,) + stack, next_block + 1,
-                            cards, owner, q_exp, t_exp, single_lv)
-            cards.pop(); owner.pop()
-        elif letter is OperatorLetter.SCALAR:
-            cards.append(Card(letter, level))
-            owner.append(next_block)
-            yield from walk(pos + 1, stack, next_block + 1,
-                            cards, owner, q_exp, t_exp, single_lv + level)
-            cards.pop(); owner.pop()
-        elif letter is OperatorLetter.ANNIHILATION:
-            for j in range(1, level + 1):
-                cards.append(Card(letter, level, j))
-                owner.append(stack[j - 1])
-                yield from walk(pos + 1, stack[: j - 1] + stack[j:], next_block,
-                                cards, owner, q_exp + j - 1, t_exp + level - j, single_lv)
-                cards.pop(); owner.pop()
-        else:  # NUMBER -> intermediate card: block re-anchored at the bottom
-            for j in range(1, level + 1):
-                cards.append(Card(letter, level, j))
-                owner.append(stack[j - 1])
-                moved = (stack[j - 1],) + stack[: j - 1] + stack[j:]
-                yield from walk(pos + 1, moved, next_block,
-                                cards, owner, q_exp + j - 1, t_exp + level - j, single_lv)
-                cards.pop(); owner.pop()
-
-    yield from walk(0, (), 0, [], [], 0, 0, 0)
+        # choices are pushed from j = level down so that j = 1 is walked first
+        for j in range(level, 0, -1):
+            line = stack[j - 1]
+            rest = stack[: j - 1] + stack[j:]
+            if letter is not A:  # NUMBER -> intermediate card: line re-anchored at the bottom
+                rest = (line,) + rest
+            todo.append((pos + 1, rest, next_block, cards + (_card(letter, level, j),),
+                         owner + (line,), q_exp + j - 1, t_exp + level - j, single_lv))
 
 
 def expand_arrangements(
@@ -217,54 +207,52 @@ def expand_arrangements(
 ) -> list:
     """All admissible card arrangements of a contributor, with weights and
     induced partitions.  Raises :class:`NotContributor` otherwise."""
+    if not word.letters:
+        raise ValueError("the empty word has no card arrangements")
     if not word.is_contributor:
         raise NotContributor(word.to_string())
     n = len(word)
+    # one block per creation or singleton card
+    lam = sum(1 for letter in word.letters
+              if letter is OperatorLetter.CREATION or letter is OperatorLetter.SCALAR)
+    covered = gauge is ScalarGauge.T_POWER_N
+    trusted = SetPartition._trusted
     out = []
     for cards, owner, q_exp, t_exp, single_lv in _expansion_states(word):
-        lam = sum(1 for c in cards if c.kind is OperatorLetter.CREATION) + sum(
-            1 for c in cards if c.kind is OperatorLetter.SCALAR
-        )
-        t_total = t_exp + (single_lv if gauge is ScalarGauge.T_POWER_N else 0)
         weight = Poly.from_terms(
-            [(1, {"lambda": lam, "q": q_exp, "t": t_total})]
+            [(1, {"lambda": lam, "q": q_exp, "t": t_exp + single_lv if covered else t_exp})]
         )
-        out.append(
-            CardArrangement(
-                word=word,
-                cards=cards,
-                weight=weight,
-                # block ids are created in order of first appearance, which
-                # is exactly the restricted-growth normalization
-                partition=SetPartition(n, owner),
-            )
-        )
+        # block ids are created in order of first appearance, which is
+        # exactly the restricted-growth normalization
+        out.append(CardArrangement(word, cards, weight, trusted(n, owner)))
     return out
 
 
 def moment_by_cards(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
     """The n-th moment as the sum of arrangement weights over all contributors.
 
-    Only the weight of each arrangement is kept, not its cards or partition:
-    each tuple of line choices is one arrangement.
+    Every arrangement of every contributor is still enumerated: each tuple of
+    line choices is one arrangement, and its q-exponent is summed.  Only the
+    weight of each arrangement is kept, not its cards or partition.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > 10:
         warnings.warn(f"card expansion at n={n} touches every partition of {n} elements")
+    C, A, S = OperatorLetter.CREATION, OperatorLetter.ANNIHILATION, OperatorLetter.SCALAR
     covered = gauge is ScalarGauge.T_POWER_N
     acc: dict = {}
     for app_letters in _contributor_letter_stream(n):
         levels = []  # the level of each annihilation/intermediate card
         level = t_shift = 0
         for letter in app_letters:
-            if letter is OperatorLetter.CREATION:
+            if letter is C:
                 level += 1
-            elif letter is OperatorLetter.SCALAR:
+            elif letter is S:
                 t_shift += level
             else:
                 levels.append(level)
-                if letter is OperatorLetter.ANNIHILATION:
+                if letter is A:
                     level -= 1
         lam = n - len(levels)  # one block per creation or singleton card
         # choice j at level i adds j-1 to q and i-j to t, which sum to i-1

@@ -66,6 +66,10 @@ PRESETS = {
     "ejsmont": ejsmont,
 }
 
+#: One encoder for every JSON line: the bytes of ``json.dumps(obj, sort_keys=True)``
+#: without building an encoder per line.
+_JSON = json.JSONEncoder(sort_keys=True)
+
 #: Domain errors raised by a request's own arguments: reported as usage errors.
 USAGE_ERRORS = (ValueError, NotContributor, InsufficientDepth, TruncationOverflow)
 
@@ -116,7 +120,7 @@ def _emit_poly(p: Poly, args, extra: dict | None = None) -> None:
         record = {"schema": SCHEMA, "poly": p.to_json_dict(), "canonical": p.canonical_str()}
         if extra:
             record.update(extra)
-        print(json.dumps(record, sort_keys=True))
+        print(_JSON.encode(record))
     else:
         print(p.canonical_str())
 
@@ -141,7 +145,7 @@ def cmd_moments(args) -> int:
         }
         if point is not None:
             record["value"] = {name: str(p.eval(point)) for name, p in results.items()}
-        print(json.dumps(record, sort_keys=True))
+        print(_JSON.encode(record))
     elif args.output == "csv":
         if point is None:
             print("method,n,moment")
@@ -172,7 +176,7 @@ def cmd_partitions(args) -> int:
         record = partition_record(p)
         if args.output == "json":
             record["schema"] = SCHEMA
-            print(json.dumps(record, sort_keys=True))
+            print(_JSON.encode(record))
         else:
             print(
                 f"{p}  blocks={record['blocks']} rc={record['rc']} "
@@ -187,7 +191,7 @@ def cmd_charlier(args) -> int:
         # Over exact fractions at the point: no symbolic moment is formed.
         moments = moments_by_motzkin(specialize(preset, args.point), args.n_max)
         if args.output == "json":
-            print(json.dumps(
+            print(_JSON.encode(
                 {
                     "schema": SCHEMA,
                     "preset": args.preset,
@@ -196,9 +200,7 @@ def cmd_charlier(args) -> int:
                          "lambda": str(args.lam), "moment": str(v)}
                         for n, v in enumerate(moments)
                     ],
-                },
-                sort_keys=True,
-            ))
+                }))
         else:
             print("n,q,t,lambda,moment")
             for n, v in enumerate(moments):
@@ -207,8 +209,7 @@ def cmd_charlier(args) -> int:
     seq = three_term_polys(preset, args.n_max)
     strings = [p.canonical_str() for p in seq.polys]
     if args.output == "json":
-        print(json.dumps({"schema": SCHEMA, "preset": args.preset, "polys": strings},
-                         sort_keys=True))
+        print(_JSON.encode({"schema": SCHEMA, "preset": args.preset, "polys": strings}))
     else:
         for k, s in enumerate(strings):
             print(f"P_{k} = {s}")
@@ -217,7 +218,7 @@ def cmd_charlier(args) -> int:
 
 def cmd_cards(args) -> int:
     _, gauge = _resolve_mode_gauge(args)
-    if args.word:
+    if args.word is not None:
         words = [OperatorWord.from_string(args.word)]
     else:
         words = list(enumerate_contributors(args.n))
@@ -226,7 +227,7 @@ def cmd_cards(args) -> int:
             record = arrangement_record(arr)
             if args.output == "json":
                 record["schema"] = SCHEMA
-                print(json.dumps(record, sort_keys=True))
+                print(_JSON.encode(record))
             else:
                 print(
                     f"{record['word']}  cards={','.join(record['cards'])}  "
@@ -242,10 +243,8 @@ def cmd_cfrac(args) -> int:
     series = cf_series(spec, args.order)
     strings = [c.canonical_str() for c in series]
     if args.output == "json":
-        print(json.dumps(
-            {"schema": SCHEMA, "preset": args.preset, "depth": depth, "series": strings},
-            sort_keys=True,
-        ))
+        print(_JSON.encode(
+            {"schema": SCHEMA, "preset": args.preset, "depth": depth, "series": strings}))
     else:
         print(render_cf(spec))
         for k, s in enumerate(strings):
@@ -257,7 +256,7 @@ def cmd_binomial(args) -> int:
     params = binomial(args.m, args.p, args.q, args.t)
     moments = moments_by_motzkin(params, args.n_max)
     if args.output == "json":
-        print(json.dumps(
+        print(_JSON.encode(
             {
                 "schema": SCHEMA,
                 "m": str(args.m),
@@ -265,9 +264,7 @@ def cmd_binomial(args) -> int:
                 "q": str(args.q),
                 "t": str(args.t),
                 "moments": [str(v) for v in moments],
-            },
-            sort_keys=True,
-        ))
+            }))
     else:
         print("n,q,t,m,p,moment")
         for k, v in enumerate(moments):

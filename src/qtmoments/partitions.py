@@ -25,8 +25,9 @@ lambda*t^N and reproduces the closed tables (third moment
 lambda^3 + (2+t)*lambda^2 + lambda).  See :mod:`qtmoments.fock` for the
 matching operator gauges.
 
-Per partition the statistics are counted from these definitions; the moment
-sum carries them down the rgs search instead (:func:`_weight_census`).
+Per partition the statistics come from one left-to-right sweep over the rgs
+(:func:`_statistics`); the moment sum carries them down the rgs search
+instead (:func:`_weight_census`).
 """
 
 from __future__ import annotations
@@ -77,6 +78,15 @@ class SetPartition:
             top = max(top, v)
 
     @classmethod
+    def _trusted(cls, n: int, rgs: tuple) -> "SetPartition":
+        """A partition from a growth string this library generated itself,
+        built without the checks of ``__post_init__``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "rgs", rgs)
+        return p
+
+    @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]]) -> "SetPartition":
         """Build from blocks given as iterables of 1-based elements."""
         elems = sorted(e for b in blocks for e in b)
@@ -111,33 +121,59 @@ class SetPartition:
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks()) + "}"
 
 
-def _arcs_and_singletons(rgs: Sequence[int]) -> tuple:
-    """Arcs (consecutive same-block pairs, ordered by right endpoint) and singletons."""
-    last: dict = {}
-    size: dict = {}
-    arcs = []
-    for i, b in enumerate(rgs):
-        e = i + 1
-        if b in last:
-            arcs.append((last[b], e))
+def _statistics(rgs: Sequence[int]) -> tuple:
+    """(blocks, crossings, strict nestings, covered-singleton pairs) of one rgs,
+    in one left-to-right sweep.
+
+    Element e joining the block ending at a closes the arc (a,e), which is
+    compared once with each arc closed before it: a < a' is a nesting, and
+    a' < a < c' a crossing.  The new arc covers the singletons so far above a;
+    if a was one, the closed arcs covering it (those the new arc crosses) no
+    longer cover a singleton.
+    """
+    last: list = []  # last element of each block
+    closed: list = []  # closed arcs
+    singles: list = []  # elements alone in their block so far, ascending
+    rc = rn = cov = 0
+    for e, b in enumerate(rgs, 1):
+        if b == len(last):
+            last.append(e)
+            singles.append(e)
+            continue
+        a = last[b]
         last[b] = e
-        size[b] = size.get(b, 0) + 1
-    singles = [last[b] for b, s in size.items() if s == 1]
-    singles.sort()
-    return arcs, singles
+        crossed = 0
+        for a1, c1 in closed:
+            if a < a1:
+                rn += 1
+            elif a < c1:
+                crossed += 1
+        rc += crossed
+        i = bisect_right(singles, a)
+        cov += len(singles) - i
+        if i and singles[i - 1] == a:
+            cov -= crossed
+            del singles[i - 1]
+        closed.append((a, e))
+    return len(last), rc, rn, cov
 
 
 def _rgs_stream(n: int) -> Iterator[tuple]:
     """All restricted growth strings of length n, lex order."""
+    # iterative DFS keeping lexicographic order; the last entry is expanded
+    # in place rather than pushed
     stack = [((0,), 0)]
-    # iterative DFS keeping lexicographic order
     while stack:
         cur, top = stack.pop()
         if len(cur) == n:
             yield cur
-            continue
-        for v in range(top + 1, -1, -1):
-            stack.append((cur + (v,), max(top, v)))
+        elif len(cur) == n - 1:
+            for v in range(top + 2):
+                yield cur + (v,)
+        else:
+            stack.append((cur + (top + 1,), top + 1))
+            for v in range(top, -1, -1):
+                stack.append((cur + (v,), top))
 
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:
@@ -146,49 +182,20 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
         raise ValueError("n must be positive")
     if n > SOFT_LIMIT:
         warnings.warn(f"enumerating partitions of {n} elements (Bell-number blowup)")
+    trusted = SetPartition._trusted
     for rgs in _rgs_stream(n):
-        yield SetPartition(n, rgs)
+        yield trusted(n, rgs)
 
 
 def restricted_crossings(p: SetPartition) -> int:
     """Number of crossing arc pairs (a < b < c < d with arcs (a,c) and (b,d))."""
-    arcs, _ = _arcs_and_singletons(p.rgs)
-    return _count_crossings(arcs)
+    return _statistics(p.rgs)[1]
 
 
 def restricted_nestings(p: SetPartition, mode: NestingMode = NestingMode.STRICT) -> int:
     """Number of nesting arc pairs; COVERED_SINGLETON also counts covered singletons."""
-    arcs, singles = _arcs_and_singletons(p.rgs)
-    count = _count_nestings(arcs)
-    if mode is NestingMode.COVERED_SINGLETON:
-        count += _count_covered_singletons(arcs, singles)
-    return count
-
-
-def _count_crossings(arcs: Sequence[tuple]) -> int:
-    count = 0
-    for i in range(len(arcs)):
-        a1, c1 = arcs[i]
-        for j in range(i + 1, len(arcs)):
-            a2, c2 = arcs[j]
-            if (a1 < a2 < c1 < c2) or (a2 < a1 < c2 < c1):
-                count += 1
-    return count
-
-
-def _count_nestings(arcs: Sequence[tuple]) -> int:
-    count = 0
-    for i in range(len(arcs)):
-        a1, c1 = arcs[i]
-        for j in range(i + 1, len(arcs)):
-            a2, c2 = arcs[j]
-            if (a1 < a2 and c2 < c1) or (a2 < a1 and c1 < c2):
-                count += 1
-    return count
-
-
-def _count_covered_singletons(arcs: Sequence[tuple], singles: Sequence[int]) -> int:
-    return sum(1 for a, c in arcs for e in singles if a < e < c)
+    _, _, rn, cov = _statistics(p.rgs)
+    return rn + cov if mode is NestingMode.COVERED_SINGLETON else rn
 
 
 def _weight_census(n: int) -> dict:
@@ -260,12 +267,11 @@ def moment_by_partitions(n: int, mode: NestingMode) -> Poly:
 
 def partition_record(p: SetPartition) -> dict:
     """The JSON-line record used by the CLI listing."""
-    arcs, singles = _arcs_and_singletons(p.rgs)
-    nestings = _count_nestings(arcs)
+    blocks, rc, rn, cov = _statistics(p.rgs)
     return {
         "rgs": list(p.rgs),
-        "blocks": p.block_count,
-        "rc": _count_crossings(arcs),
-        "rn_strict": nestings,
-        "rn_covered": nestings + _count_covered_singletons(arcs, singles),
+        "blocks": blocks,
+        "rc": rc,
+        "rn_strict": rn,
+        "rn_covered": rn + cov,
     }

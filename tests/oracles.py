@@ -5,8 +5,9 @@ test: schoolbook convolution for products, counting recurrences for Bell and
 Catalan numbers, explicit matrix powers for path-weighted moments, full-order
 series inversion for J-fractions, and exhaustive scans for small
 combinatorial counts, full products under the moment functional for
-orthogonality, and block-by-block determinants for leading minors.  Tests
-freeze values from these, never from the implementation being checked.
+orthogonality, block-by-block determinants for leading minors, and the
+recursive card walks with freshly validated cards.  Tests freeze values from
+these, never from the implementation being checked.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from qtmoments.fock import determinant
+from qtmoments.cards import Card
+from qtmoments.fock import OperatorLetter, determinant
 from qtmoments.ring import Poly
 
 
@@ -208,6 +210,95 @@ def _follow_pairs(blocks: list) -> list:
         elems = sorted(block)
         pairs.extend(zip(elems, elems[1:]))
     return pairs
+
+
+def recursive_contributor_letters(n: int):
+    """Application-order letter tuples of the length-n contributors, by a
+    recursive DFS trying the letters in the order C, A, N, S."""
+    order = (
+        OperatorLetter.CREATION,
+        OperatorLetter.ANNIHILATION,
+        OperatorLetter.NUMBER,
+        OperatorLetter.SCALAR,
+    )
+
+    def walk(pos: int, level: int, acc: list):
+        if pos == n:
+            if level == 0:
+                yield tuple(acc)
+            return
+        remaining = n - pos
+        for letter in order:
+            if letter is OperatorLetter.CREATION:
+                if level + 1 > remaining - 1:
+                    continue  # cannot come back down to 0 in time
+                acc.append(letter)
+                yield from walk(pos + 1, level + 1, acc)
+                acc.pop()
+            elif letter is OperatorLetter.ANNIHILATION:
+                if level < 1:
+                    continue
+                acc.append(letter)
+                yield from walk(pos + 1, level - 1, acc)
+                acc.pop()
+            else:
+                if letter is OperatorLetter.NUMBER and level < 1:
+                    continue
+                if level > remaining - 1:
+                    continue
+                acc.append(letter)
+                yield from walk(pos + 1, level, acc)
+                acc.pop()
+
+    yield from walk(0, 0, [])
+
+
+def recursive_expansion_states(word):
+    """(cards, block_of_element, q_exp, t_exp, singleton_levels) of every card
+    arrangement of a contributor, by a recursive DFS over the line choices
+    (j = 1 first) that validates a new :class:`Card` at every step."""
+    letters = word.application_order()
+    n = len(letters)
+
+    def walk(pos, stack, next_block, cards, owner, q_exp, t_exp, single_lv):
+        if pos == n:
+            yield tuple(cards), tuple(owner), q_exp, t_exp, single_lv
+            return
+        letter = letters[pos]
+        level = len(stack)
+        if letter is OperatorLetter.CREATION:
+            cards.append(Card(letter, level))
+            owner.append(next_block)
+            yield from walk(pos + 1, (next_block,) + stack, next_block + 1,
+                            cards, owner, q_exp, t_exp, single_lv)
+            cards.pop()
+            owner.pop()
+        elif letter is OperatorLetter.SCALAR:
+            cards.append(Card(letter, level))
+            owner.append(next_block)
+            yield from walk(pos + 1, stack, next_block + 1,
+                            cards, owner, q_exp, t_exp, single_lv + level)
+            cards.pop()
+            owner.pop()
+        elif letter is OperatorLetter.ANNIHILATION:
+            for j in range(1, level + 1):
+                cards.append(Card(letter, level, j))
+                owner.append(stack[j - 1])
+                yield from walk(pos + 1, stack[: j - 1] + stack[j:], next_block,
+                                cards, owner, q_exp + j - 1, t_exp + level - j, single_lv)
+                cards.pop()
+                owner.pop()
+        else:  # NUMBER -> intermediate card: block re-anchored at the bottom
+            for j in range(1, level + 1):
+                cards.append(Card(letter, level, j))
+                owner.append(stack[j - 1])
+                moved = (stack[j - 1],) + stack[: j - 1] + stack[j:]
+                yield from walk(pos + 1, moved, next_block,
+                                cards, owner, q_exp + j - 1, t_exp + level - j, single_lv)
+                cards.pop()
+                owner.pop()
+
+    yield from walk(0, (), 0, [], [], 0, 0, 0)
 
 
 def classical_binomial_moments(m: int, p: Fraction, n_max: int) -> list:

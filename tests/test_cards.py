@@ -11,6 +11,7 @@ from qtmoments import PRESET_FOR_MODE
 from qtmoments.cards import (
     Card,
     NotContributor,
+    _contributor_letter_stream,
     arrangement_record,
     contributor_count,
     enumerate_contributors,
@@ -33,6 +34,8 @@ from qtmoments.partitions import (
 )
 from qtmoments.orthopoly import moments_by_motzkin
 from qtmoments.ring import Poly
+
+from oracles import catalan_numbers, recursive_contributor_letters, recursive_expansion_states
 
 IDENTITY = ScalarGauge.IDENTITY
 TPOWER = ScalarGauge.T_POWER_N
@@ -68,6 +71,51 @@ def test_contributor_enumeration_matches_brute_force():
         got = sorted(w.to_string() for w in enumerate_contributors(n))
         assert got == expected
         assert contributor_count(n) == len(expected)
+
+
+def test_letter_stream_matches_recursive_oracle():
+    for n in range(1, 10):
+        assert list(_contributor_letter_stream(n)) == list(recursive_contributor_letters(n)), n
+
+
+def test_contributor_count_is_catalan():
+    cat = catalan_numbers(10)
+    for n in range(1, 11):
+        assert contributor_count(n) == cat[n], n
+
+
+def test_expansion_matches_recursive_oracle():
+    for n in range(1, 8):
+        for word in enumerate_contributors(n):
+            states = list(recursive_expansion_states(word))
+            for gauge in (IDENTITY, TPOWER):
+                arrs = expand_arrangements(word, gauge)
+                assert len(arrs) == len(states), word.to_string()
+                for arr, (cards, owner, q_exp, t_exp, single_lv) in zip(arrs, states):
+                    lam = sum(1 for c in cards
+                              if c.kind in (OperatorLetter.CREATION, OperatorLetter.SCALAR))
+                    t_total = t_exp + (single_lv if gauge is TPOWER else 0)
+                    assert arr.word == word
+                    assert arr.cards == cards
+                    assert arr.partition == SetPartition(n, owner)
+                    assert arr.weight == Poly.from_terms(
+                        [(1, {"lambda": lam, "q": q_exp, "t": t_total})]
+                    ), word.to_string()
+
+
+def test_interned_cards_match_fresh_cards():
+    for n in range(1, 8):
+        for word in enumerate_contributors(n):
+            for arr in expand_arrangements(word, IDENTITY):
+                for card in arr.cards:
+                    fresh = Card(card.kind, card.level, card.choice)
+                    assert card == fresh
+                    assert card.name == fresh.name
+
+
+def test_empty_word_has_no_arrangements():
+    with pytest.raises(ValueError, match="empty word"):
+        expand_arrangements(OperatorWord(()), IDENTITY)
 
 
 def test_enumeration_is_deterministic():

@@ -218,6 +218,8 @@ def test_one_parser_serves_requests_in_any_order(capsys):
     "argv",
     [
         ["cards", "--word", "XYZ"],
+        ["cards", "--word", ""],
+        ["cards", "--word", " "],
         ["cards", "--word", "CA"],
         ["cards", "--n", "8", "--word", "AC"],
         ["charlier", "--n-max", "-1"],
@@ -238,5 +240,5 @@ def test_invalid_input_is_a_usage_error(argv):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "error:" in proc.stderr
+    assert proc.stderr.count("error:") == 1
     assert proc.stdout == ""

@@ -206,7 +206,31 @@ def test_random_rgs_statistics_match_quadruple_oracles(rgs):
     nestings = quadruple_nestings(blocks)
     assert restricted_crossings(p) == quadruple_crossings(blocks)
     assert restricted_nestings(p, STRICT) == nestings
-    assert restricted_nestings(p, COVERED) == nestings + quadruple_covered_singletons(blocks)
+    covered = quadruple_covered_singletons(blocks)
+    assert restricted_nestings(p, COVERED) == nestings + covered
+    assert partition_record(p) == {
+        "rgs": list(rgs),
+        "blocks": len(blocks),
+        "rc": quadruple_crossings(blocks),
+        "rn_strict": nestings,
+        "rn_covered": nestings + covered,
+    }
+
+
+def test_enumerated_partitions_pass_the_checks_and_match_oracles():
+    for n in range(1, 9):
+        listed = list(enumerate_partitions(n))
+        census = _oracle_census(n)
+        assert len(listed) == len(census)
+        for p, (rgs, (blocks, rc, rn, cov)) in zip(listed, census):
+            assert SetPartition(n, p.rgs) == p
+            assert partition_record(p) == {
+                "rgs": list(rgs),
+                "blocks": blocks,
+                "rc": rc,
+                "rn_strict": rn,
+                "rn_covered": rn + cov,
+            }, rgs
 
 
 def test_census_matches_brute_force():
