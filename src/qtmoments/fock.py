@@ -30,14 +30,24 @@ product of two equal-length words u, v with one-particle Gram g is
         * prod_k g[u_k][v_sigma(k)],      M = m(m-1)/2.
 
 Creation prepends a letter; annihilation removes slot k with weight
-q^(k-1) t^(m-k) g[letter][u_k].  This layer is deliberately small (d <= 3,
-n <= 4 scale) and exists to verify adjointness and Gram positivity exactly.
+q^(k-1) t^(m-k) g[letter][u_k].
+
+Words of different lengths are orthogonal, so the Gram matrix is
+block-diagonal by length.  :func:`multimode_gram` builds the length-m block
+from the length-(m-1) block by pairing the first letter of u with each slot of
+v, with the annihilation weights above: m terms per entry instead of m!.  The
+leading minors then come from one elimination that skips zero entries, so the
+positivity check reaches d = 2, n = 6 (127 words) and d = 3, n = 4 (121 words).
+
+That recursion is the statement that annihilation is the adjoint of creation.
+So :func:`check_adjointness` and :func:`word_inner_product` keep the
+permutation sum: checked through the recursion, adjointness would hold by
+construction, while through the sum it ties the two routes together.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -302,31 +312,42 @@ def _inversion_counts(n: int) -> bytes:
 
 
 def qt_inner_product(gram: Sequence[Sequence]) -> Poly:
-    """Permutation expansion of the deformed inner product, symbolically in q and t.
+    """The deformed inner product, symbolically in q and t.
 
     ``gram[i][j]`` is the scalar product of the i-th left vector with the j-th
     right vector (integers or polynomials).  The result is
 
         sum over sigma of q^inv(sigma) t^(M-inv(sigma)) prod_k gram[k][sigma(k)]
 
-    with M = n(n-1)/2, so t-exponents are never negative.
+    with M = n(n-1)/2, so t-exponents are never negative.  It is computed one
+    row at a time over the set S of columns still free: row r = n - |S| takes
+    column c in S, and c makes an inversion with each of the rank(c) members
+    of S below it, so
+
+        f(S) = sum_{c in S} q^rank(c) t^(|S|-1-rank(c)) gram[r][c] f(S - {c}),
+
+    f of the empty set is 1 and the result is f({0..n-1}): n 2^n products in
+    place of n! n.
     """
     n = len(gram)
     if any(len(row) != n for row in gram):
         raise ValueError("gram must be square")
-    if n > 9:
-        warnings.warn(f"summing over {n}! permutations")
-    top = n * (n - 1) // 2
-    total = Poly.zero()
-    for sigma, inv in zip(itertools.permutations(range(n)), _inversion_counts(n)):
-        prod = Poly.one()
-        for k in range(n):
-            prod = prod * gram[k][sigma[k]]
-            if prod.is_zero:
-                break
-        if not prod.is_zero:
-            total = total + Q**inv * T ** (top - inv) * prod
-    return total
+    weights = [[Q**rank * T ** (size - 1 - rank) for rank in range(size)] for size in range(n + 1)]
+    f = [Poly.one()] + [Poly.zero()] * ((1 << n) - 1)
+    for mask in range(1, 1 << n):
+        size = mask.bit_count()
+        row, w = gram[n - size], weights[size]
+        total = Poly.zero()
+        rank = 0
+        for c in range(n):
+            bit = 1 << c
+            if mask & bit:
+                rest = f[mask ^ bit]
+                if rest and row[c] != 0:
+                    total = total + w[rank] * row[c] * rest
+                rank += 1
+        f[mask] = total
+    return f[-1]
 
 
 # -- check reports --------------------------------------------------------------
@@ -385,6 +406,11 @@ def check_commutation(
 
 
 # -- multi-mode rational layer ---------------------------------------------------
+
+
+def _check_gram_shape(d: int, gram: Sequence[Sequence]) -> None:
+    if len(gram) != d or any(len(row) != d for row in gram):
+        raise ValueError("gram must be a d x d matrix")
 
 
 def basis_words(d: int, n: int) -> list:
@@ -483,6 +509,7 @@ def check_adjointness(
     d: int, n: int, gram: Sequence[Sequence], q: Fraction, t: Fraction
 ) -> CheckReport:
     """Verify <A*(xi_i) u | v> = <u | A(xi_i) v> on all basis pairs, exactly."""
+    _check_gram_shape(d, gram)
     report = CheckReport(name=f"adjointness(d={d}, n={n}, q={q}, t={t})")
     form = _WordForm(gram, q, t)
     words = basis_words(d, n)
@@ -505,16 +532,52 @@ def check_adjointness(
 def multimode_gram(
     d: int, n: int, gram: Sequence[Sequence], q: Fraction, t: Fraction
 ) -> list:
-    """Gram matrix of all basis words up to level n, exact rationals."""
+    """Gram matrix of all basis words up to level n, exact rationals.
+
+    Words of different lengths are orthogonal, so the matrix is block-diagonal
+    by length.  The length-m block comes from the length-(m-1) block by pairing
+    the first letter of u with each slot k of v, with the weights of
+    :meth:`_WordForm.annihilate`:
+
+        G_m[u][v] = sum_k q^k t^(m-1-k) g[u_0][v_k] G_{m-1}[u_1..u_{m-1}][v without v_k],
+
+    m terms per entry in place of the m! of the permutation sum.
+    """
+    _check_gram_shape(d, gram)
     form = _WordForm(gram, q, t)
-    words = basis_words(d, n)
-    return [[form.words(u, v) for v in words] for u in words]
+    zero = Fraction(0)
+    blocks = [[[Fraction(1)]]]
+    shorter = [()]
+    for m in range(1, n + 1):
+        weights = [form.q**k * form.t ** (m - 1 - k) for k in range(m)]
+        index = {w: i for i, w in enumerate(shorter)}
+        words = list(itertools.product(range(d), repeat=m))
+        slots = [[(v[k], weights[k], index[v[:k] + v[k + 1 :]]) for k in range(m)] for v in words]
+        block = []
+        for a in range(d):
+            ga = form.g[a]
+            cols = [[(c, j) for b, w, j in col if (c := w * ga[b])] for col in slots]
+            for below in blocks[-1]:
+                block.append(
+                    [sum((c * below[j] for c, j in col if below[j]), zero) for col in cols]
+                )
+        blocks.append(block)
+        shorter = words
+    size = sum(len(block) for block in blocks)
+    matrix = []
+    offset = 0
+    for block in blocks:
+        pad = size - offset - len(block)
+        matrix.extend([zero] * offset + row + [zero] * pad for row in block)
+        offset += len(block)
+    return matrix
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant by fraction Gaussian elimination with row pivoting."""
     n = len(matrix)
-    work = [[Fraction(x) for x in row] for row in matrix]
+    # Fraction(x) of a Fraction costs a full construction; share it instead
+    work = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in matrix]
     det = Fraction(1)
     for k in range(n):
         pivot_row = next((r for r in range(k, n) if work[r][k] != 0), None)
@@ -537,7 +600,9 @@ def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list:
     """Determinants of the leading k-by-k blocks, k = 1..n, from one elimination.
 
     Elimination without row exchanges leaves every leading minor unchanged, so
-    the k-th minor is the product of the first k pivots.  From the first zero
+    the k-th minor is the product of the first k pivots.  Each pivot row
+    updates only the columns where it is nonzero, so on a block-diagonal
+    matrix the work stays inside each block.  From the first zero
     pivot on, each remaining block goes to :func:`determinant` (which may
     exchange rows), so zero and negative minors stay exact.
     """
@@ -551,11 +616,14 @@ def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list:
             return minors + [determinant([r[:s] for r in matrix[:s]]) for s in range(k + 1, n + 1)]
         det *= pivot
         minors.append(det)
+        pivot_row = work[k]
+        cols = [c for c in range(k + 1, n) if pivot_row[c] != 0]
         for r in range(k + 1, n):
-            if work[r][k] != 0:
-                factor = work[r][k] / pivot
-                for c in range(k + 1, n):
-                    work[r][c] -= factor * work[k][c]
+            row = work[r]
+            if row[k] != 0:
+                factor = row[k] / pivot
+                for c in cols:
+                    row[c] -= factor * pivot_row[c]
     return minors
 
 

@@ -226,29 +226,54 @@ def moment_functional(p: Poly, moments: Sequence):
 def check_orthogonality(j: JacobiParams, n_max: int, moments: Sequence) -> CheckReport:
     """Verify L(P_n P_m) = delta_{nm} prod_{i<=n} omega_i exactly for n,m <= n_max.
 
-    L is linear, so with P_m = sum_k p_{m,k} x^k no product P_n P_m is formed:
+    No product P_n P_m is formed.  L is linear, so the mixed moments
+    mixed[n][k] = L(x^k P_n) follow from the three-term recurrence itself, as
+    in the modified Chebyshev algorithm (Gautschi, *Orthogonal Polynomials:
+    Computation and Approximation*, 2004):
 
-        L(P_n P_m) = sum_k p_{m,k} L(x^k P_n),   L(x^k P_n) = sum_j p_{n,j} mu_{j+k},
+        mixed[0][k]   = mu_k,                                 k <= 2 n_max,
+        mixed[n+1][k] = mixed[n][k+1] - alpha_n mixed[n][k]
+                        - omega_n mixed[n-1][k],              k <= 2 n_max - n - 1.
 
-    from mixed moments L(x^k P_n), k <= n_max, tabulated once from the given
-    moments.  Each value equals ``moment_functional(P_n * P_m, moments)``.
+    Each value is then evaluated symmetrically, expanding the polynomial of
+    lower degree: L(P_n P_m) = sum_{k <= lo} p_{lo,k} mixed[hi][k] with
+    lo = min(n, m) and hi = max(n, m), since P_n P_m = P_m P_n.  For any moment
+    list each value equals ``moment_functional(P_n * P_m, moments)``.
     """
-    if len(moments) <= 2 * n_max:
-        raise InsufficientMoments(f"need moments up to degree {2 * n_max}, got {len(moments)}")
+    top = 2 * n_max
+    if len(moments) <= top:
+        raise InsufficientMoments(f"need moments up to degree {top}, got {len(moments)}")
     report = CheckReport(name=f"orthogonality({j.name}, n_max={n_max})")
     seq = three_term_polys(j, n_max).polys
     coeffs = [[p.coefficient_of("x", k) for k in range(n + 1)] for n, p in enumerate(seq)]
     zero = Poly.zero()
-    mixed = [
-        [sum((c * mu for c, mu in zip(cs, moments[k:])), zero) for k in range(n_max + 1)]
-        for cs in coeffs
-    ]
+    mixed = [list(moments[: top + 1])]
+    for n in range(n_max):
+        alpha, cur = j.alpha(n), mixed[n]
+        omega, below = (j.omega(n), mixed[n - 1]) if n else (None, None)
+        row = []
+        for k in range(top - n):
+            value = cur[k + 1]
+            if cur[k]:
+                value = value - alpha * cur[k]
+            if n and below[k]:
+                value = value - omega * below[k]
+            row.append(value)
+        mixed.append(row)
+    values = {}
+    for hi in range(n_max + 1):
+        for lo in range(hi + 1):
+            value = zero
+            for c, mx in zip(coeffs[lo], mixed[hi]):
+                if c and mx:
+                    value = value + c * mx
+            values[lo, hi] = value
     norms = [Poly.one()]
     for i in range(1, n_max + 1):
         norms.append(norms[-1] * j.omega(i))
     for n in range(n_max + 1):
         for m in range(n_max + 1):
-            value = sum((c * mx for c, mx in zip(coeffs[m], mixed[n])), zero)
+            value = values[min(n, m), max(n, m)]
             expected = norms[n] if n == m else zero
             report.record(
                 value == expected,

@@ -5,8 +5,9 @@ test: schoolbook convolution for products, counting recurrences for Bell and
 Catalan numbers, explicit matrix powers for path-weighted moments, full-order
 series inversion for J-fractions, and exhaustive scans for small
 combinatorial counts, full products under the moment functional for
-orthogonality, block-by-block determinants for leading minors, and the
-recursive card walks with freshly validated cards.  Tests freeze values from
+orthogonality, block-by-block determinants for leading minors, the sum over
+all permutations for the deformed inner product, and the recursive card
+walks with freshly validated cards.  Tests freeze values from
 these, never from the implementation being checked.
 """
 
@@ -18,7 +19,7 @@ from math import comb
 
 from qtmoments.cards import Card
 from qtmoments.fock import OperatorLetter, determinant
-from qtmoments.ring import Poly
+from qtmoments.ring import Poly, Q, T
 
 
 def schoolbook_mul(a_terms: list, b_terms: list) -> Poly:
@@ -156,6 +157,26 @@ def blockwise_leading_minors(matrix) -> list:
     """Leading principal minors, each k-by-k block eliminated on its own
     (row exchanges allowed) by :func:`qtmoments.fock.determinant`."""
     return [determinant([row[: k + 1] for row in matrix[: k + 1]]) for k in range(len(matrix))]
+
+
+def permutation_inner_product(gram, q=Q, t=T):
+    """sum over sigma of q^inv(sigma) t^(M - inv(sigma)) prod_k gram[k][sigma(k)],
+    M = n(n-1)/2, by brute force over all n! permutations.
+
+    Symbolic in q and t by default (integer or polynomial entries); with
+    rational q and t and rational entries it is the multi-mode word inner
+    product at that point.
+    """
+    n = len(gram)
+    top = n * (n - 1) // 2
+    total = q * 0
+    for sigma in itertools.permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
+        prod = q**inv * t ** (top - inv)
+        for k in range(n):
+            prod = prod * gram[k][sigma[k]]
+        total = total + prod
+    return total
 
 
 def inversion_sum(n: int) -> Poly:

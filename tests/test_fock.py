@@ -32,7 +32,7 @@ from qtmoments.partitions import NestingMode, moment_by_partitions
 from qtmoments.qtnum import qt_factorial, qt_number
 from qtmoments.ring import LAMBDA, Poly, Q, T
 
-from oracles import blockwise_leading_minors, inversion_sum
+from oracles import blockwise_leading_minors, inversion_sum, permutation_inner_product
 
 IDENTITY = ScalarGauge.IDENTITY
 TPOWER = ScalarGauge.T_POWER_N
@@ -157,6 +157,20 @@ def test_inner_product_all_ones_matches_factorial():
         assert qt_inner_product(gram) == qt_factorial(n) == inversion_sum(n)
 
 
+# zeros twice as likely, so that the recursion meets zero entries and zero subsets
+_ring_entries = st.sampled_from([0, 0, 1, -1, 2, Q, T - 1, 2 * Q * T + LAMBDA])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(st.lists(_ring_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_subset_recursion_matches_permutation_sum(gram):
+    assert qt_inner_product(gram) == permutation_inner_product(gram)
+
+
 def test_commutation_symbolic_and_rational():
     assert check_commutation(12).passed
     assert check_commutation(12, Fraction(1, 3), Fraction(2, 3)).passed
@@ -223,7 +237,7 @@ def test_gram_positivity_samples():
 def test_a_check_that_checks_nothing_fails():
     for report in (
         check_commutation(0),
-        check_adjointness(0, 3, [[1]], Fraction(1, 3), Fraction(1, 2)),
+        check_adjointness(0, 3, [], Fraction(1, 3), Fraction(1, 2)),
     ):
         assert report.checked == 0
         assert not report.passed
@@ -240,7 +254,7 @@ def test_multimode_gram_matches_symbolic_inner_product():
         for v, entry in zip(basis_words(2, 3), row):
             if len(u) == len(v):
                 pairs = [[gram[a][b] for b in v] for a in u]
-                expected = qt_inner_product(pairs).eval({"q": q, "t": t})
+                expected = permutation_inner_product(pairs).eval({"q": q, "t": t})
             else:
                 expected = 0
             assert entry == expected, (u, v)
@@ -279,6 +293,75 @@ def test_gram_positivity_fails_with_blockwise_messages(q, sign):
     assert report.failures == [
         f"leading minor {k} = {m} not positive" for k, m in enumerate(minors, 1) if not m > 0
     ]
+
+
+_qt_values = st.sampled_from([Fraction(x) for x in ("0", "1", "-1", "1/3", "-1/2", "2")])
+
+
+@st.composite
+def _multimode_case(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 3 if d == 3 else 4))
+    return d, n, draw(_square(d)), draw(_qt_values), draw(_qt_values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_multimode_case())
+def test_block_recursion_matches_permutation_sum(case):
+    # a non-symmetric rational Gram with zeros, at points with q or t zero or
+    # negative: every entry, in or out of the length blocks, against the n! sum
+    d, n, gram, q, t = case
+    words = basis_words(d, n)
+    matrix = multimode_gram(d, n, gram, q, t)
+    assert len(matrix) == len(words) and all(len(row) == len(words) for row in matrix)
+    for u, row in zip(words, matrix):
+        for v, entry in zip(words, row):
+            if len(u) == len(v):
+                expected = permutation_inner_product([[gram[a][b] for b in v] for a in u], q, t)
+            else:
+                expected = 0
+            assert entry == expected, (u, v)
+
+
+@pytest.mark.parametrize(
+    "d, gram",
+    [
+        (3, [[1, 0], [0, 1]]),
+        (2, [[1, 0], [0]]),
+        (2, [[1]]),
+        (1, [[1, 5], [5, 1]]),
+    ],
+    ids=["too-small", "ragged", "one-by-one", "too-large"],
+)
+def test_gram_of_wrong_size_is_rejected(d, gram):
+    for check in (check_gram_positivity, check_adjointness, multimode_gram):
+        with pytest.raises(ValueError, match="gram must be a d x d matrix"):
+            check(d, 2, gram, Fraction(1, 3), Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "q, t, sign",
+    [
+        (Fraction(1, 3), Fraction(1, 2), 1),
+        (Fraction(-1, 2), Fraction(3, 4), 1),
+        (Fraction(9, 10), Fraction(1), 1),
+        (Fraction(-1), Fraction(1), 0),
+        (Fraction(-2), Fraction(1), -1),
+    ],
+    ids=["q1/3-t1/2", "q-1/2-t3/4", "q9/10-t1", "zero-minor", "negative-minor"],
+)
+@pytest.mark.parametrize("d, n, words", [(2, 6, 127), (3, 4, 121)], ids=["d2-n6", "d3-n4"])
+def test_gram_positivity_reach(d, n, words, q, t, sign):
+    # all minors positive inside |q| < t <= 1; at t = 1 outside it, the first
+    # failure is the minor that closes on the word 00, whose norm is 1 + q
+    identity = [[int(a == b) for b in range(d)] for a in range(d)]
+    report = check_gram_positivity(d, n, identity, q, t)
+    assert report.checked == words
+    if sign > 0:
+        assert report.passed, report.failures[:3]
+        return
+    assert (1 + q > 0) - (1 + q < 0) == sign
+    assert report.failures[0] == f"leading minor {d + 2} = {1 + q} not positive"
 
 
 def test_apply_word_matches_letterwise():

@@ -168,15 +168,26 @@ def _corrupted(moments: list, k: int) -> list:
     return moments[:k] + [moments[k] + LAMBDA * Q] + moments[k + 1 :]
 
 
+def _charlier_broken_omega3() -> JacobiParams:
+    j = charlier_strict()
+    return JacobiParams(
+        name="charlier-broken-omega3",
+        alpha=j.alpha,
+        omega=lambda n: j.omega(n) + LAMBDA * Q if n == 3 else j.omega(n),
+    )
+
+
 @pytest.mark.parametrize(
     "preset, moment_preset, n_max, corrupt",
     [
         (charlier_strict, charlier_strict, 6, None),
         (charlier_t_gauge, charlier_t_gauge, 6, None),
+        (ejsmont, ejsmont, 6, None),
         (charlier_strict, charlier_t_gauge, 4, None),
         (charlier_t_gauge, charlier_t_gauge, 4, 5),
+        (_charlier_broken_omega3, charlier_strict, 5, None),
     ],
-    ids=["strict", "tgauge", "mismatched", "corrupted-mu5"],
+    ids=["strict", "tgauge", "ejsmont", "mismatched", "corrupted-mu5", "broken-omega3"],
 )
 def test_orthogonality_matches_product_oracle(preset, moment_preset, n_max, corrupt):
     j = preset()
