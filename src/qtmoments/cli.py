@@ -51,8 +51,6 @@ from .partitions import (
     enumerate_partitions,
     moment_by_partitions,
     partition_record,
-    restricted_crossings,
-    restricted_nestings,
 )
 from .ring import Poly
 
@@ -351,10 +349,9 @@ def cmd_verify(args) -> int:
                 for arr in expand_arrangements(word, ScalarGauge.IDENTITY):
                     total += 1
                     seen[arr.partition.rgs] = seen.get(arr.partition.rgs, 0) + 1
+                    record = partition_record(arr.partition)
                     expected = Poly.from_terms([(1, {
-                        "lambda": arr.partition.block_count,
-                        "q": restricted_crossings(arr.partition),
-                        "t": restricted_nestings(arr.partition, NestingMode.STRICT),
+                        "lambda": record["blocks"], "q": record["rc"], "t": record["rn_strict"],
                     })])
                     if arr.weight != expected:
                         ok = False

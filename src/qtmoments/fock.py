@@ -263,12 +263,29 @@ def apply_word(
 
 
 def apply_poisson(v: FockVector, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> FockVector:
-    """Apply the deformed Poisson operator (sum of the four letters)."""
-    out = apply_letter(OperatorLetter.NUMBER, v, gauge)
-    out = out + apply_letter(OperatorLetter.CREATION, v, gauge)
-    out = out + apply_letter(OperatorLetter.ANNIHILATION, v, gauge)
-    out = out + apply_letter(OperatorLetter.SCALAR, v, gauge)
-    return out
+    """Apply the deformed Poisson operator (sum of the four letters).
+
+    The number and annihilation letters both scale level k by [k], so one
+    product c_k [k] lands on f_k and on f_(k-1); c_k lambda likewise serves
+    the creation letter and, in the IDENTITY gauge, the scalar one.
+    """
+    dim, coeffs = v.dim, v.coeffs
+    if not coeffs[dim].is_zero:
+        raise TruncationOverflow(f"creation past level {dim}")
+    out = [Poly.zero()] * (dim + 1)
+    for k, c in enumerate(coeffs):
+        if c.is_zero:
+            continue
+        lam_c = c * LAMBDA
+        own = lam_c if gauge is ScalarGauge.IDENTITY else lam_c * T**k
+        if k:
+            shared = c * qt_number(k)
+            out[k - 1] += shared
+            own += shared
+        out[k] += own
+        # k < dim here, and no earlier level has reached f_(k+1) yet
+        out[k + 1] = lam_c
+    return FockVector(dim, out)
 
 
 def vacuum_expectation_word(
@@ -588,11 +605,15 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
             det = -det
         pivot = work[k][k]
         det *= pivot
+        top = work[k]
+        # only the columns where the pivot row is nonzero change
+        cols = [c for c in range(k + 1, n) if top[c] != 0]
         for r in range(k + 1, n):
-            if work[r][k] != 0:
-                factor = work[r][k] / pivot
-                for c in range(k, n):
-                    work[r][c] -= factor * work[k][c]
+            row = work[r]
+            if row[k] != 0:
+                factor = row[k] / pivot
+                for c in cols:
+                    row[c] -= factor * top[c]
     return det
 
 

@@ -18,6 +18,11 @@ field from carrying into its neighbour; building or multiplying into a
 monomial of total degree 2^16 or more raises :class:`OverflowError`.  The
 public API still speaks in exponent tuples aligned with ``VARIABLES``.
 
+Printing looks up the text of a key's (lambda, t) half (bits 32-63) and of
+its (q, x) half (bits 0-31) in two tables filled on first sight, ``""`` for a
+zero half.  Each holds one entry per exponent pair printed, at most
+(d+1)(d+2)/2 up to total degree d: 511 and 287 after the eight bench tables.
+
 Rational values (exact parameter samples) are plain :class:`fractions.Fraction`
 objects; evaluation of a polynomial at rational points is exact.
 """
@@ -51,6 +56,11 @@ _DEG_SHIFT = _BITS * _NVARS
 #: (variable, bit offset of its field); lambda sits just below the degree.
 _NAMED_SHIFTS = tuple((name, _BITS * (_NVARS - 1 - i)) for i, name in enumerate(VARIABLES))
 _SHIFT = dict(_NAMED_SHIFTS)
+_HALF = 2 * _BITS
+_HALF_MASK = (1 << _HALF) - 1
+#: Text of each (lambda, t) and each (q, x) half key printed so far.
+_HIGH_TEXT: dict = {}
+_LOW_TEXT: dict = {}
 
 #: A monomial is an exponent vector aligned with ``VARIABLES``.
 Monomial = tuple
@@ -105,6 +115,12 @@ def _key_to_exps(key: int) -> dict:
         if e:
             out[name] = e
     return out
+
+
+def _half_text(half: int, names: tuple) -> str:
+    """``*``-joined factors of one half key, e.g. "lambda^2*t"; "" if both are 0."""
+    pairs = zip(names, (half >> _BITS, half & _MASK))
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in pairs if e)
 
 
 def _wrap(terms: dict) -> "Poly":
@@ -236,13 +252,20 @@ class Poly:
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            new = out.get(key, 0) - coeff
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+        return _wrap(out)
 
     def __rsub__(self, other) -> "Poly":
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "Poly":
         other = Poly._coerce(other)
@@ -373,25 +396,23 @@ class Poly:
         terms = self._terms
         if not terms:
             return "0"
+        high_text, low_text = _HIGH_TEXT, _LOW_TEXT
         pieces = []
         for key in sorted(terms, reverse=True):
+            high, low = key >> _HALF & _HALF_MASK, key & _HALF_MASK
+            if high not in high_text:
+                high_text[high] = _half_text(high, VARIABLES[:2])
+            if low not in low_text:
+                low_text[low] = _half_text(low, VARIABLES[2:])
+            high, low = high_text[high], low_text[low]
+            mono = f"{high}*{low}" if high and low else high or low
             coeff = terms[key]
-            factors = []
-            for name, shift in _NAMED_SHIFTS:
-                e = (key >> shift) & _MASK
-                if e == 1:
-                    factors.append(name)
-                elif e:
-                    factors.append(f"{name}^{e}")
-            mag = abs(coeff)
-            if factors:
-                body = "*".join(factors) if mag == 1 else "*".join([str(mag)] + factors)
+            sign, mag = (" - ", -coeff) if coeff < 0 else (" + ", coeff)
+            if mag != 1:
+                pieces.append(f"{sign}{mag}*{mono}" if mono else f"{sign}{mag}")
             else:
-                body = str(mag)
-            if pieces:
-                pieces.append((" - " if coeff < 0 else " + ") + body)
-            else:
-                pieces.append(("-" if coeff < 0 else "") + body)
+                pieces.append(sign + (mono or "1"))
+        pieces[0] = pieces[0][3:] if pieces[0][1] == "+" else "-" + pieces[0][3:]
         return "".join(pieces)
 
     def __str__(self) -> str:

@@ -6,8 +6,9 @@ Catalan numbers, explicit matrix powers for path-weighted moments, full-order
 series inversion for J-fractions, and exhaustive scans for small
 combinatorial counts, full products under the moment functional for
 orthogonality, block-by-block determinants for leading minors, the sum over
-all permutations for the deformed inner product, and the recursive card
-walks with freshly validated cards.  Tests freeze values from
+all permutations for the deformed inner product, the recursive card
+walks with freshly validated cards, factor-by-factor text for canonical
+strings, and the four letters applied one by one for the Poisson step.  Tests freeze values from
 these, never from the implementation being checked.
 """
 
@@ -18,8 +19,8 @@ from fractions import Fraction
 from math import comb
 
 from qtmoments.cards import Card
-from qtmoments.fock import OperatorLetter, determinant
-from qtmoments.ring import Poly, Q, T
+from qtmoments.fock import FockVector, OperatorLetter, apply_letter, determinant
+from qtmoments.ring import VARIABLES, Poly, Q, T
 
 
 def schoolbook_mul(a_terms: list, b_terms: list) -> Poly:
@@ -33,6 +34,32 @@ def schoolbook_mul(a_terms: list, b_terms: list) -> Poly:
             key = tuple(sorted(exps.items()))
             out[key] = out.get(key, 0) + ca * cb
     return Poly.from_terms((c, dict(k)) for k, c in out.items() if c)
+
+
+def factorwise_canonical_str(p: Poly) -> str:
+    """Canonical text built term by term from the exponent tuples, formatting
+    every factor afresh."""
+    pieces = []
+    for mono, coeff in p.sorted_terms():
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(VARIABLES, mono) if e]
+        mag = abs(coeff)
+        if factors:
+            body = "*".join(factors) if mag == 1 else "*".join([str(mag)] + factors)
+        else:
+            body = str(mag)
+        if pieces:
+            pieces.append((" - " if coeff < 0 else " + ") + body)
+        else:
+            pieces.append(("-" if coeff < 0 else "") + body)
+    return "".join(pieces) or "0"
+
+
+def letterwise_poisson(v: FockVector, gauge) -> FockVector:
+    """The Poisson step as the sum of the four letters, each applied on its own."""
+    out = FockVector(v.dim)
+    for letter in OperatorLetter:
+        out = out + apply_letter(letter, v, gauge)
+    return out
 
 
 def bell_numbers(n_max: int) -> list:

@@ -13,6 +13,7 @@ from qtmoments.fock import (
     ScalarGauge,
     TruncationOverflow,
     apply_letter,
+    apply_poisson,
     apply_word,
     basis_words,
     check_adjointness,
@@ -32,7 +33,12 @@ from qtmoments.partitions import NestingMode, moment_by_partitions
 from qtmoments.qtnum import qt_factorial, qt_number
 from qtmoments.ring import LAMBDA, Poly, Q, T
 
-from oracles import blockwise_leading_minors, inversion_sum, permutation_inner_product
+from oracles import (
+    blockwise_leading_minors,
+    inversion_sum,
+    letterwise_poisson,
+    permutation_inner_product,
+)
 
 IDENTITY = ScalarGauge.IDENTITY
 TPOWER = ScalarGauge.T_POWER_N
@@ -362,6 +368,39 @@ def test_gram_positivity_reach(d, n, words, q, t, sign):
         return
     assert (1 + q > 0) - (1 + q < 0) == sign
     assert report.failures[0] == f"leading minor {d + 2} = {1 + q} not positive"
+    if sign < 0:
+        # every minor, not just the first failure, against block-by-block elimination
+        matrix = multimode_gram(d, n, identity, q, t)
+        assert leading_principal_minors(matrix) == blockwise_leading_minors(matrix)
+
+
+_small_polys = st.lists(
+    st.tuples(
+        st.integers(-9, 9),
+        st.fixed_dictionaries({}, optional={v: st.integers(0, 3) for v in ("lambda", "t", "q")}),
+    ),
+    max_size=4,
+).map(Poly.from_terms)
+
+
+@st.composite
+def _fock_vectors(draw):
+    dim = draw(st.integers(0, 6))
+    coeffs = draw(st.lists(_small_polys, min_size=dim, max_size=dim))
+    # a nonzero top level makes the creation letter overflow
+    top = draw(st.one_of(st.just(Poly.zero()), _small_polys))
+    return FockVector(dim, coeffs + [top])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fock_vectors(), st.sampled_from([IDENTITY, TPOWER]))
+def test_poisson_step_matches_letterwise_sum(v, gauge):
+    if v.coeffs[v.dim].is_zero:
+        assert apply_poisson(v, gauge) == letterwise_poisson(v, gauge)
+        return
+    for step in (apply_poisson, letterwise_poisson):
+        with pytest.raises(TruncationOverflow):
+            step(v, gauge)
 
 
 def test_apply_word_matches_letterwise():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtmoments.ring import (
     LAMBDA,
@@ -15,7 +15,7 @@ from qtmoments.ring import (
     X,
 )
 
-from oracles import schoolbook_mul
+from oracles import factorwise_canonical_str, schoolbook_mul
 
 
 # Random polynomials over a few variables with small degrees.
@@ -197,6 +197,39 @@ def test_packed_text_round_trip(p):
 @settings(max_examples=100, deadline=None)
 def test_packed_json_round_trip(p):
     assert Poly.from_json_dict(p.to_json_dict()) == p
+
+
+# wide exponents and coefficients, with +-1 often; an optional exponent is
+# often absent, so a term's (lambda, t) or (q, x) half is often zero
+_printed_polys = _polys_over(
+    _ALL_VARS, 300, st.one_of(st.sampled_from([1, -1]), _big), 8
+)
+
+
+@given(_printed_polys)
+@settings(max_examples=200, deadline=None)
+@example(Poly.zero())
+@example(Poly.constant(1))
+@example(Poly.constant(-1))
+@example(Poly.constant(-(10**30)))
+# t*x and lambda*q have equal half keys, so one table for both halves would show
+@example(T * X - LAMBDA * Q + T - X + 1)
+@example(-(LAMBDA**300) * T**300 + Q**300 * X**300 - 10**30 * LAMBDA * X - 1)
+def test_canonical_str_matches_factorwise_oracle(p):
+    text = p.canonical_str()
+    assert text == factorwise_canonical_str(p)
+    assert Poly.parse(text) == p
+
+
+@given(wide_polys, wide_polys, st.integers(-5, 5))
+@settings(max_examples=100, deadline=None)
+def test_sub_matches_negated_add(a, b, n):
+    assert a - b == a + (-b)
+    assert all(c for _, c in (a - b).terms())
+    # full and partial cancellation leave no zero coefficients behind
+    assert (a - a).is_zero
+    assert a - (a + b) == -b and len(a - (a + b)) == len(b)
+    assert a - n == a + (-n) and n - a == -(a - n)
 
 
 def _to_sympy(p, sympy, gens):
