@@ -19,7 +19,6 @@ from .ring import (
 )
 from .qtnum import qt_factorial, qt_number
 from .partitions import (
-    NestingMode,
     SetPartition,
     enumerate_partitions,
     moment_by_partitions,
@@ -83,15 +82,3 @@ from .cfrac import (
 )
 
 __version__ = "0.1.0"
-
-#: The nesting statistic each operator gauge reproduces.
-GAUGE_FOR_MODE = {
-    NestingMode.STRICT: ScalarGauge.IDENTITY,
-    NestingMode.COVERED_SINGLETON: ScalarGauge.T_POWER_N,
-}
-MODE_FOR_GAUGE = {gauge: mode for mode, gauge in GAUGE_FOR_MODE.items()}
-
-PRESET_FOR_MODE = {
-    NestingMode.STRICT: charlier_strict,
-    NestingMode.COVERED_SINGLETON: charlier_t_gauge,
-}

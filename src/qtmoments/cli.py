@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from . import GAUGE_FOR_MODE, MODE_FOR_GAUGE, PRESET_FOR_MODE
 from .cards import (
     NotContributor,
     arrangement_record,
@@ -46,18 +45,16 @@ from .orthopoly import (
     specialize,
     three_term_polys,
 )
-from .partitions import (
-    NestingMode,
-    enumerate_partitions,
-    moment_by_partitions,
-    partition_record,
-)
+from .partitions import enumerate_partitions, moment_by_partitions, partition_record
 from .ring import Poly
 
 SCHEMA = "qtmoments/1"
 
-MODES = {"strict": NestingMode.STRICT, "covered": NestingMode.COVERED_SINGLETON}
-GAUGES = {"identity": ScalarGauge.IDENTITY, "tpowern": ScalarGauge.T_POWER_N}
+#: The two nesting conventions: each ``--mode`` name's operator gauge and Jacobi preset.
+MODES = {
+    "strict": (ScalarGauge.IDENTITY, charlier_strict),
+    "covered": (ScalarGauge.T_POWER_N, charlier_t_gauge),
+}
 PRESETS = {
     "strict": charlier_strict,
     "tgauge": charlier_t_gauge,
@@ -83,33 +80,21 @@ def rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid rational {text!r}: {exc}")
 
 
-def _resolve_mode_gauge(args) -> tuple:
-    """Mode and gauge are linked; deriving the missing one, warning on mismatch."""
-    mode = MODES[args.mode] if args.mode else None
-    gauge = GAUGES[args.gauge] if getattr(args, "gauge", None) else None
-    if mode is None and gauge is None:
-        mode = NestingMode.STRICT
-    if mode is None:
-        mode = MODE_FOR_GAUGE[gauge]
-    if gauge is None:
-        gauge = GAUGE_FOR_MODE[mode]
-    if GAUGE_FOR_MODE[mode] is not gauge:
-        print(
-            f"warning: mode {mode.value!r} and gauge {gauge.value!r} are mismatched; "
-            "the five moment routes will disagree",
-            file=sys.stderr,
-        )
-    return mode, gauge
+def _routes(mode: str, n_max: int) -> dict:
+    """The five moment routes in one convention, each a function of n <= n_max.
 
-
-def _moment_methods(n: int, mode: NestingMode, gauge: ScalarGauge) -> dict:
-    preset = PRESET_FOR_MODE[mode]()
+    The Motzkin and J-fraction routes build their series to n_max on first use
+    and then read it, so a caller looping over n builds each series once.
+    """
+    gauge, preset = MODES[mode]
+    motzkin = cache(lambda: moments_by_motzkin(preset(), n_max))
+    cfrac = cache(lambda: jfraction_series(preset(), n_max))
     return {
-        "partitions": lambda: moment_by_partitions(n, mode),
-        "operator": lambda: moment_by_operator(n, gauge),
-        "cards": lambda: moment_by_cards(n, gauge),
-        "motzkin": lambda: moments_by_motzkin(preset, n)[n],
-        "cfrac": lambda: jfraction_series(preset, n)[n],
+        "partitions": lambda n: moment_by_partitions(n, gauge),
+        "operator": lambda n: moment_by_operator(n, gauge),
+        "cards": lambda n: moment_by_cards(n, gauge),
+        "motzkin": lambda n: motzkin()[n],
+        "cfrac": lambda n: cfrac()[n],
     }
 
 
@@ -124,10 +109,8 @@ def _emit_poly(p: Poly, args, extra: dict | None = None) -> None:
 
 
 def cmd_moments(args) -> int:
-    mode, gauge = _resolve_mode_gauge(args)
-    methods = _moment_methods(args.n, mode, gauge)
-    chosen = list(methods) if args.method == "all" else [args.method]
-    results = {name: methods[name]() for name in chosen}
+    results = {name: route(args.n) for name, route in _routes(args.mode, args.n).items()
+               if args.method in ("all", name)}
     values = list(results.values())
     agree = all(v == values[0] for v in values)
 
@@ -136,8 +119,8 @@ def cmd_moments(args) -> int:
         record = {
             "schema": SCHEMA,
             "n": args.n,
-            "mode": mode.value,
-            "gauge": gauge.value,
+            "mode": args.mode,
+            "gauge": MODES[args.mode][0].value,
             "methods": {name: poly.canonical_str() for name, poly in results.items()},
             "agree": agree,
         }
@@ -215,7 +198,7 @@ def cmd_charlier(args) -> int:
 
 
 def cmd_cards(args) -> int:
-    _, gauge = _resolve_mode_gauge(args)
+    gauge, _ = MODES[args.mode]
     if args.word is not None:
         words = [OperatorWord.from_string(args.word)]
     else:
@@ -271,25 +254,16 @@ def cmd_binomial(args) -> int:
 
 
 def _verify_moments(n_max: int, failures: list) -> None:
-    for mode in (NestingMode.STRICT, NestingMode.COVERED_SINGLETON):
-        gauge = GAUGE_FOR_MODE[mode]
-        preset = PRESET_FOR_MODE[mode]()
-        motzkin = moments_by_motzkin(preset, n_max)
-        series = jfraction_series(preset, n_max)
+    for mode in MODES:
+        routes = _routes(mode, n_max)
         for n in range(1, n_max + 1):
-            values = {
-                "partitions": moment_by_partitions(n, mode),
-                "operator": moment_by_operator(n, gauge),
-                "cards": moment_by_cards(n, gauge),
-                "motzkin": motzkin[n],
-                "cfrac": series[n],
-            }
+            values = {name: route(n) for name, route in routes.items()}
             base = values["partitions"]
             bad = [name for name, v in values.items() if v != base]
             ok = not bad
-            print(f"moments {mode.value} n={n}: {'ok' if ok else 'MISMATCH ' + str(bad)}")
+            print(f"moments {mode} n={n}: {'ok' if ok else 'MISMATCH ' + str(bad)}")
             if not ok:
-                failures.append(f"moments {mode.value} n={n}")
+                failures.append(f"moments {mode} n={n}")
 
 
 def cmd_verify(args) -> int:
@@ -319,10 +293,7 @@ def cmd_verify(args) -> int:
 
     if "orthopoly" in suites:
         n_ortho = min(args.n_max, 6)
-        for preset_fn, mode in (
-            (charlier_strict, NestingMode.STRICT),
-            (charlier_t_gauge, NestingMode.COVERED_SINGLETON),
-        ):
+        for _, preset_fn in MODES.values():
             preset = preset_fn()
             moments = moments_by_motzkin(preset, 2 * n_ortho)
             report = check_orthogonality(preset, n_ortho, moments)
@@ -370,7 +341,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_word(args) -> int:
-    _, gauge = _resolve_mode_gauge(args)
+    gauge, _ = MODES[args.mode]
     word = OperatorWord.from_string(args.word)
     value = vacuum_expectation_word(word, gauge)
     _emit_poly(value, args, extra={"word": word.to_string()})
@@ -388,18 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, gauge_flag=True):
-        p.add_argument("--mode", choices=sorted(MODES), default=None,
-                       help="nesting statistic (default strict)")
-        if gauge_flag:
-            p.add_argument("--gauge", choices=sorted(GAUGES), default=None,
-                           help="scalar gauge (default linked to mode)")
+    def add_common(p):
+        p.add_argument("--mode", choices=sorted(MODES), default="strict",
+                       help="nesting convention: strict (scalar lambda) or covered "
+                            "(scalar lambda*t^N)")
         p.add_argument("--output", choices=["json", "csv", "pretty"], default="pretty")
 
     p = sub.add_parser("moments", help="moment polynomial by one or all methods")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=["partitions", "operator", "cards", "motzkin",
-                                        "cfrac", "all"], default="all")
+    p.add_argument("--method", choices=[*_routes("strict", 0), "all"], default="all")
     p.add_argument("--q", type=rational, default=None)
     p.add_argument("--t", type=rational, default=None)
     p.add_argument("--lambda", dest="lam", type=rational, default=None)

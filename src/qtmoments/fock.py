@@ -103,10 +103,11 @@ class OperatorLetter(Enum):
 
 
 class ScalarGauge(Enum):
-    """How the scalar letter acts: lambda*1, or lambda*t^N.
+    """The nesting convention, named by how the scalar letter acts.
 
-    IDENTITY matches the STRICT nesting statistic, T_POWER_N matches
-    COVERED_SINGLETON (see :mod:`qtmoments.partitions`).
+    IDENTITY (lambda*1) counts strict nestings; T_POWER_N (lambda*t^N) also
+    counts singletons covered by an arc (see :mod:`qtmoments.partitions`).
+    Every route takes this one switch.
     """
 
     IDENTITY = "identity"

@@ -346,14 +346,17 @@ def poisson_limit_check(
 
     Numeric part: at the given rational (q, t, lambda) the absolute deviation
     of each binomial moment from the Poisson moment must strictly decrease
-    along m_values whenever it is nonzero.
+    along the distinct m_values, ascending, whenever it is nonzero; fewer
+    than two distinct values compare nothing and raise ValueError.
     """
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if any(Fraction(mv) <= lam for mv in m_values):
         raise ValueError("every m must exceed lambda")
-    m_values = sorted(int(mv) for mv in m_values)
+    m_values = sorted({int(mv) for mv in m_values})
+    if len(m_values) < 2:
+        raise ValueError("need at least two distinct m values to compare")
     a, b = lam.numerator, lam.denominator
 
     symbolic = CheckReport(name="poisson-limit-symbolic")

@@ -13,17 +13,16 @@ with a < b:
   * nesting:   a < b < d < c   (the second arc sits strictly inside the first)
 
 Two nesting conventions are shipped, because the quadruple definition above
-and the closed moment tables in circulation disagree on singletons:
+and the closed moment tables in circulation disagree on singletons.  Each is
+named by the operator gauge it matches (:class:`qtmoments.fock.ScalarGauge`):
 
-  * STRICT            counts nesting arc pairs only;
-  * COVERED_SINGLETON additionally counts every pair (arc (a,c), singleton e)
-                      with a < e < c.
+  * IDENTITY  (strict)  counts nesting arc pairs only;
+  * T_POWER_N (covered) additionally counts every pair (arc (a,c),
+                        singleton e) with a < e < c.
 
-STRICT matches the operator model with scalar part lambda*1 (third moment
-lambda^3 + 3*lambda^2 + lambda); COVERED_SINGLETON matches the scalar part
-lambda*t^N and reproduces the closed tables (third moment
-lambda^3 + (2+t)*lambda^2 + lambda).  See :mod:`qtmoments.fock` for the
-matching operator gauges.
+IDENTITY is the scalar part lambda*1 (third moment
+lambda^3 + 3*lambda^2 + lambda); T_POWER_N is the scalar part lambda*t^N and
+reproduces the closed tables (third moment lambda^3 + (2+t)*lambda^2 + lambda).
 
 Per partition the statistics come from one left-to-right sweep over the rgs
 (:func:`_statistics`); the moment sum carries them down the rgs search
@@ -35,13 +34,12 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, Sequence
 
+from .fock import ScalarGauge
 from .ring import Poly
 
 __all__ = [
-    "NestingMode",
     "SetPartition",
     "enumerate_partitions",
     "restricted_crossings",
@@ -52,13 +50,6 @@ __all__ = [
 
 #: Above this size the Bell-number explosion makes enumeration impractical.
 SOFT_LIMIT = 16
-
-
-class NestingMode(Enum):
-    """Which events count as a nesting (see module docstring)."""
-
-    STRICT = "strict"
-    COVERED_SINGLETON = "covered"
 
 
 @dataclass(frozen=True)
@@ -192,10 +183,10 @@ def restricted_crossings(p: SetPartition) -> int:
     return _statistics(p.rgs)[1]
 
 
-def restricted_nestings(p: SetPartition, mode: NestingMode = NestingMode.STRICT) -> int:
-    """Number of nesting arc pairs; COVERED_SINGLETON also counts covered singletons."""
+def restricted_nestings(p: SetPartition, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> int:
+    """Number of nesting arc pairs; under T_POWER_N also the covered singletons."""
     _, _, rn, cov = _statistics(p.rgs)
-    return rn + cov if mode is NestingMode.COVERED_SINGLETON else rn
+    return rn + cov if gauge is ScalarGauge.T_POWER_N else rn
 
 
 def _weight_census(n: int) -> dict:
@@ -246,9 +237,9 @@ def _weight_census(n: int) -> dict:
     return census
 
 
-def _census_to_moment(census: dict, mode: NestingMode) -> Poly:
+def _census_to_moment(census: dict, gauge: ScalarGauge) -> Poly:
     acc: dict = {}
-    covered = mode is NestingMode.COVERED_SINGLETON
+    covered = gauge is ScalarGauge.T_POWER_N
     for (blocks, rc, rn, cov), count in census.items():
         key = (blocks, rc, rn + cov if covered else rn)
         acc[key] = acc.get(key, 0) + count
@@ -258,11 +249,11 @@ def _census_to_moment(census: dict, mode: NestingMode) -> Poly:
     )
 
 
-def moment_by_partitions(n: int, mode: NestingMode) -> Poly:
+def moment_by_partitions(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
     """The n-th moment as the partition sum of lambda^blocks q^rc t^rn."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _census_to_moment(_weight_census(n), mode)
+    return _census_to_moment(_weight_census(n), gauge)
 
 
 def partition_record(p: SetPartition) -> dict:

@@ -10,10 +10,7 @@ from fractions import Fraction
 import pytest
 
 from qtmoments import (
-    GAUGE_FOR_MODE,
-    PRESET_FOR_MODE,
     LAMBDA,
-    NestingMode,
     OperatorWord,
     Poly,
     Q,
@@ -45,8 +42,8 @@ from qtmoments import (
     three_term_polys,
 )
 
-STRICT = NestingMode.STRICT
-COVERED = NestingMode.COVERED_SINGLETON
+STRICT = ScalarGauge.IDENTITY
+COVERED = ScalarGauge.T_POWER_N
 
 
 def report(criterion: int, ok: bool, description: str) -> None:
@@ -67,9 +64,11 @@ def covered_moments():
 def test_criterion_01_five_way_agreement(strict_moments, covered_moments):
     n_max = 10
     ok = True
-    for mode, partition_moments in ((STRICT, strict_moments), (COVERED, covered_moments)):
-        gauge = GAUGE_FOR_MODE[mode]
-        preset = PRESET_FOR_MODE[mode]()
+    for gauge, preset_fn, partition_moments in (
+        (STRICT, charlier_strict, strict_moments),
+        (COVERED, charlier_t_gauge, covered_moments),
+    ):
+        preset = preset_fn()
         motzkin = moments_by_motzkin(preset, n_max)
         series = jfraction_series(preset, n_max)
         for n in range(1, n_max + 1):
@@ -216,15 +215,12 @@ def test_criterion_11_card_bijection():
     for n in range(1, 8):
         seen: dict = {}
         for word in enumerate_contributors(n):
-            for gauge, mode in (
-                (ScalarGauge.IDENTITY, STRICT),
-                (ScalarGauge.T_POWER_N, COVERED),
-            ):
+            for gauge in (STRICT, COVERED):
                 for arr in expand_arrangements(word, gauge):
                     expected = Poly.from_terms([(1, {
                         "lambda": arr.partition.block_count,
                         "q": restricted_crossings(arr.partition),
-                        "t": restricted_nestings(arr.partition, mode),
+                        "t": restricted_nestings(arr.partition, gauge),
                     })])
                     if arr.weight != expected:
                         ok = False

@@ -7,7 +7,6 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtmoments import PRESET_FOR_MODE
 from qtmoments.cards import (
     Card,
     NotContributor,
@@ -25,14 +24,13 @@ from qtmoments.fock import (
     vacuum_expectation_word,
 )
 from qtmoments.partitions import (
-    NestingMode,
     SetPartition,
     enumerate_partitions,
     moment_by_partitions,
     restricted_crossings,
     restricted_nestings,
 )
-from qtmoments.orthopoly import moments_by_motzkin
+from qtmoments.orthopoly import charlier_strict, charlier_t_gauge, moments_by_motzkin
 from qtmoments.ring import Poly
 
 from oracles import catalan_numbers, recursive_contributor_letters, recursive_expansion_states
@@ -200,14 +198,13 @@ def test_bijection_with_partitions():
 def test_weight_equals_partition_statistics():
     for n in range(1, 8):
         for word in enumerate_contributors(n):
-            for gauge, mode in ((IDENTITY, NestingMode.STRICT),
-                                (TPOWER, NestingMode.COVERED_SINGLETON)):
+            for gauge in (IDENTITY, TPOWER):
                 for arr in expand_arrangements(word, gauge):
                     p = arr.partition
                     expected = Poly.from_terms([(1, {
                         "lambda": p.block_count,
                         "q": restricted_crossings(p),
-                        "t": restricted_nestings(p, mode),
+                        "t": restricted_nestings(p, gauge),
                     })])
                     assert arr.weight == expected, (word.to_string(), str(p))
 
@@ -295,9 +292,7 @@ def test_card_weights():
 def test_moment_by_cards_small():
     assert moment_by_cards(2, IDENTITY) == Poly.parse("lambda^2 + lambda")
     assert moment_by_cards(3, IDENTITY) == Poly.parse("lambda^3 + 3*lambda^2 + lambda")
-    assert moment_by_cards(4, TPOWER) == moment_by_partitions(
-        4, NestingMode.COVERED_SINGLETON
-    )
+    assert moment_by_cards(4, TPOWER) == moment_by_partitions(4, TPOWER)
 
 
 def test_arrangement_record():
@@ -320,8 +315,7 @@ def test_moment_by_cards_matches_expanded_weights():
 
 
 def test_partitions_cards_and_motzkin_agree_at_n10():
-    for mode, gauge in ((NestingMode.STRICT, IDENTITY),
-                        (NestingMode.COVERED_SINGLETON, TPOWER)):
-        motzkin = moments_by_motzkin(PRESET_FOR_MODE[mode](), 10)[10]
-        assert moment_by_partitions(10, mode) == motzkin
+    for gauge, preset in ((IDENTITY, charlier_strict), (TPOWER, charlier_t_gauge)):
+        motzkin = moments_by_motzkin(preset(), 10)[10]
+        assert moment_by_partitions(10, gauge) == motzkin
         assert moment_by_cards(10, gauge) == motzkin

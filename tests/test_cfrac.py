@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtmoments.cfrac import ContinuedFractionSpec, InsufficientDepth, cf_series, cf_spec, render_cf
+from qtmoments.fock import ScalarGauge
 from qtmoments.orthopoly import (
     binomial,
     charlier_strict,
@@ -16,7 +17,7 @@ from qtmoments.orthopoly import (
     jfraction_series_from_arrays,
     moments_by_motzkin,
 )
-from qtmoments.partitions import NestingMode, moment_by_partitions
+from qtmoments.partitions import moment_by_partitions
 from qtmoments.qtnum import qt_number
 from qtmoments.ring import LAMBDA, Poly
 
@@ -49,7 +50,7 @@ def test_cf_series_matches_partition_moments():
     spec = cf_spec(charlier_strict(), 6)
     series = cf_series(spec, 10)
     for n in range(1, 11):
-        assert series[n] == moment_by_partitions(n, NestingMode.STRICT)
+        assert series[n] == moment_by_partitions(n, ScalarGauge.IDENTITY)
 
 
 def test_depth_insensitivity():

@@ -79,10 +79,21 @@ def test_moments_partial_params_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_moments_gauge_mode_mismatch_warns(capsys):
-    code, out, err = run(capsys, "moments", "--n", "2", "--mode", "strict",
-                         "--gauge", "tpowern", "--method", "motzkin")
-    assert "mismatch" in err
+@pytest.mark.parametrize(
+    "flags, mode, gauge",
+    [
+        ([], "strict", "identity"),
+        (["--mode", "strict"], "strict", "identity"),
+        (["--mode", "covered"], "covered", "tpowern"),
+    ],
+    ids=["default", "strict", "covered"],
+)
+def test_moments_json_names_mode_and_gauge(capsys, flags, mode, gauge):
+    code, out, _ = run(capsys, "moments", "--n", "2", "--method", "motzkin",
+                       *flags, "--output", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["mode"], record["gauge"]) == (mode, gauge)
 
 
 def test_usage_error_exit_code():
@@ -228,6 +239,7 @@ def test_one_parser_serves_requests_in_any_order(capsys):
         ["cfrac", "--order", "4", "--depth", "1"],
         ["cfrac", "--order", "-1"],
         ["verify", "--n-max", "0"],
+        ["moments", "--n", "3", "--gauge", "tpowern"],
     ],
     ids=" ".join,
 )

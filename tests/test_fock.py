@@ -29,7 +29,7 @@ from qtmoments.fock import (
     vacuum_expectation_word,
     word_inner_product,
 )
-from qtmoments.partitions import NestingMode, moment_by_partitions
+from qtmoments.partitions import moment_by_partitions
 from qtmoments.qtnum import qt_factorial, qt_number
 from qtmoments.ring import LAMBDA, Poly, Q, T
 
@@ -126,10 +126,8 @@ def test_moment_equals_sum_over_all_words():
 
 def test_gauge_statistic_correspondence():
     for n in range(1, 9):
-        assert moment_by_operator(n, IDENTITY) == moment_by_partitions(n, NestingMode.STRICT)
-        assert moment_by_operator(n, TPOWER) == moment_by_partitions(
-            n, NestingMode.COVERED_SINGLETON
-        )
+        assert moment_by_operator(n, IDENTITY) == moment_by_partitions(n, IDENTITY)
+        assert moment_by_operator(n, TPOWER) == moment_by_partitions(n, TPOWER)
 
 
 def test_number_letter_expands_to_creation_annihilation():

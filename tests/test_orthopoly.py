@@ -27,7 +27,7 @@ from qtmoments.orthopoly import (
     specialize,
     three_term_polys,
 )
-from qtmoments.partitions import NestingMode, moment_by_partitions
+from qtmoments.partitions import moment_by_partitions
 from qtmoments.qtnum import qt_number
 from qtmoments.ring import LAMBDA, Poly, Q, T, X
 
@@ -110,10 +110,10 @@ def test_pruned_operator_matches_motzkin_at_large_n(preset, gauge):
 
 def test_motzkin_matches_partition_sum():
     assert moments_by_motzkin(charlier_strict(), 4)[4] == moment_by_partitions(
-        4, NestingMode.STRICT
+        4, ScalarGauge.IDENTITY
     )
     assert moments_by_motzkin(charlier_t_gauge(), 4)[4] == moment_by_partitions(
-        4, NestingMode.COVERED_SINGLETON
+        4, ScalarGauge.T_POWER_N
     )
 
 
@@ -312,6 +312,13 @@ def test_poisson_limit_rational_lambda():
 def test_poisson_limit_rejects_small_m():
     with pytest.raises(ValueError):
         poisson_limit_check(4, Fraction(12), [10, 100])
+
+
+@pytest.mark.parametrize("m_values", [[], [10], [10, 10]], ids=str)
+def test_poisson_limit_needs_two_distinct_m(m_values):
+    # One m value or none compares no convergence, so it cannot pass.
+    with pytest.raises(ValueError):
+        poisson_limit_check(6, Fraction(1), m_values)
 
 
 def test_jfraction_series_basics():

@@ -5,8 +5,8 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtmoments.fock import ScalarGauge
 from qtmoments.partitions import (
-    NestingMode,
     SetPartition,
     _weight_census,
     enumerate_partitions,
@@ -26,8 +26,8 @@ from oracles import (
     tridiagonal_moment,
 )
 
-STRICT = NestingMode.STRICT
-COVERED = NestingMode.COVERED_SINGLETON
+STRICT = ScalarGauge.IDENTITY
+COVERED = ScalarGauge.T_POWER_N
 
 
 def test_counts_match_bell_recurrence():
@@ -138,9 +138,9 @@ def test_crossing_nesting_duality():
 
 def test_bell_specialization():
     bell = bell_numbers(8)
-    for mode in (STRICT, COVERED):
+    for gauge in (STRICT, COVERED):
         for n in range(1, 8):
-            value = moment_by_partitions(n, mode).eval({"q": 1, "t": 1, "lambda": 1})
+            value = moment_by_partitions(n, gauge).eval({"q": 1, "t": 1, "lambda": 1})
             assert value == bell[n]
 
 
@@ -181,12 +181,12 @@ def _oracle_census(n: int) -> tuple:
 
 def test_moment_matches_quadruple_oracle_sum():
     for n in range(1, 9):
-        for mode in (STRICT, COVERED):
+        for gauge in (STRICT, COVERED):
             expected = Poly.from_terms(
-                (1, {"lambda": b, "q": rc, "t": rn + cov if mode is COVERED else rn})
+                (1, {"lambda": b, "q": rc, "t": rn + cov if gauge is COVERED else rn})
                 for _, (b, rc, rn, cov) in _oracle_census(n)
             )
-            assert moment_by_partitions(n, mode) == expected, (n, mode)
+            assert moment_by_partitions(n, gauge) == expected, (n, gauge)
 
 
 @st.composite
