@@ -38,7 +38,7 @@ from itertools import product
 from typing import Iterator
 
 from .fock import OperatorLetter, OperatorWord, ScalarGauge
-from .partitions import SetPartition
+from .partitions import SetPartition, _histogram_moments
 from .ring import Poly
 
 __all__ = [
@@ -228,20 +228,17 @@ def expand_arrangements(
     return out
 
 
-def moment_by_cards(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
-    """The n-th moment as the sum of arrangement weights over all contributors.
+@cache
+def _card_moments(n: int) -> dict:
+    """{gauge: moment} for both conventions from one walk over the line
+    choices of every contributor of length n.
 
     Every arrangement of every contributor is still enumerated: each tuple of
-    line choices is one arrangement, and its q-exponent is summed.  Only the
+    line choices is one arrangement, and its q-exponent is counted.  Only the
     weight of each arrangement is kept, not its cards or partition.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > 10:
-        warnings.warn(f"card expansion at n={n} touches every partition of {n} elements")
     C, A, S = OperatorLetter.CREATION, OperatorLetter.ANNIHILATION, OperatorLetter.SCALAR
-    covered = gauge is ScalarGauge.T_POWER_N
-    acc: dict = {}
+    histogram: dict = {}
     for app_letters in _contributor_letter_stream(n):
         levels = []  # the level of each annihilation/intermediate card
         level = t_shift = 0
@@ -256,13 +253,22 @@ def moment_by_cards(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
                     level -= 1
         lam = n - len(levels)  # one block per creation or singleton card
         # choice j at level i adds j-1 to q and i-j to t, which sum to i-1
-        t_top = sum(levels) - len(levels) + (t_shift if covered else 0)
+        t_top = sum(levels) - len(levels)
         for q_exp in map(sum, product(*[range(i) for i in levels])):
-            key = (lam, q_exp, t_top - q_exp)
-            acc[key] = acc.get(key, 0) + 1
-    return Poly.from_terms(
-        (count, {"lambda": b, "q": qe, "t": te}) for (b, qe, te), count in acc.items()
-    )
+            key = (lam, q_exp, t_top - q_exp, t_shift)
+            histogram[key] = histogram.get(key, 0) + 1
+    return _histogram_moments(histogram)
+
+
+def moment_by_cards(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
+    """The n-th moment as the sum of arrangement weights over all contributors;
+    singleton cards add their levels to t only under T_POWER_N, so one walk
+    per n serves both conventions."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > 10:
+        warnings.warn(f"card expansion at n={n} touches every partition of {n} elements")
+    return _card_moments(n)[gauge]
 
 
 def arrangement_record(arr: CardArrangement) -> dict:

@@ -359,11 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, outputs=("json", "pretty")):
         p.add_argument("--mode", choices=sorted(MODES), default="strict",
                        help="nesting convention: strict (scalar lambda) or covered "
                             "(scalar lambda*t^N)")
-        p.add_argument("--output", choices=["json", "csv", "pretty"], default="pretty")
+        p.add_argument("--output", choices=outputs, default="pretty")
 
     p = sub.add_parser("moments", help="moment polynomial by one or all methods")
     p.add_argument("--n", type=int, required=True)
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=rational, default=None)
     p.add_argument("--t", type=rational, default=None)
     p.add_argument("--lambda", dest="lam", type=rational, default=None)
-    add_common(p)
+    add_common(p, ("json", "csv", "pretty"))
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("partitions", help="list partitions with their statistics")

@@ -24,9 +24,10 @@ IDENTITY is the scalar part lambda*1 (third moment
 lambda^3 + 3*lambda^2 + lambda); T_POWER_N is the scalar part lambda*t^N and
 reproduces the closed tables (third moment lambda^3 + (2+t)*lambda^2 + lambda).
 
-Per partition the statistics come from one left-to-right sweep over the rgs
-(:func:`_statistics`); the moment sum carries them down the rgs search
-instead (:func:`_weight_census`).
+The listing and the moment sum carry the statistics down the rgs search
+(:func:`enumerate_partitions`, :func:`_weight_census`); a partition built by
+hand gets them from one left-to-right sweep (:func:`_statistics`).  One
+census serves both conventions, so each n is walked once per process.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterator, Sequence
 
 from .fock import ScalarGauge
@@ -69,34 +71,20 @@ class SetPartition:
             top = max(top, v)
 
     @classmethod
-    def _trusted(cls, n: int, rgs: tuple) -> "SetPartition":
+    def _trusted(cls, n: int, rgs: tuple, statistics: tuple | None = None) -> "SetPartition":
         """A partition from a growth string this library generated itself,
-        built without the checks of ``__post_init__``."""
+        built without the checks of ``__post_init__``, with its
+        :attr:`statistics` if the caller already knows them."""
         p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "rgs", rgs)
+        p.__dict__.update(n=n, rgs=rgs)
+        if statistics is not None:
+            p.__dict__["statistics"] = statistics
         return p
 
-    @classmethod
-    def from_blocks(cls, blocks: Sequence[Sequence[int]]) -> "SetPartition":
-        """Build from blocks given as iterables of 1-based elements."""
-        elems = sorted(e for b in blocks for e in b)
-        n = len(elems)
-        if elems != list(range(1, n + 1)):
-            raise ValueError("blocks must partition {1..n}")
-        owner = {}
-        for b in blocks:
-            lead = min(b)
-            for e in b:
-                owner[e] = lead
-        order = {}
-        rgs = []
-        for e in range(1, n + 1):
-            lead = owner[e]
-            if lead not in order:
-                order[lead] = len(order)
-            rgs.append(order[lead])
-        return cls(n, tuple(rgs))
+    @cached_property
+    def statistics(self) -> tuple:
+        """(blocks, crossings, strict nestings, covered-singleton pairs)."""
+        return _statistics(self.rgs)
 
     @property
     def block_count(self) -> int:
@@ -112,80 +100,86 @@ class SetPartition:
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks()) + "}"
 
 
+def _join(a: int, arcs: Sequence, singles: tuple) -> tuple:
+    """Close the arc (a,e) after the closed ``arcs``, which all end before e:
+    (crossings, nestings, covered singletons, singletons left).
+
+    A closed arc (a',c') with a' < a < c' is crossed and one with a < a' is
+    nested.  The new arc covers the singletons above a; if a was one, the
+    closed arcs covering it (those the new arc crosses) no longer cover a
+    singleton.
+    """
+    crossed = nested = 0
+    for a1, c1 in arcs:
+        if a < a1:
+            nested += 1
+        elif a < c1:
+            crossed += 1
+    i = bisect_right(singles, a)
+    covered = len(singles) - i
+    if i and singles[i - 1] == a:
+        covered -= crossed
+        singles = singles[: i - 1] + singles[i:]
+    return crossed, nested, covered, singles
+
+
 def _statistics(rgs: Sequence[int]) -> tuple:
     """(blocks, crossings, strict nestings, covered-singleton pairs) of one rgs,
-    in one left-to-right sweep.
-
-    Element e joining the block ending at a closes the arc (a,e), which is
-    compared once with each arc closed before it: a < a' is a nesting, and
-    a' < a < c' a crossing.  The new arc covers the singletons so far above a;
-    if a was one, the closed arcs covering it (those the new arc crosses) no
-    longer cover a singleton.
-    """
+    in one left-to-right sweep."""
     last: list = []  # last element of each block
-    closed: list = []  # closed arcs
-    singles: list = []  # elements alone in their block so far, ascending
+    arcs: list = []  # closed arcs
+    singles: tuple = ()  # elements alone in their block so far, ascending
     rc = rn = cov = 0
     for e, b in enumerate(rgs, 1):
         if b == len(last):
             last.append(e)
-            singles.append(e)
+            singles += (e,)
             continue
-        a = last[b]
+        crossed, nested, covered, singles = _join(last[b], arcs, singles)
+        rc, rn, cov = rc + crossed, rn + nested, cov + covered
+        arcs.append((last[b], e))
         last[b] = e
-        crossed = 0
-        for a1, c1 in closed:
-            if a < a1:
-                rn += 1
-            elif a < c1:
-                crossed += 1
-        rc += crossed
-        i = bisect_right(singles, a)
-        cov += len(singles) - i
-        if i and singles[i - 1] == a:
-            cov -= crossed
-            del singles[i - 1]
-        closed.append((a, e))
     return len(last), rc, rn, cov
 
 
-def _rgs_stream(n: int) -> Iterator[tuple]:
-    """All restricted growth strings of length n, lex order."""
-    # iterative DFS keeping lexicographic order; the last entry is expanded
-    # in place rather than pushed
-    stack = [((0,), 0)]
-    while stack:
-        cur, top = stack.pop()
-        if len(cur) == n:
-            yield cur
-        elif len(cur) == n - 1:
-            for v in range(top + 2):
-                yield cur + (v,)
-        else:
-            stack.append((cur + (top + 1,), top + 1))
-            for v in range(top, -1, -1):
-                stack.append((cur + (v,), top))
-
-
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:
-    """Every partition of {1..n} exactly once, in lexicographic rgs order."""
+    """Every partition of {1..n} exactly once, in lexicographic rgs order,
+    each carrying the :attr:`~SetPartition.statistics` its search path built."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > SOFT_LIMIT:
         warnings.warn(f"enumerating partitions of {n} elements (Bell-number blowup)")
     trusted = SetPartition._trusted
-    for rgs in _rgs_stream(n):
-        yield trusted(n, rgs)
+    # a node is (rgs, last element of each block, closed arcs, singletons, rc, rn, cov);
+    # children are pushed in reverse so they pop in lex order, and the choices
+    # for element n are yielded in place rather than pushed
+    stack = [((), (), (), (), 0, 0, 0)]
+    while stack:
+        rgs, last, arcs, singles, rc, rn, cov = stack.pop()
+        e = len(rgs) + 1
+        blocks = len(last)
+        if e == n:
+            for b, a in enumerate(last):
+                crossed, nested, covered, _ = _join(a, arcs, singles)
+                yield trusted(n, rgs + (b,), (blocks, rc + crossed, rn + nested, cov + covered))
+            yield trusted(n, rgs + (blocks,), (blocks + 1, rc, rn, cov))
+            continue
+        stack.append((rgs + (blocks,), last + (e,), arcs, singles + (e,), rc, rn, cov))
+        for b in range(blocks - 1, -1, -1):
+            a = last[b]
+            crossed, nested, covered, rest = _join(a, arcs, singles)
+            stack.append((rgs + (b,), last[:b] + (e,) + last[b + 1:], arcs + ((a, e),),
+                          rest, rc + crossed, rn + nested, cov + covered))
 
 
 def restricted_crossings(p: SetPartition) -> int:
     """Number of crossing arc pairs (a < b < c < d with arcs (a,c) and (b,d))."""
-    return _statistics(p.rgs)[1]
+    return p.statistics[1]
 
 
 def restricted_nestings(p: SetPartition, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> int:
     """Number of nesting arc pairs; under T_POWER_N also the covered singletons."""
-    _, _, rn, cov = _statistics(p.rgs)
+    _, _, rn, cov = p.statistics
     return rn + cov if gauge is ScalarGauge.T_POWER_N else rn
 
 
@@ -193,72 +187,76 @@ def _weight_census(n: int) -> dict:
     """Histogram {(blocks, crossings, strict nestings, covered-singleton pairs): count}
     over the partitions of {1..n}.
 
-    Element e joining the block ending at a closes the arc (a,e).  Each closed
-    arc (a',c') ends before e: a' < a < c' is a crossing, a < a' a nesting.
-    The arc covers the singletons above a; if a was one, the closed arcs
-    covering it (those the new arc crosses) no longer cover a singleton.
+    The search shares its lists and undoes each branch.  Element n's choices,
+    one per partition, are the hot loop: they inline :func:`_join` and are
+    counted where they are made, without a call per partition.
     """
     census: dict = {}
     last: list = []  # last element of each block
     arcs: list = []  # closed arcs
 
     def grow(e: int, rc: int, rn: int, cov: int, singles: tuple) -> None:
-        if e > n:
-            key = (len(last), rc, rn, cov)
-            census[key] = census.get(key, 0) + 1
-            return
         blocks = len(last)
-        for b in range(blocks + 1):
-            if b == blocks:
-                last.append(e)
-                grow(e + 1, rc, rn, cov, singles + (e,))
-                last.pop()
-                continue
-            a = last[b]
-            crossed = nested = 0
-            for a2, c2 in arcs:
-                if a2 > a:
-                    nested += 1
-                elif a < c2:
-                    crossed += 1
-            i = bisect_right(singles, a)
-            covered = len(singles) - i
-            rest = singles
-            if i and singles[i - 1] == a:
-                covered -= crossed
-                rest = singles[: i - 1] + singles[i:]
+        if e == n:
+            key = (blocks + 1, rc, rn, cov)
+            census[key] = census.get(key, 0) + 1
+            for a in last:
+                crossed = nested = 0
+                for a2, c2 in arcs:
+                    if a2 > a:
+                        nested += 1
+                    elif a < c2:
+                        crossed += 1
+                i = bisect_right(singles, a)
+                covered = len(singles) - i
+                if i and singles[i - 1] == a:
+                    covered -= crossed
+                key = (blocks, rc + crossed, rn + nested, cov + covered)
+                census[key] = census.get(key, 0) + 1
+            return
+        for b, a in enumerate(last):
+            crossed, nested, covered, rest = _join(a, arcs, singles)
             arcs.append((a, e))
             last[b] = e
             grow(e + 1, rc + crossed, rn + nested, cov + covered, rest)
             last[b] = a
             arcs.pop()
+        last.append(e)
+        grow(e + 1, rc, rn, cov, singles + (e,))
+        last.pop()
 
     grow(1, 0, 0, 0, ())
     return census
 
 
-def _census_to_moment(census: dict, gauge: ScalarGauge) -> Poly:
-    acc: dict = {}
-    covered = gauge is ScalarGauge.T_POWER_N
-    for (blocks, rc, rn, cov), count in census.items():
-        key = (blocks, rc, rn + cov if covered else rn)
-        acc[key] = acc.get(key, 0) + count
-    return Poly.from_terms(
-        (count, {"lambda": b, "q": rc, "t": rn})
-        for (b, rc, rn), count in acc.items()
-    )
+def _histogram_moments(histogram: dict) -> dict:
+    """{gauge: moment} from {(blocks, q-exponent, strict t-exponent,
+    covered-singleton t-exponent): count}; only T_POWER_N adds the last."""
+    items = histogram.items()
+    return {
+        ScalarGauge.IDENTITY: Poly.from_terms(
+            (count, {"lambda": b, "q": qe, "t": te}) for (b, qe, te, _), count in items),
+        ScalarGauge.T_POWER_N: Poly.from_terms(
+            (count, {"lambda": b, "q": qe, "t": te + cov}) for (b, qe, te, cov), count in items),
+    }
+
+
+@cache
+def _partition_moments(n: int) -> dict:
+    return _histogram_moments(_weight_census(n))
 
 
 def moment_by_partitions(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
-    """The n-th moment as the partition sum of lambda^blocks q^rc t^rn."""
+    """The n-th moment as the partition sum of lambda^blocks q^rc t^rn; the
+    census of each n is taken once and serves both conventions."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _census_to_moment(_weight_census(n), gauge)
+    return _partition_moments(n)[gauge]
 
 
 def partition_record(p: SetPartition) -> dict:
     """The JSON-line record used by the CLI listing."""
-    blocks, rc, rn, cov = _statistics(p.rgs)
+    blocks, rc, rn, cov = p.statistics
     return {
         "rgs": list(p.rgs),
         "blocks": blocks,

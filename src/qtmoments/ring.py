@@ -193,11 +193,6 @@ class Poly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in descending graded-lexicographic order (the canonical order)."""
-        terms = self._terms
-        return [(_unpack(k), terms[k]) for k in sorted(terms, reverse=True)]
-
     def degree(self, var: str | None = None) -> int:
         """Total degree, or the maximum exponent of one variable.  Zero poly has degree 0."""
         if not self._terms:
@@ -206,17 +201,6 @@ class Poly:
             return max(self._terms) >> _DEG_SHIFT
         shift = _SHIFT[var]
         return max((k >> shift) & _MASK for k in self._terms)
-
-    def constant_term(self) -> int:
-        return self._terms.get(0, 0)
-
-    def as_int(self) -> int:
-        """The value of a constant polynomial; raises if non-constant."""
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1 and 0 in self._terms:
-            return self._terms[0]
-        raise ValueError(f"not a constant polynomial: {self!r}")
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -489,10 +473,6 @@ class Poly:
                 for k in sorted(terms, reverse=True)
             ]
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Poly":
-        return cls.from_terms((entry["coeff"], entry["exps"]) for entry in data["terms"])
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         return ((_unpack(k), c) for k, c in self._terms.items())

@@ -8,19 +8,44 @@ combinatorial counts, full products under the moment functional for
 orthogonality, block-by-block determinants for leading minors, the sum over
 all permutations for the deformed inner product, the recursive card
 walks with freshly validated cards, factor-by-factor text for canonical
-strings, and the four letters applied one by one for the Poisson step.  Tests freeze values from
-these, never from the implementation being checked.
+strings, and the four letters applied one by one for the Poisson step.  The
+weight census is the plain recursive walk that calls once per partition.
+Tests freeze values from these, never from the implementation being checked.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 
 from qtmoments.cards import Card
 from qtmoments.fock import FockVector, OperatorLetter, apply_letter, determinant
+from qtmoments.partitions import SetPartition
 from qtmoments.ring import VARIABLES, Poly, Q, T
+
+
+def graded_lex_terms(p: Poly) -> list:
+    """(exponent tuple, coefficient) pairs, total degree first, then the
+    exponents in ``VARIABLES`` order, both descending."""
+    return sorted(p.terms(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+
+def poly_from_json(data) -> Poly:
+    """The polynomial of a ``Poly.to_json_dict`` record."""
+    return Poly.from_terms((entry["coeff"], entry["exps"]) for entry in data["terms"])
+
+
+def partition_from_blocks(blocks) -> SetPartition:
+    """The partition with these blocks of 1-based elements, through the
+    checked constructor."""
+    n = sum(len(b) for b in blocks)
+    rgs = [None] * n
+    for index, block in enumerate(sorted(blocks, key=min)):
+        for e in block:
+            rgs[e - 1] = index
+    return SetPartition(n, tuple(rgs))
 
 
 def schoolbook_mul(a_terms: list, b_terms: list) -> Poly:
@@ -40,7 +65,7 @@ def factorwise_canonical_str(p: Poly) -> str:
     """Canonical text built term by term from the exponent tuples, formatting
     every factor afresh."""
     pieces = []
-    for mono, coeff in p.sorted_terms():
+    for mono, coeff in graded_lex_terms(p):
         factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(VARIABLES, mono) if e]
         mag = abs(coeff)
         if factors:
@@ -250,6 +275,49 @@ def quadruple_covered_singletons(blocks: list) -> int:
     follows a in one block and e is alone in its block."""
     singles = [b[0] for b in blocks if len(b) == 1]
     return sum(1 for (a, c) in _follow_pairs(blocks) for e in singles if a < e < c)
+
+
+def recursive_weight_census(n: int) -> dict:
+    """{(blocks, crossings, strict nestings, covered singletons): count} by a
+    recursive walk that closes each arc against every arc closed before it
+    and counts each partition in a call of its own."""
+    census: dict = {}
+    last: list = []
+    arcs: list = []
+
+    def grow(e: int, rc: int, rn: int, cov: int, singles: tuple) -> None:
+        if e > n:
+            key = (len(last), rc, rn, cov)
+            census[key] = census.get(key, 0) + 1
+            return
+        blocks = len(last)
+        for b in range(blocks + 1):
+            if b == blocks:
+                last.append(e)
+                grow(e + 1, rc, rn, cov, singles + (e,))
+                last.pop()
+                continue
+            a = last[b]
+            crossed = nested = 0
+            for a2, c2 in arcs:
+                if a2 > a:
+                    nested += 1
+                elif a < c2:
+                    crossed += 1
+            i = bisect_right(singles, a)
+            covered = len(singles) - i
+            rest = singles
+            if i and singles[i - 1] == a:
+                covered -= crossed
+                rest = singles[: i - 1] + singles[i:]
+            arcs.append((a, e))
+            last[b] = e
+            grow(e + 1, rc + crossed, rn + nested, cov + covered, rest)
+            last[b] = a
+            arcs.pop()
+
+    grow(1, 0, 0, 0, ())
+    return census
 
 
 def _follow_pairs(blocks: list) -> list:

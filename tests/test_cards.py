@@ -7,6 +7,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qtmoments.cards as cards
 from qtmoments.cards import (
     Card,
     NotContributor,
@@ -33,7 +34,12 @@ from qtmoments.partitions import (
 from qtmoments.orthopoly import charlier_strict, charlier_t_gauge, moments_by_motzkin
 from qtmoments.ring import Poly
 
-from oracles import catalan_numbers, recursive_contributor_letters, recursive_expansion_states
+from oracles import (
+    catalan_numbers,
+    partition_from_blocks,
+    recursive_contributor_letters,
+    recursive_expansion_states,
+)
 
 IDENTITY = ScalarGauge.IDENTITY
 TPOWER = ScalarGauge.T_POWER_N
@@ -147,7 +153,7 @@ def test_worked_example_expansion():
 
 def test_ten_letter_example_arrangement():
     word = OperatorWord.from_string("AASACNNNCC")
-    target = SetPartition.from_blocks([[1, 3, 4, 7], [2, 5, 10], [6, 9], [8]])
+    target = partition_from_blocks([[1, 3, 4, 7], [2, 5, 10], [6, 9], [8]])
     matches = [a for a in expand_arrangements(word, IDENTITY) if a.partition == target]
     assert len(matches) == 1
     assert matches[0].weight == Poly.parse("lambda^4*t^2*q^4")
@@ -155,7 +161,7 @@ def test_ten_letter_example_arrangement():
 
 def test_second_ten_letter_example_arrangement():
     word = OperatorWord.from_string("AAACNSNNCC")
-    target = SetPartition.from_blocks([[1, 4, 6, 9], [2, 3, 10], [5], [7, 8]])
+    target = partition_from_blocks([[1, 4, 6, 9], [2, 3, 10], [5], [7, 8]])
     matches = [a for a in expand_arrangements(word, IDENTITY) if a.partition == target]
     assert len(matches) == 1
     assert matches[0].weight == Poly.parse("lambda^4*t^5*q")
@@ -312,6 +318,32 @@ def test_moment_by_cards_matches_expanded_weights():
                 for arr in expand_arrangements(word, gauge):
                     total = total + arr.weight
             assert moment_by_cards(n, gauge) == total, (n, gauge)
+
+
+def _recursive_card_moment(n: int, gauge) -> Poly:
+    terms = []
+    for letters in recursive_contributor_letters(n):
+        word = OperatorWord(tuple(reversed(letters)))
+        lam = sum(1 for c in letters if c in (OperatorLetter.CREATION, OperatorLetter.SCALAR))
+        for _, _, q_exp, t_exp, single_lv in recursive_expansion_states(word):
+            t_total = t_exp + (single_lv if gauge is TPOWER else 0)
+            terms.append((1, {"lambda": lam, "q": q_exp, "t": t_total}))
+    return Poly.from_terms(terms)
+
+
+def test_one_card_walk_serves_both_conventions(monkeypatch):
+    walks = []
+
+    def counted(n):
+        walks.append(n)
+        return _contributor_letter_stream(n)
+
+    monkeypatch.setattr(cards, "_contributor_letter_stream", counted)
+    cards._card_moments.cache_clear()
+    for n in (6, 7):
+        for gauge in (IDENTITY, TPOWER, IDENTITY):
+            assert moment_by_cards(n, gauge) == _recursive_card_moment(n, gauge), (n, gauge)
+    assert walks == [6, 7]
 
 
 def test_partitions_cards_and_motzkin_agree_at_n10():

@@ -240,6 +240,8 @@ def test_one_parser_serves_requests_in_any_order(capsys):
         ["cfrac", "--order", "-1"],
         ["verify", "--n-max", "0"],
         ["moments", "--n", "3", "--gauge", "tpowern"],
+        ["cards", "--word", "CA", "--output", "csv"],
+        ["word", "--word", "AC", "--output", "csv"],
     ],
     ids=" ".join,
 )

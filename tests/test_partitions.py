@@ -5,9 +5,11 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qtmoments.partitions as partitions
 from qtmoments.fock import ScalarGauge
 from qtmoments.partitions import (
     SetPartition,
+    _statistics,
     _weight_census,
     enumerate_partitions,
     moment_by_partitions,
@@ -20,9 +22,11 @@ from qtmoments.ring import LAMBDA, Poly
 from oracles import (
     bell_numbers,
     catalan_numbers,
+    partition_from_blocks,
     quadruple_covered_singletons,
     quadruple_crossings,
     quadruple_nestings,
+    recursive_weight_census,
     tridiagonal_moment,
 )
 
@@ -51,17 +55,17 @@ def test_rgs_validation():
 
 
 def test_from_blocks_round_trip():
-    p = SetPartition.from_blocks([[1, 3, 4, 7], [2, 5, 10], [6, 9], [8]])
+    p = partition_from_blocks([[1, 3, 4, 7], [2, 5, 10], [6, 9], [8]])
     assert p.blocks() == [[1, 3, 4, 7], [2, 5, 10], [6, 9], [8]]
     assert p.block_count == 4
 
 
 def test_worked_statistics_examples():
-    p1 = SetPartition.from_blocks([[1, 3, 4, 7], [2, 5, 10], [6, 9], [8]])
+    p1 = partition_from_blocks([[1, 3, 4, 7], [2, 5, 10], [6, 9], [8]])
     assert restricted_crossings(p1) == 4
     assert restricted_nestings(p1, STRICT) == 2
 
-    p2 = SetPartition.from_blocks([[1, 4, 6, 9], [2, 3, 10], [5], [7, 8]])
+    p2 = partition_from_blocks([[1, 4, 6, 9], [2, 3, 10], [5], [7, 8]])
     assert restricted_crossings(p2) == 1
     assert restricted_nestings(p2, STRICT) == 5
 
@@ -74,7 +78,7 @@ def test_all_singletons_have_no_statistics():
 
 
 def test_covered_singleton_mode():
-    p = SetPartition.from_blocks([[1, 3], [2]])
+    p = partition_from_blocks([[1, 3], [2]])
     assert restricted_nestings(p, STRICT) == 0
     assert restricted_nestings(p, COVERED) == 1
 
@@ -152,7 +156,7 @@ def test_catalan_specialization():
 
 
 def test_partition_record():
-    p = SetPartition.from_blocks([[1, 3], [2]])
+    p = partition_from_blocks([[1, 3], [2]])
     assert partition_record(p) == {
         "rgs": [0, 1, 0],
         "blocks": 2,
@@ -239,3 +243,34 @@ def test_census_matches_brute_force():
         for _, stats in _oracle_census(n):
             expected[stats] = expected.get(stats, 0) + 1
         assert _weight_census(n) == expected, n
+
+
+def test_census_matches_recursive_oracle():
+    for n in range(1, 10):
+        assert _weight_census(n) == recursive_weight_census(n), n
+
+
+def test_enumerated_partitions_carry_their_statistics():
+    for n in range(1, 10):
+        for p in enumerate_partitions(n):
+            assert p.__dict__["statistics"] == _statistics(p.rgs), p.rgs
+            assert partition_record(p) == partition_record(SetPartition(n, p.rgs))
+
+
+def test_one_census_serves_both_conventions(monkeypatch):
+    walks = []
+
+    def counted(n):
+        walks.append(n)
+        return _weight_census(n)
+
+    monkeypatch.setattr(partitions, "_weight_census", counted)
+    partitions._partition_moments.cache_clear()
+    for n in (6, 7):
+        for gauge in (STRICT, COVERED, STRICT):
+            expected = Poly.from_terms(
+                (1, {"lambda": b, "q": rc, "t": rn + cov if gauge is COVERED else rn})
+                for _, (b, rc, rn, cov) in _oracle_census(n)
+            )
+            assert moment_by_partitions(n, gauge) == expected, (n, gauge)
+    assert walks == [6, 7]
