@@ -57,10 +57,8 @@ from .orthopoly import (
     InsufficientMoments,
     JacobiParams,
     LimitReport,
-    OrthoPolySequence,
     binomial,
     charlier_strict,
-    charlier_strict_specialized,
     charlier_t_gauge,
     check_charlier_fock_identity,
     check_orthogonality,

@@ -98,16 +98,6 @@ def _routes(mode: str, n_max: int) -> dict:
     }
 
 
-def _emit_poly(p: Poly, args, extra: dict | None = None) -> None:
-    if args.output == "json":
-        record = {"schema": SCHEMA, "poly": p.to_json_dict(), "canonical": p.canonical_str()}
-        if extra:
-            record.update(extra)
-        print(_JSON.encode(record))
-    else:
-        print(p.canonical_str())
-
-
 def cmd_moments(args) -> int:
     results = {name: route(args.n) for name, route in _routes(args.mode, args.n).items()
                if args.method in ("all", name)}
@@ -187,8 +177,7 @@ def cmd_charlier(args) -> int:
             for n, v in enumerate(moments):
                 print(f"{n},{args.q},{args.t},{args.lam},{v}")
         return 0
-    seq = three_term_polys(preset, args.n_max)
-    strings = [p.canonical_str() for p in seq.polys]
+    strings = [p.canonical_str() for p in three_term_polys(preset, args.n_max)]
     if args.output == "json":
         print(_JSON.encode({"schema": SCHEMA, "preset": args.preset, "polys": strings}))
     else:
@@ -253,86 +242,80 @@ def cmd_binomial(args) -> int:
     return 0
 
 
-def _verify_moments(n_max: int, failures: list) -> None:
+def _outcome(name: str, passed: bool, failed: str) -> tuple:
+    return name, passed, f"{name}: {'ok' if passed else failed}"
+
+
+def _reported(report) -> tuple:
+    return report.name, report.passed, str(report)
+
+
+def _verify_moments(n_max: int):
     for mode in MODES:
         routes = _routes(mode, n_max)
         for n in range(1, n_max + 1):
             values = {name: route(n) for name, route in routes.items()}
-            base = values["partitions"]
-            bad = [name for name, v in values.items() if v != base]
-            ok = not bad
-            print(f"moments {mode} n={n}: {'ok' if ok else 'MISMATCH ' + str(bad)}")
-            if not ok:
-                failures.append(f"moments {mode} n={n}")
+            bad = [name for name, v in values.items() if v != values["partitions"]]
+            yield _outcome(f"moments {mode} n={n}", not bad, f"MISMATCH {bad}")
+
+
+def _verify_fock(n_max: int):
+    identity = [[1, 0], [0, 1]]
+    yield _reported(check_commutation(12))
+    for q, t in [(Fraction(1, 3), Fraction(1, 2)), (Fraction(-1, 4), Fraction(2, 3))]:
+        yield _reported(check_adjointness(2, 3, identity, q, t))
+    for q, t in [
+        (Fraction(1, 3), Fraction(1, 2)),
+        (Fraction(-1, 4), Fraction(1, 2)),
+        (Fraction(0), Fraction(1)),
+        (Fraction(9, 10), Fraction(1)),
+    ]:
+        yield _reported(check_gram_positivity(2, 4, identity, q, t))
+
+
+def _verify_orthopoly(n_max: int):
+    n_ortho = min(n_max, 6)
+    for _, preset_fn in MODES.values():
+        preset = preset_fn()
+        moments = moments_by_motzkin(preset, 2 * n_ortho)
+        yield _reported(check_orthogonality(preset, n_ortho, moments))
+    yield _reported(check_charlier_fock_identity(min(n_max, 8)))
+    limit = poisson_limit_check(min(n_max, 6), Fraction(1), [10, 100, 1000])
+    yield _outcome("poisson-limit", limit.passed, "FAILED")
+
+
+def _verify_cards(n_max: int):
+    for n in range(1, min(n_max, 7) + 1):
+        seen = []
+        ok = True
+        for word in enumerate_contributors(n):
+            for arr in expand_arrangements(word, ScalarGauge.IDENTITY):
+                seen.append(arr.partition.rgs)
+                r = partition_record(arr.partition)
+                monomial = {"lambda": r["blocks"], "q": r["rc"], "t": r["rn_strict"]}
+                ok &= arr.weight == Poly.from_terms([(1, monomial)])
+        # Each arrangement induces a distinct partition, and every partition occurs.
+        bijective = len(set(seen)) == len(seen) == sum(1 for _ in enumerate_partitions(n))
+        yield _outcome(f"cards bijection n={n}", ok and bijective, "MISMATCH")
+
+
+#: ``verify``'s suites, in ``--suite all`` order: each maps ``--n-max`` to the
+#: ``(name, passed, line)`` of every check it runs.
+SUITES = {
+    "moments": _verify_moments,
+    "fock": _verify_fock,
+    "orthopoly": _verify_orthopoly,
+    "cards": _verify_cards,
+}
 
 
 def cmd_verify(args) -> int:
-    failures: list = []
-    suites = {"moments", "fock", "orthopoly", "cards"} if args.suite == "all" else {args.suite}
-
-    if "moments" in suites:
-        _verify_moments(args.n_max, failures)
-
-    if "fock" in suites:
-        reports = [check_commutation(12)]
-        samples = [(Fraction(1, 3), Fraction(1, 2)), (Fraction(-1, 4), Fraction(2, 3))]
-        identity = [[1, 0], [0, 1]]
-        for q, t in samples:
-            reports.append(check_adjointness(2, 3, identity, q, t))
-        for q, t in [
-            (Fraction(1, 3), Fraction(1, 2)),
-            (Fraction(-1, 4), Fraction(1, 2)),
-            (Fraction(0), Fraction(1)),
-            (Fraction(9, 10), Fraction(1)),
-        ]:
-            reports.append(check_gram_positivity(2, 4, identity, q, t))
-        for report in reports:
-            print(report)
-            if not report.passed:
-                failures.append(report.name)
-
-    if "orthopoly" in suites:
-        n_ortho = min(args.n_max, 6)
-        for _, preset_fn in MODES.values():
-            preset = preset_fn()
-            moments = moments_by_motzkin(preset, 2 * n_ortho)
-            report = check_orthogonality(preset, n_ortho, moments)
-            print(report)
-            if not report.passed:
-                failures.append(report.name)
-        report = check_charlier_fock_identity(min(args.n_max, 8))
-        print(report)
-        if not report.passed:
-            failures.append(report.name)
-        limit = poisson_limit_check(min(args.n_max, 6), Fraction(1), [10, 100, 1000])
-        status = "ok" if limit.passed else "FAILED"
-        print(f"poisson-limit: {status}")
-        if not limit.passed:
-            failures.append("poisson-limit")
-
-    if "cards" in suites:
-        n_cards = min(args.n_max, 7)
-        for n in range(1, n_cards + 1):
-            seen: dict = {}
-            total = 0
-            ok = True
-            for word in enumerate_contributors(n):
-                for arr in expand_arrangements(word, ScalarGauge.IDENTITY):
-                    total += 1
-                    seen[arr.partition.rgs] = seen.get(arr.partition.rgs, 0) + 1
-                    record = partition_record(arr.partition)
-                    expected = Poly.from_terms([(1, {
-                        "lambda": record["blocks"], "q": record["rc"], "t": record["rn_strict"],
-                    })])
-                    if arr.weight != expected:
-                        ok = False
-            bell = sum(1 for _ in enumerate_partitions(n))
-            if any(c != 1 for c in seen.values()) or total != len(seen) or total != bell:
-                ok = False
-            print(f"cards bijection n={n}: {'ok' if ok else 'MISMATCH'}")
-            if not ok:
-                failures.append(f"cards bijection n={n}")
-
+    failures = []
+    for suite in SUITES if args.suite == "all" else [args.suite]:
+        for name, passed, line in SUITES[suite](args.n_max):
+            print(line)
+            if not passed:
+                failures.append(name)
     if failures:
         print(f"verification failed: {failures}", file=sys.stderr)
         return 1
@@ -344,7 +327,11 @@ def cmd_word(args) -> int:
     gauge, _ = MODES[args.mode]
     word = OperatorWord.from_string(args.word)
     value = vacuum_expectation_word(word, gauge)
-    _emit_poly(value, args, extra={"word": word.to_string()})
+    if args.output == "json":
+        print(_JSON.encode({"schema": SCHEMA, "word": word.to_string(),
+                            "poly": value.to_json_dict(), "canonical": value.canonical_str()}))
+    else:
+        print(value.canonical_str())
     return 0
 
 
@@ -422,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_word)
 
     p = sub.add_parser("verify", help="run the cross-check matrix")
-    p.add_argument("--suite", choices=["all", "moments", "fock", "orthopoly", "cards"],
-                   default="all")
+    p.add_argument("--suite", choices=["all", *SUITES], default="all")
     p.add_argument("--n-max", type=int, default=8)
     p.set_defaults(func=cmd_verify)
 

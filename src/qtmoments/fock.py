@@ -74,9 +74,7 @@ __all__ = [
     "check_commutation",
     "basis_words",
     "word_inner_product",
-    "multimode_inner",
     "multimode_create",
-    "multimode_annihilate",
     "check_adjointness",
     "multimode_gram",
     "determinant",
@@ -189,6 +187,8 @@ class FockVector:
             if len(coeffs) != dim + 1:
                 raise ValueError("need dim+1 coefficients")
             self.coeffs = [Poly._coerce(c) for c in coeffs]
+            if any(c is NotImplemented for c in self.coeffs):
+                raise TypeError(f"coefficients must be Poly or int, got {list(coeffs)!r}")
 
     @classmethod
     def vacuum(cls, dim: int) -> "FockVector":
@@ -470,6 +470,7 @@ class _WordForm:
         return total
 
     def inner(self, u_vec: dict, v_vec: dict) -> Fraction:
+        """Sesquilinear extension of :meth:`words` (real scalars)."""
         total = Fraction(0)
         for u, cu in u_vec.items():
             for v, cv in v_vec.items():
@@ -477,6 +478,7 @@ class _WordForm:
         return total
 
     def annihilate(self, i: int, vec: dict) -> dict:
+        """Remove each slot k with weight q^(k-1) t^(m-k) g[i][slot letter]."""
         out: dict = {}
         for word, coeff in vec.items():
             m = len(word)
@@ -507,20 +509,6 @@ def multimode_create(i: int, vec: dict, max_level: int) -> dict:
         new = (i,) + tuple(word)
         out[new] = out.get(new, Fraction(0)) + coeff
     return out
-
-
-def multimode_annihilate(
-    i: int, vec: dict, gram: Sequence[Sequence], q: Fraction, t: Fraction
-) -> dict:
-    """Remove each slot k with weight q^(k-1) t^(m-k) g[i][slot letter]."""
-    return _WordForm(gram, q, t).annihilate(i, vec)
-
-
-def multimode_inner(
-    u_vec: dict, v_vec: dict, gram: Sequence[Sequence], q: Fraction, t: Fraction
-) -> Fraction:
-    """Sesquilinear extension of the word inner product (real scalars)."""
-    return _WordForm(gram, q, t).inner(u_vec, v_vec)
 
 
 def check_adjointness(

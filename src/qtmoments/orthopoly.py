@@ -49,13 +49,11 @@ from .ring import LAMBDA, Poly, T, X
 
 __all__ = [
     "JacobiParams",
-    "OrthoPolySequence",
     "charlier_strict",
     "charlier_t_gauge",
     "ejsmont",
     "binomial",
     "specialize",
-    "charlier_strict_specialized",
     "three_term_polys",
     "moments_by_motzkin",
     "InsufficientMoments",
@@ -153,21 +151,8 @@ def binomial(m: Fraction, p: Fraction, q: Fraction, t: Fraction) -> JacobiParams
     return JacobiParams(name=f"binomial(m={m}, p={p})", alpha=alpha, omega=omega)
 
 
-def charlier_strict_specialized(lam: Fraction, q: Fraction, t: Fraction) -> JacobiParams:
-    """The Poisson family at rational parameters (for numeric comparisons)."""
-    return specialize(charlier_strict(), {"q": q, "t": t, "lambda": lam})
-
-
-@dataclass(frozen=True)
-class OrthoPolySequence:
-    """Monic polynomials P_0..P_n of a recurrence, P_k of degree k in x."""
-
-    params: JacobiParams
-    polys: tuple
-
-
-def three_term_polys(j: JacobiParams, n_max: int) -> OrthoPolySequence:
-    """P_0..P_{n_max} computed exactly from the recurrence (symbolic data)."""
+def three_term_polys(j: JacobiParams, n_max: int) -> tuple:
+    """Monic P_0..P_{n_max}, P_k of degree k in x, exactly from the recurrence."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     polys = [Poly.one()]
@@ -176,7 +161,7 @@ def three_term_polys(j: JacobiParams, n_max: int) -> OrthoPolySequence:
     for n in range(1, n_max):
         nxt = (X - j.alpha(n)) * polys[n] - j.omega(n) * polys[n - 1]
         polys.append(nxt)
-    return OrthoPolySequence(params=j, polys=tuple(polys))
+    return tuple(polys)
 
 
 def moments_by_motzkin(j: JacobiParams, n_max: int) -> list:
@@ -244,7 +229,7 @@ def check_orthogonality(j: JacobiParams, n_max: int, moments: Sequence) -> Check
     if len(moments) <= top:
         raise InsufficientMoments(f"need moments up to degree {top}, got {len(moments)}")
     report = CheckReport(name=f"orthogonality({j.name}, n_max={n_max})")
-    seq = three_term_polys(j, n_max).polys
+    seq = three_term_polys(j, n_max)
     coeffs = [[p.coefficient_of("x", k) for k in range(n + 1)] for n, p in enumerate(seq)]
     zero = Poly.zero()
     mixed = [list(moments[: top + 1])]
@@ -346,14 +331,15 @@ def poisson_limit_check(
 
     Numeric part: at the given rational (q, t, lambda) the absolute deviation
     of each binomial moment from the Poisson moment must strictly decrease
-    along the distinct m_values, ascending, whenever it is nonzero; fewer
-    than two distinct values compare nothing and raise ValueError.
+    along the distinct m_values, ascending, whenever it is nonzero.  Fewer
+    than two distinct values compare nothing and raise ValueError, as does
+    an m that is not an integer above lambda.
     """
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    if any(Fraction(mv) <= lam for mv in m_values):
-        raise ValueError("every m must exceed lambda")
+    if any(Fraction(mv) <= lam or Fraction(mv).denominator != 1 for mv in m_values):
+        raise ValueError("every m must be an integer above lambda")
     m_values = sorted({int(mv) for mv in m_values})
     if len(m_values) < 2:
         raise ValueError("need at least two distinct m values to compare")
@@ -379,7 +365,7 @@ def poisson_limit_check(
                 f"omega_{n}: leading m^2-term is not lambda [{n}]",
             )
 
-    poisson = charlier_strict_specialized(lam, q, t)
+    poisson = specialize(charlier_strict(), {"q": q, "t": t, "lambda": lam})
     poisson_moments = moments_by_motzkin(poisson, n_max)
     deviations: dict = {k: [] for k in range(n_max + 1)}
     for mv in m_values:

@@ -18,7 +18,6 @@ from qtmoments import (
     T,
     X,
     charlier_strict,
-    charlier_strict_specialized,
     charlier_t_gauge,
     check_adjointness,
     check_charlier_fock_identity,
@@ -28,9 +27,6 @@ from qtmoments import (
     enumerate_contributors,
     enumerate_partitions,
     expand_arrangements,
-    jfraction_series,
-    moment_by_cards,
-    moment_by_operator,
     moment_by_partitions,
     moments_by_motzkin,
     poisson_limit_check,
@@ -41,6 +37,7 @@ from qtmoments import (
     restricted_nestings,
     three_term_polys,
 )
+from qtmoments.cli import SUITES
 
 STRICT = ScalarGauge.IDENTITY
 COVERED = ScalarGauge.T_POWER_N
@@ -61,26 +58,11 @@ def covered_moments():
     return {n: moment_by_partitions(n, COVERED) for n in range(1, 11)}
 
 
-def test_criterion_01_five_way_agreement(strict_moments, covered_moments):
-    n_max = 10
-    ok = True
-    for gauge, preset_fn, partition_moments in (
-        (STRICT, charlier_strict, strict_moments),
-        (COVERED, charlier_t_gauge, covered_moments),
-    ):
-        preset = preset_fn()
-        motzkin = moments_by_motzkin(preset, n_max)
-        series = jfraction_series(preset, n_max)
-        for n in range(1, n_max + 1):
-            values = [
-                partition_moments[n],
-                moment_by_operator(n, gauge),
-                moment_by_cards(n, gauge),
-                motzkin[n],
-                series[n],
-            ]
-            if any(v != values[0] for v in values):
-                ok = False
+def test_criterion_01_five_way_agreement():
+    # verify's moments suite: one outcome per convention and n, each comparing
+    # the operator, card, Motzkin and J-fraction routes with the partition sum.
+    outcomes = list(SUITES["moments"](10))
+    ok = len(outcomes) == 20 and all(passed for _, passed, _ in outcomes)
     report(1, ok, "five moment routes agree exactly for n <= 10, both modes")
 
 
@@ -108,7 +90,7 @@ def test_criterion_02_table_reproduction(strict_moments, covered_moments):
 
 
 def test_criterion_03_charlier_polynomials():
-    seq = three_term_polys(charlier_strict(), 3).polys
+    seq = three_term_polys(charlier_strict(), 3)
     expected = [
         Poly.one(),
         X - LAMBDA,
@@ -131,7 +113,7 @@ def test_criterion_04_orthogonality():
         if not rep.passed:
             ok = False
         # the norm is the product of omega_i = lambda [i]
-        seq = three_term_polys(preset, 6).polys
+        seq = three_term_polys(preset, 6)
         from qtmoments import moment_functional
 
         for n in range(7):

@@ -11,11 +11,11 @@ from qtmoments.fock import ScalarGauge
 from qtmoments.orthopoly import (
     binomial,
     charlier_strict,
-    charlier_strict_specialized,
     charlier_t_gauge,
     ejsmont,
     jfraction_series_from_arrays,
     moments_by_motzkin,
+    specialize,
 )
 from qtmoments.partitions import moment_by_partitions
 from qtmoments.qtnum import qt_number
@@ -106,7 +106,7 @@ def test_series_ignores_depth_and_specializes(preset, order_depth, lam, q, t):
     series = cf_series(cf_spec(PRESETS[preset](), depth), order)
     assert series == _deep_series(preset, order)
     point = {"lambda": lam, "q": q, "t": t}
-    strict = cf_spec(charlier_strict_specialized(lam, q, t), depth)
+    strict = cf_spec(specialize(charlier_strict(), point), depth)
     assert cf_series(strict, order) == [c.eval(point) for c in _deep_series("strict", order)]
 
 

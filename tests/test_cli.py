@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, output formats, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,9 +9,12 @@ import sys
 import pytest
 
 import qtmoments
-from qtmoments.cli import build_parser, main, rational
-from qtmoments.orthopoly import charlier_strict, moments_by_motzkin
-from qtmoments.ring import Poly
+from qtmoments import cli
+from qtmoments.cards import expand_arrangements, moment_by_cards
+from qtmoments.cli import SUITES, build_parser, main, rational
+from qtmoments.fock import ScalarGauge, check_commutation
+from qtmoments.orthopoly import charlier_strict, moments_by_motzkin, poisson_limit_check
+from qtmoments.ring import Poly, Q
 
 
 def run(capsys, *argv):
@@ -189,6 +193,83 @@ def test_verify_small(capsys):
     code, out, err = run(capsys, "verify", "--suite", "moments", "--n-max", "4")
     assert code == 0
     assert "all checks passed" in out
+
+
+def _verify(capsys, suite, n_max=3):
+    return run(capsys, "verify", "--suite", suite, "--n-max", str(n_max))
+
+
+def _wrong_strict_cards(n, gauge):
+    value = moment_by_cards(n, gauge)
+    return value + 1 if (n, gauge) == (3, ScalarGauge.IDENTITY) else value
+
+
+def _reweighted_pairs(word, gauge):
+    arrangements = expand_arrangements(word, gauge)
+    if len(word.letters) != 2:
+        return arrangements
+    return [dataclasses.replace(arr, weight=arr.weight * Q) for arr in arrangements]
+
+
+def _repeated_pairs(word, gauge):
+    arrangements = expand_arrangements(word, gauge)
+    return arrangements * 2 if len(word.letters) == 2 else arrangements
+
+
+def _not_converging(*args):
+    return dataclasses.replace(poisson_limit_check(*args), numeric_ok=False)
+
+
+def _failing_commutation(depth):
+    report = check_commutation(depth)
+    report.record(False, "injected failure")
+    return report
+
+
+#: One broken check per line style of ``verify``: (suite, cli name replaced,
+#: replacement, the failing line, the failure's name).
+BROKEN_CHECKS = [
+    ("moments", "moment_by_cards", _wrong_strict_cards,
+     "moments strict n=3: MISMATCH ['cards']", "moments strict n=3"),
+    ("cards", "expand_arrangements", _reweighted_pairs,
+     "cards bijection n=2: MISMATCH", "cards bijection n=2"),
+    ("cards", "expand_arrangements", _repeated_pairs,
+     "cards bijection n=2: MISMATCH", "cards bijection n=2"),
+    ("orthopoly", "poisson_limit_check", _not_converging,
+     "poisson-limit: FAILED", "poisson-limit"),
+    ("fock", "check_commutation", _failing_commutation,
+     "commutation: 13 checks, 1 failure(s)", "commutation"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, target, replacement, line, name", BROKEN_CHECKS,
+    ids=[replacement.__name__.strip("_") for _, _, replacement, _, _ in BROKEN_CHECKS],
+)
+def test_verify_failure_exits_one(capsys, monkeypatch, suite, target, replacement, line, name):
+    _, passing, _ = _verify(capsys, suite)
+    monkeypatch.setattr(cli, target, replacement)
+    code, out, err = _verify(capsys, suite)
+    assert code == 1
+    # Only the broken check's line changes, and no closing line is printed.
+    expected = [line if old.startswith(f"{name}:") else old
+                for old in passing.splitlines()[:-1]]
+    assert expected.count(line) == 1
+    assert out.splitlines() == expected
+    assert err == f"verification failed: [{name!r}]\n"
+
+
+def test_verify_all_is_every_suite_in_table_order(capsys):
+    singles = "".join(
+        _verify(capsys, suite)[1].removesuffix("all checks passed\n") for suite in SUITES
+    )
+    assert _verify(capsys, "all") == (0, singles + "all checks passed\n", "")
+
+
+def test_verify_suite_choices_come_from_the_table():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    suite = next(a for a in subcommands["verify"]._actions if a.dest == "suite")
+    assert suite.choices == ["all", *SUITES]
 
 
 #: A mixed request sequence for one shared parser: a usage error, both arms

@@ -21,13 +21,12 @@ from qtmoments.fock import (
     check_gram_positivity,
     leading_principal_minors,
     moment_by_operator,
-    multimode_annihilate,
     multimode_create,
     multimode_gram,
-    multimode_inner,
     qt_inner_product,
     vacuum_expectation_word,
     word_inner_product,
+    _WordForm,
 )
 from qtmoments.partitions import moment_by_partitions
 from qtmoments.qtnum import qt_factorial, qt_number
@@ -69,6 +68,15 @@ def test_truncation_overflow():
     v = FockVector.basis(2, 2)
     with pytest.raises(TruncationOverflow):
         apply_letter(OperatorLetter.CREATION, v)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5], ids=repr)
+def test_fock_vector_rejects_a_coefficient_outside_the_ring(bad):
+    # The ring holds integer polynomials only; a rational or float coefficient
+    # must fail at construction, not later in repr or apply_poisson.
+    with pytest.raises(TypeError):
+        FockVector(1, [bad, 0])
+    assert FockVector(1, [LAMBDA, 2]).coeffs == [LAMBDA, Poly.constant(2)]
 
 
 def test_word_parsing_and_levels():
@@ -196,9 +204,10 @@ def test_multimode_create_annihilate_adjoint_pair():
     q, t = Fraction(1, 3), Fraction(1, 2)
     u = {(1,): Fraction(1)}           # xi_2
     v = {(0, 1): Fraction(1)}         # xi_1 (x) xi_2
+    form = _WordForm(g, q, t)
     created = multimode_create(0, u, 2)
-    lhs = multimode_inner(created, v, g, q, t)
-    rhs = multimode_inner(u, multimode_annihilate(0, v, g, q, t), g, q, t)
+    lhs = form.inner(created, v)
+    rhs = form.inner(u, form.annihilate(0, v))
     assert lhs == rhs
 
 

@@ -12,7 +12,6 @@ from qtmoments.orthopoly import (
     JacobiParams,
     binomial,
     charlier_strict,
-    charlier_strict_specialized,
     charlier_t_gauge,
     check_charlier_fock_identity,
     check_orthogonality,
@@ -44,21 +43,21 @@ from oracles import (
 
 def test_first_charlier_polynomials_match_printed_forms():
     seq = three_term_polys(charlier_strict(), 3)
-    assert seq.polys[0] == Poly.one()
-    assert seq.polys[1] == X - LAMBDA
-    assert seq.polys[2] == X**2 - (2 * LAMBDA + 1) * X + LAMBDA**2
+    assert seq[0] == Poly.one()
+    assert seq[1] == X - LAMBDA
+    assert seq[2] == X**2 - (2 * LAMBDA + 1) * X + LAMBDA**2
     expected_c3 = (
         X**3
         - (3 * LAMBDA + T + Q + 1) * X**2
         + (3 * LAMBDA**2 + (T + Q) * (LAMBDA + 1) + LAMBDA) * X
         - LAMBDA**3
     )
-    assert seq.polys[3] == expected_c3
+    assert seq[3] == expected_c3
 
 
 def test_polynomials_are_monic_and_satisfy_recurrence():
     j = charlier_strict()
-    seq = three_term_polys(j, 8).polys
+    seq = three_term_polys(j, 8)
     for k, p in enumerate(seq):
         assert p.coefficient_of("x", k) == Poly.one()
         assert p.degree("x") == k
@@ -69,7 +68,7 @@ def test_polynomials_are_monic_and_satisfy_recurrence():
 
 
 def test_ejsmont_recurrence():
-    seq = three_term_polys(ejsmont(), 3).polys
+    seq = three_term_polys(ejsmont(), 3)
     assert seq[1] == X
     assert seq[2] == X**2 - X - 1  # alpha_1 = omega_1 = [1] = 1
     # (x - [n]) P_n = P_{n+1} + [n] P_{n-1}
@@ -120,7 +119,7 @@ def test_motzkin_matches_partition_sum():
 def test_moment_functional_values():
     j = charlier_strict()
     moments = moments_by_motzkin(j, 8)
-    seq = three_term_polys(j, 2).polys
+    seq = three_term_polys(j, 2)
     assert moment_functional(seq[1], moments) == Poly.zero()
     assert moment_functional(seq[2] * seq[2], moments) == LAMBDA**2 * (T + Q)
     assert moment_functional(seq[2] * seq[1], moments) == Poly.zero()
@@ -144,7 +143,7 @@ def test_orthogonality_both_pairings():
 def test_orthogonality_norm_is_omega_product():
     j = charlier_strict()
     moments = moments_by_motzkin(j, 12)
-    seq = three_term_polys(j, 6).polys
+    seq = three_term_polys(j, 6)
     for n in range(1, 7):
         norm = Poly.one()
         for i in range(1, n + 1):
@@ -159,7 +158,7 @@ def test_mismatched_pairing_fails_at_one_two():
     assert not report.passed
     assert any("L(P_1 P_2)" in msg for msg in report.failures)
     # the discrepancy is exactly (t - 1) lambda^2
-    seq = three_term_polys(strict, 2).polys
+    seq = three_term_polys(strict, 2)
     value = moment_functional(seq[1] * seq[2], wrong_moments)
     assert value == (T - 1) * LAMBDA**2
 
@@ -194,7 +193,7 @@ def test_orthogonality_matches_product_oracle(preset, moment_preset, n_max, corr
     moments = moments_by_motzkin(moment_preset(), 2 * n_max)
     if corrupt is not None:
         moments = _corrupted(moments, corrupt)
-    values = product_orthogonality_values(three_term_polys(j, n_max).polys, moments)
+    values = product_orthogonality_values(three_term_polys(j, n_max), moments)
     norms = [Poly.one()]
     for i in range(1, n_max + 1):
         norms.append(norms[-1] * j.omega(i))
@@ -249,10 +248,10 @@ def test_q_charlier_specialization_at_t_equal_one():
 def test_free_and_classical_specializations():
     cat = catalan_numbers(8)
     bell = bell_numbers(8)
-    j = charlier_strict_specialized(Fraction(1), Fraction(0), Fraction(1))
+    j = specialize(charlier_strict(), {"q": Fraction(0), "t": Fraction(1), "lambda": Fraction(1)})
     free = moments_by_motzkin(j, 8)
     assert free == [Fraction(c) for c in cat[:9]]
-    j = charlier_strict_specialized(Fraction(1), Fraction(1), Fraction(1))
+    j = specialize(charlier_strict(), {"q": Fraction(1), "t": Fraction(1), "lambda": Fraction(1)})
     classical = moments_by_motzkin(j, 8)
     assert classical == [Fraction(b) for b in bell[:9]]
 
@@ -312,6 +311,9 @@ def test_poisson_limit_rational_lambda():
 def test_poisson_limit_rejects_small_m():
     with pytest.raises(ValueError):
         poisson_limit_check(4, Fraction(12), [10, 100])
+    with pytest.raises(ValueError):
+        # m = 21/2 would otherwise be truncated to 10 and compared as such.
+        poisson_limit_check(3, 1, [Fraction(21, 2), 100])
 
 
 @pytest.mark.parametrize("m_values", [[], [10], [10, 10]], ids=str)
@@ -376,7 +378,7 @@ def test_hankel_positivity_samples():
         (Fraction(0), Fraction(1), Fraction(1)),
     ]
     for q, t, lam in samples:
-        j = charlier_strict_specialized(lam, q, t)
+        j = specialize(charlier_strict(), {"q": q, "t": t, "lambda": lam})
         hankel = hankel_determinants(moments_by_motzkin(j, 10), 5)
         assert all(h > 0 for h in hankel), (q, t, lam)
 
