@@ -63,7 +63,6 @@ from .orthopoly import (
     check_charlier_fock_identity,
     check_orthogonality,
     ejsmont,
-    hankel_determinants,
     jfraction_series,
     moment_functional,
     moments_by_motzkin,

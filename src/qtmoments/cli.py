@@ -410,7 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-check matrix")
     p.add_argument("--suite", choices=["all", *SUITES], default="all")
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument(
+        "--n-max", type=int, default=8,
+        help="largest n to check; moments use it as given, cards stop at 7, "
+        "orthogonality and the Poisson limit at 6, charlier-fock at 8, "
+        "and the fock suite ignores it",
+    )
     p.set_defaults(func=cmd_verify)
 
     return parser

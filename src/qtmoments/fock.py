@@ -29,20 +29,22 @@ product of two equal-length words u, v with one-particle Gram g is
     sum over permutations sigma of  q^inv(sigma) t^(M - inv(sigma))
         * prod_k g[u_k][v_sigma(k)],      M = m(m-1)/2.
 
-Creation prepends a letter; annihilation removes slot k with weight
-q^(k-1) t^(m-k) g[letter][u_k].
+Creation prepends a letter; annihilation of letter i removes slot k
+(0-based) of a length-m word v with weight q^k t^(m-1-k) g[i][v_k].  That one
+rule is :meth:`_WordForm.lower`.
 
 Words of different lengths are orthogonal, so the Gram matrix is
 block-diagonal by length.  :func:`multimode_gram` builds the length-m block
 from the length-(m-1) block by pairing the first letter of u with each slot of
-v, with the annihilation weights above: m terms per entry instead of m!.  The
+v, with the weights of ``lower``: m terms per entry instead of m!.  The
 leading minors then come from one elimination that skips zero entries, so the
 positivity check reaches d = 2, n = 6 (127 words) and d = 3, n = 4 (121 words).
 
 That recursion is the statement that annihilation is the adjoint of creation.
-So :func:`check_adjointness` and :func:`word_inner_product` keep the
-permutation sum: checked through the recursion, adjointness would hold by
-construction, while through the sum it ties the two routes together.
+:func:`check_adjointness` tests it on basis words: the permutation sum of
+(i, u) against v must equal the sum over ``lower(i, v)`` of weight times the
+permutation sum of u against the shortened word.  So a wrong weight in
+``lower`` breaks both the Gram recursion and this check.
 """
 
 from __future__ import annotations
@@ -69,12 +71,10 @@ __all__ = [
     "vacuum_expectation_word",
     "moment_by_operator",
     "qt_inner_product",
-    "inversions",
     "CheckReport",
     "check_commutation",
     "basis_words",
     "word_inner_product",
-    "multimode_create",
     "check_adjointness",
     "multimode_gram",
     "determinant",
@@ -313,20 +313,13 @@ def moment_by_operator(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Pol
 # -- deformed inner product (symbolic) -----------------------------------------
 
 
-def inversions(perm: Sequence[int]) -> int:
-    """Number of pairs i < j with perm[i] > perm[j]."""
-    count = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                count += 1
-    return count
-
-
 @cache
 def _inversion_counts(n: int) -> bytes:
     """inv(sigma) per permutation of range(n) in itertools order, one byte each."""
-    return bytes(inversions(sigma) for sigma in itertools.permutations(range(n)))
+    return bytes(
+        sum(a > b for a, b in itertools.combinations(sigma, 2))
+        for sigma in itertools.permutations(range(n))
+    )
 
 
 def qt_inner_product(gram: Sequence[Sequence]) -> Poly:
@@ -395,31 +388,20 @@ class CheckReport:
         return f"{self.name}: {self.checked} checks, {status}"
 
 
-def check_commutation(
-    depth: int, q: Fraction | None = None, t: Fraction | None = None
-) -> CheckReport:
-    """Verify (A A* - q A* A) f_k = t^k f_k for 0 <= k < depth.
+def check_commutation(depth: int) -> CheckReport:
+    """Verify (A A* - q A* A) f_k = t^k f_k for 0 <= k < depth, symbolically.
 
     Runs on the unscaled ladder (creation raises by one with weight 1,
     annihilation lowers with weight [k]); the identity reduces to
-    [k+1] - q [k] = t^k.  Symbolic when q and t are omitted, exact rational
-    otherwise.  The identity holds formally for any parameters; positivity
-    statements elsewhere are what need |q| < t <= 1.
+    [k+1] - q [k] = t^k.  It holds as a polynomial identity, so at every
+    rational q and t as well; positivity statements elsewhere are what need
+    |q| < t <= 1.
     """
     report = CheckReport(name="commutation")
-    symbolic = q is None and t is None
-    if not symbolic and (q is None or t is None):
-        raise ValueError("give both q and t, or neither")
     for k in range(depth):
         lhs = qt_number(k + 1) - Q * qt_number(k)
         rhs = T**k
-        if symbolic:
-            ok = lhs == rhs
-            report.record(ok, f"level {k}: {lhs} != {rhs}")
-        else:
-            point = {"q": Fraction(q), "t": Fraction(t)}
-            lv, rv = lhs.eval(point), rhs.eval(point)
-            report.record(lv == rv, f"level {k}: {lv} != {rv}")
+        report.record(lhs == rhs, f"level {k}: {lhs} != {rhs}")
     return report
 
 
@@ -440,14 +422,16 @@ def basis_words(d: int, n: int) -> list:
 
 
 class _WordForm:
-    """The multi-mode inner product at one exact (gram, q, t): the Gram matrix
-    is converted to Fractions once and the weights q^inv t^(M-inv) are
-    tabulated once per word length, for a whole check."""
+    """The multi-mode inner product and annihilation at one exact (gram, q, t):
+    the Gram matrix is converted to Fractions once, and the permutation weights
+    q^inv t^(M-inv) and slot weights q^k t^(m-1-k) are tabulated once per word
+    length, for a whole check."""
 
     def __init__(self, gram: Sequence[Sequence], q: Fraction, t: Fraction):
         self.g = [[Fraction(x) for x in row] for row in gram]
         self.q, self.t = Fraction(q), Fraction(t)
         self.weights: dict = {}  # m -> [q^i t^(M-i) for i = 0..M]
+        self.slot_weights: dict = {}  # m -> [q^k t^(m-1-k) for k = 0..m-1]
 
     def words(self, u: Sequence[int], v: Sequence[int]) -> Fraction:
         if len(u) != len(v):
@@ -469,26 +453,18 @@ class _WordForm:
                 total += weights[inv] * prod
         return total
 
-    def inner(self, u_vec: dict, v_vec: dict) -> Fraction:
-        """Sesquilinear extension of :meth:`words` (real scalars)."""
-        total = Fraction(0)
-        for u, cu in u_vec.items():
-            for v, cv in v_vec.items():
-                total += cu * cv * self.words(u, v)
-        return total
-
-    def annihilate(self, i: int, vec: dict) -> dict:
-        """Remove each slot k with weight q^(k-1) t^(m-k) g[i][slot letter]."""
-        out: dict = {}
-        for word, coeff in vec.items():
-            m = len(word)
-            for k in range(1, m + 1):
-                w = self.q ** (k - 1) * self.t ** (m - k) * self.g[i][word[k - 1]]
-                if w == 0:
-                    continue
-                new = tuple(word[: k - 1] + word[k:])
-                out[new] = out.get(new, Fraction(0)) + coeff * w
-        return {w: c for w, c in out.items() if c != 0}
+    def lower(self, i: int, v: tuple) -> list:
+        """Annihilation of letter i on the basis word v: ``(weight, v without
+        slot k)`` for each slot k whose weight q^k t^(m-1-k) g[i][v_k] is nonzero."""
+        m = len(v)
+        if m not in self.slot_weights:
+            self.slot_weights[m] = [self.q**k * self.t ** (m - 1 - k) for k in range(m)]
+        gi = self.g[i]
+        return [
+            (w, v[:k] + v[k + 1 :])
+            for k, s in enumerate(self.slot_weights[m])
+            if (w := s * gi[v[k]])
+        ]
 
 
 def word_inner_product(
@@ -498,36 +474,25 @@ def word_inner_product(
     return _WordForm(gram, q, t).words(u, v)
 
 
-def multimode_create(i: int, vec: dict, max_level: int) -> dict:
-    """Prepend letter i to every word; error past the level cap."""
-    out: dict = {}
-    for word, coeff in vec.items():
-        if coeff == 0:
-            continue
-        if len(word) >= max_level:
-            raise TruncationOverflow(f"creation past level {max_level}")
-        new = (i,) + tuple(word)
-        out[new] = out.get(new, Fraction(0)) + coeff
-    return out
-
-
 def check_adjointness(
     d: int, n: int, gram: Sequence[Sequence], q: Fraction, t: Fraction
 ) -> CheckReport:
-    """Verify <A*(xi_i) u | v> = <u | A(xi_i) v> on all basis pairs, exactly."""
+    """Verify <A*(xi_i) u | v> = <u | A(xi_i) v> on all basis pairs, exactly.
+
+    Both sides are permutation sums; the right one takes its annihilation
+    weights from :meth:`_WordForm.lower`.  Past the level cap, (i, u) is longer
+    than every v, so both sides are 0.
+    """
     _check_gram_shape(d, gram)
     report = CheckReport(name=f"adjointness(d={d}, n={n}, q={q}, t={t})")
     form = _WordForm(gram, q, t)
     words = basis_words(d, n)
     for i in range(d):
+        lowered = [form.lower(i, v) for v in words]
         for u in words:
-            if len(u) < n:
-                created = multimode_create(i, {u: Fraction(1)}, n)
-            else:
-                created = {}  # leaves the truncated space; pairs below are level-mismatched
-            for v in words:
-                lhs = form.inner(created, {v: Fraction(1)})
-                rhs = form.inner({u: Fraction(1)}, form.annihilate(i, {v: Fraction(1)}))
+            for v, low in zip(words, lowered):
+                lhs = form.words((i, *u), v)
+                rhs = sum((w * form.words(u, rest) for w, rest in low), Fraction(0))
                 report.record(
                     lhs == rhs,
                     f"letter {i}, u={u}, v={v}: {lhs} != {rhs}",
@@ -543,7 +508,7 @@ def multimode_gram(
     Words of different lengths are orthogonal, so the matrix is block-diagonal
     by length.  The length-m block comes from the length-(m-1) block by pairing
     the first letter of u with each slot k of v, with the weights of
-    :meth:`_WordForm.annihilate`:
+    :meth:`_WordForm.lower`:
 
         G_m[u][v] = sum_k q^k t^(m-1-k) g[u_0][v_k] G_{m-1}[u_1..u_{m-1}][v without v_k],
 
@@ -555,14 +520,11 @@ def multimode_gram(
     blocks = [[[Fraction(1)]]]
     shorter = [()]
     for m in range(1, n + 1):
-        weights = [form.q**k * form.t ** (m - 1 - k) for k in range(m)]
         index = {w: i for i, w in enumerate(shorter)}
         words = list(itertools.product(range(d), repeat=m))
-        slots = [[(v[k], weights[k], index[v[:k] + v[k + 1 :]]) for k in range(m)] for v in words]
         block = []
         for a in range(d):
-            ga = form.g[a]
-            cols = [[(c, j) for b, w, j in col if (c := w * ga[b])] for col in slots]
+            cols = [[(w, index[rest]) for w, rest in form.lower(a, v)] for v in words]
             for below in blocks[-1]:
                 block.append(
                     [sum((c * below[j] for c, j in col if below[j]), zero) for col in cols]

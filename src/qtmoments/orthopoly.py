@@ -1,7 +1,7 @@
 """Monic orthogonal polynomials from three-term recurrences, their moment
 sequences via weighted Motzkin paths and J-fraction series, and the exact
 verification routines built on top (orthogonality, operator identity,
-binomial-to-Poisson limit, Hankel positivity).
+binomial-to-Poisson limit).
 
 A family is described by its Jacobi data: diagonal terms alpha_n (n >= 0) and
 super-diagonal terms omega_n (n >= 1), with
@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Mapping, Sequence
 
-from .fock import CheckReport, FockVector, ScalarGauge, apply_poisson, leading_principal_minors
+from .fock import CheckReport, FockVector, ScalarGauge, apply_poisson
 from .qtnum import qt_number
 from .ring import LAMBDA, Poly, T, X
 
@@ -65,7 +65,6 @@ __all__ = [
     "default_jfraction_depth",
     "jfraction_series",
     "jfraction_series_from_arrays",
-    "hankel_determinants",
 ]
 
 
@@ -443,9 +442,3 @@ def jfraction_series(j: JacobiParams, order: int) -> list:
     b = [j.alpha(h) for h in range(depth + 1)]
     lam = [j.omega(h) for h in range(1, depth + 1)]
     return jfraction_series_from_arrays(b, lam, order)
-
-
-def hankel_determinants(moments: Sequence[Fraction], k_max: int) -> list:
-    """det[m_{i+j}] for leading blocks of sizes 1..k_max+1 (rational moments)."""
-    block = [[Fraction(moments[i + j]) for j in range(k_max + 1)] for i in range(k_max + 1)]
-    return leading_principal_minors(block)

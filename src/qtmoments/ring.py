@@ -210,7 +210,10 @@ class Poly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        if terms.keys() <= {0}:  # a constant equals its int, so hashes like it
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
 
     # -- ring arithmetic ---------------------------------------------------
 

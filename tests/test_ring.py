@@ -163,6 +163,13 @@ def test_big_coefficients_are_exact():
     assert p.coefficient_of("lambda", 32) == Poly.constant(1832624140942590534)
 
 
+@pytest.mark.parametrize("c", [0, 3, -(2**70)])
+def test_constant_hashes_like_the_int_it_equals(c):
+    p = Poly.constant(c)
+    assert p == c and hash(p) == hash(c)
+    assert len({c, p}) == 1
+
+
 # -- packed exponent vectors ---------------------------------------------------
 
 _ALL_VARS = ("lambda", "t", "q", "x")
