@@ -18,6 +18,15 @@ field from carrying into its neighbour; building or multiplying into a
 monomial of total degree 2^16 or more raises :class:`OverflowError`.  The
 public API still speaks in exponent tuples aligned with ``VARIABLES``.
 
+Large products multiply whole (q+t)-diagonals as ints (Kronecker substitution
+along one direction; Harvey, JSC 2009): a (q,t)-number [n] lies on one.  A
+term's diagonal key is its key with the q exponent j folded into the t field,
+and its q^j coefficient sits at bit W*j of the diagonal's int, where
+W = bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 2 keeps every
+output coefficient off a slot's sign bit, so the balanced W-bit digits are
+exact.  ``__mul__`` packs once both operands reach ``_PACKED_MIN`` terms;
+below that the schoolbook loop is faster, and it is the packed path's oracle.
+
 Printing looks up the text of a key's (lambda, t) half (bits 32-63) and of
 its (q, x) half (bits 0-31) in two tables filled on first sight, ``""`` for a
 zero half.  Each holds one entry per exponent pair printed, at most
@@ -58,6 +67,11 @@ _NAMED_SHIFTS = tuple((name, _BITS * (_NVARS - 1 - i)) for i, name in enumerate(
 _SHIFT = dict(_NAMED_SHIFTS)
 _HALF = 2 * _BITS
 _HALF_MASK = (1 << _HALF) - 1
+#: Adding ``j * _FOLD`` to a key moves its q exponent j into the t field.
+_FOLD = (1 << _SHIFT["t"]) - (1 << _SHIFT["q"])
+#: ``__mul__`` packs diagonals once the smaller operand has at least the first
+#: number of terms and the larger at least the second; measured on ``tables``.
+_PACKED_MIN = (5, 100)
 #: Text of each (lambda, t) and each (q, x) half key printed so far.
 _HIGH_TEXT: dict = {}
 _LOW_TEXT: dict = {}
@@ -73,6 +87,13 @@ class MissingVariable(KeyError):
 def _check_degree(deg: int) -> None:
     if deg >= _DEGREE_LIMIT:
         raise OverflowError(f"total degree {deg} does not fit a packed monomial (< 2^{_BITS})")
+
+
+def _shift_of(name: str) -> int:
+    shift = _SHIFT.get(name)
+    if shift is None:
+        raise ValueError(f"unknown variable {name!r}")
+    return shift
 
 
 def _pack(mono: Monomial) -> int:
@@ -93,9 +114,7 @@ def _pack_exps(exps: Mapping[str, int]) -> int:
     """Packed key of a {variable: exponent} mapping."""
     key = deg = 0
     for name, e in exps.items():
-        shift = _SHIFT.get(name)
-        if shift is None:
-            raise ValueError(f"unknown variable {name!r}")
+        shift = _shift_of(name)
         if e < 0:
             raise ValueError(f"negative exponent for {name!r}")
         key += e << shift
@@ -121,6 +140,47 @@ def _half_text(half: int, names: tuple) -> str:
     """``*``-joined factors of one half key, e.g. "lambda^2*t"; "" if both are 0."""
     pairs = zip(names, (half >> _BITS, half & _MASK))
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in pairs if e)
+
+
+def _diagonals(terms: dict, width: int) -> dict:
+    """Each (q+t)-diagonal of a term dict as one int: its q^j coefficient at bit width*j."""
+    out: dict = {}
+    get = out.get
+    for key, coeff in terms.items():
+        j = (key >> _SHIFT["q"]) & _MASK
+        diag = key + j * _FOLD
+        out[diag] = get(diag, 0) + (coeff << width * j)
+    return out
+
+
+def _packed_mul(a: dict, b: dict) -> dict:
+    """Product of two nonzero term dicts, one int product per pair of diagonals."""
+    width = (max(map(abs, a.values())).bit_length() + max(map(abs, b.values())).bit_length()
+             + min(len(a), len(b)).bit_length() + 2)
+    slots: dict = {}
+    get = slots.get
+    b_diags = _diagonals(b, width).items()
+    for da, va in _diagonals(a, width).items():
+        for db, vb in b_diags:
+            diag = da + db
+            slots[diag] = get(diag, 0) + va * vb
+    out = {}
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    for key, packed in slots.items():
+        while packed:
+            coeff = packed & mask
+            if not coeff:  # jump over a run of zero digits in one shift
+                zeros = ((packed & -packed).bit_length() - 1) // width
+                packed >>= zeros * width
+                key -= zeros * _FOLD
+                continue
+            packed >>= width
+            if coeff >= half:  # a negative digit: it borrowed one from the next
+                coeff -= mask + 1
+                packed += 1
+            out[key] = coeff
+            key -= _FOLD
+    return out
 
 
 def _wrap(terms: dict) -> "Poly":
@@ -199,7 +259,7 @@ class Poly:
             return 0
         if var is None:
             return max(self._terms) >> _DEG_SHIFT
-        shift = _SHIFT[var]
+        shift = _shift_of(var)
         return max((k >> shift) & _MASK for k in self._terms)
 
     def __eq__(self, other) -> bool:
@@ -269,6 +329,8 @@ class Poly:
             # so nothing collides or cancels
             [(ka, ca)] = a.items()
             return _wrap({ka + kb: ca * cb for kb, cb in b.items()})
+        if len(a) >= _PACKED_MIN[0] and len(b) >= _PACKED_MIN[1]:
+            return _wrap(_packed_mul(a, b))
         out: dict = {}
         get = out.get
         b_items = b.items()
@@ -297,7 +359,7 @@ class Poly:
 
     def coefficient_of(self, var: str, power: int) -> "Poly":
         """The coefficient of ``var**power``, as a polynomial in the other variables."""
-        shift = _SHIFT[var]
+        shift = _shift_of(var)
         strip = (power << shift) + (power << _DEG_SHIFT)
         return _wrap({
             k - strip: c for k, c in self._terms.items() if ((k >> shift) & _MASK) == power
@@ -308,7 +370,7 @@ class Poly:
         rep = Poly._coerce(replacement)
         if rep is NotImplemented:
             raise TypeError("replacement must be a Poly or int")
-        shift = _SHIFT[var]
+        shift = _shift_of(var)
         by_power: dict = {}
         for k, c in self._terms.items():
             e = (k >> shift) & _MASK
@@ -324,24 +386,21 @@ class Poly:
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
         """Rename variables (e.g. swap q and t).  The mapping must be injective."""
-        perm = list(range(_NVARS))
-        index = {name: i for i, name in enumerate(VARIABLES)}
-        targets = set()
+        perm = {shift: shift for _, shift in _NAMED_SHIFTS}
         for old, new in mapping.items():
-            perm[index[old]] = index[new]
-            targets.add(new)
-        if len(targets) != len(mapping):
+            perm[_shift_of(old)] = _shift_of(new)
+        if len(set(mapping.values())) != len(mapping):
             raise ValueError("rename mapping must be injective")
         out: dict = {}
         for key, coeff in self._terms.items():
-            vec = [0] * _NVARS
-            for i, e in enumerate(_unpack(key)):
+            moved = key >> _DEG_SHIFT << _DEG_SHIFT
+            for src, dst in perm.items():
+                e = (key >> src) & _MASK
                 if e:
-                    j = perm[i]
-                    if vec[j]:
+                    if (moved >> dst) & _MASK:
                         raise ValueError("rename collides with an existing variable")
-                    vec[j] = e
-            out[_pack(vec)] = coeff
+                    moved |= e << dst
+            out[moved] = coeff
         return _wrap(out)
 
     # -- evaluation ----------------------------------------------------------
@@ -350,10 +409,7 @@ class Poly:
         """Exact rational value at a point covering every variable of the polynomial."""
         values = {}
         for name, v in assignment.items():
-            shift = _SHIFT.get(name)
-            if shift is None:
-                raise ValueError(f"unknown variable {name!r}")
-            values[shift] = Fraction(v)
+            values[_shift_of(name)] = Fraction(v)
         terms = self._terms
         # Bring every term over the common denominator prod d_i^(max e_i), so
         # the sum runs over ints and one Fraction is built at the end.
@@ -442,6 +498,8 @@ class Poly:
             i += 1
         if buf:
             terms.append((sign, "".join(buf).strip()))
+        if not terms:
+            raise ValueError(f"no term in {text!r}")
         acc: list = []
         for sgn, body in terms:
             if not body:

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qtmoments import ring
+from qtmoments.qtnum import qt_number
 from qtmoments.ring import (
     LAMBDA,
     MissingVariable,
@@ -292,3 +294,136 @@ def test_packed_degree_limit():
             Poly.from_terms([(1, {name: 1})])
         with pytest.raises(ValueError, match="unknown variable"):
             Poly.variable(name)
+
+
+# -- packed diagonal products ----------------------------------------------------
+
+
+def _schoolbook(monkeypatch, a, b):
+    """``a * b`` through ``__mul__``'s schoolbook loop, whatever the operand sizes."""
+    with monkeypatch.context() as m:
+        m.setattr(ring, "_PACKED_MIN", (float("inf"), float("inf")))
+        return a * b
+
+
+def _sized(n, shift=0):
+    """A signed polynomial with exactly n terms, several to a (q+t)-diagonal."""
+    return Poly.from_terms(
+        ((-1) ** i * (i + 1 + shift), {"lambda": i // 12, "t": i % 12 // 3, "q": i % 3 + shift % 2})
+        for i in range(n)
+    )
+
+
+@pytest.fixture
+def packed_calls(monkeypatch):
+    calls = []
+    real = ring._packed_mul
+
+    def counting(a, b):
+        calls.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(ring, "_packed_mul", counting)
+    return calls
+
+
+def test_diagonals_pack_a_qt_number_into_one_int():
+    # 5[4] - 2t^3 is 3t^3 + 5qt^2 + 5q^2t + 5q^3: one (q+t)-diagonal, keyed by t^3
+    [(key, packed)] = ring._diagonals((5 * qt_number(4) - 2 * T**3)._terms, 8).items()
+    assert ring._wrap({key: 1}) == T**3
+    assert packed == 3 + (5 << 8) + (5 << 16) + (5 << 24)
+    # lambda, x and the total degree are kept apart
+    assert len(ring._diagonals((T + LAMBDA + X + T**2)._terms, 8)) == 4
+
+
+# small exponents crowd terms onto few diagonals; wide ones leave gaps in them
+_nonzero_big = st.one_of(_polys_over(_ALL_VARS, 3, _big, 12), wide_polys).filter(bool)
+
+
+@given(_nonzero_big, _nonzero_big)
+@settings(max_examples=150, deadline=None)
+@example(Poly.constant(-1), Poly.constant(-(10**30)))
+@example(T - Q, T + Q)  # t^2 - q^2: the middle of the diagonal cancels
+def test_packed_mul_matches_schoolbook_and_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    got = ring._wrap(ring._packed_mul(a._terms, b._terms))
+    as_exps = [[(c, dict(zip(VARIABLES, m))) for m, c in p.terms()] for p in (a, b)]
+    assert got == schoolbook_mul(*as_exps)
+    gens = sympy.symbols("lambda t q x")
+    expected = (_to_sympy(a, sympy, gens) * _to_sympy(b, sympy, gens)).as_dict()
+    assert dict(got.terms()) == {mono: int(c) for mono, c in expected.items() if c}
+
+
+@pytest.mark.parametrize(
+    "sizes, packed",
+    [((4, 100), False), ((5, 99), False), ((5, 100), True), ((100, 5), True), ((120, 130), True)],
+)
+def test_mul_threshold(monkeypatch, packed_calls, sizes, packed):
+    assert ring._PACKED_MIN == (5, 100)
+    a, b = _sized(sizes[0]), _sized(sizes[1], shift=7)
+    assert (len(a), len(b)) == sizes
+    expected = _schoolbook(monkeypatch, a, b)
+    assert not packed_calls
+    assert a * b == expected
+    assert len(packed_calls) == packed
+
+
+def test_packed_mul_cancels_whole_diagonals(packed_calls):
+    a = sum(k * LAMBDA**k * qt_number(k + 4) for k in range(1, 13))
+    b = X * sum((-1) ** k * LAMBDA**k * qt_number(k + 3) for k in range(1, 13))
+    product = (a + b) * (a - b)
+    assert product == a * a - b * b
+    # a*b holds every x^1 diagonal, and the two cross products cancel it
+    assert (a * b).coefficient_of("x", 1) and not product.coefficient_of("x", 1)
+    assert min(map(min, packed_calls)) >= 100
+
+
+@pytest.mark.parametrize("k, j", [(2, 4), (5, 7), (64, 7)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_mul_slot_width_boundary(monkeypatch, packed_calls, k, j, sign):
+    # the middle coefficient of (2^k-1)^2 [2^j-1]^2 has 2k+j bits, two below
+    # the slot width bits(2^k-1) + bits(2^k-1) + bits(2^j-1) + 2
+    n = 2**j - 1
+    a = (2**k - 1) * qt_number(n)
+    product = a * (sign * a)
+    middle = product.coefficient_of("q", n - 1).coefficient_of("t", n - 1)
+    assert middle == sign * (2**k - 1) ** 2 * n
+    assert abs(sign * (2**k - 1) ** 2 * n).bit_length() == 2 * k + j
+    assert ring._wrap(ring._packed_mul(a._terms, (sign * a)._terms)) == product
+    assert product == _schoolbook(monkeypatch, a, sign * a)
+    assert len(packed_calls) == 1 + (n >= 100)
+
+
+def test_packed_mul_degree_limit(monkeypatch, packed_calls):
+    # q and t near the top of their fields: each diagonal's int is long, its low digits 0
+    a = sum(Q ** (30000 + i) * T ** (4 - i) for i in range(5))
+    b = sum((i + 1) * Q ** (35531 - i) * T**i for i in range(100))
+    product = a * b
+    assert product.degree() == 2**16 - 1 and packed_calls == [(5, 100)]
+    assert product == _schoolbook(monkeypatch, a, b)
+    with pytest.raises(OverflowError):
+        a * (b * T)
+
+
+@pytest.mark.parametrize("text", ["", " ", "-", "+", " + "])
+def test_parse_rejects_text_without_terms(text):
+    with pytest.raises(ValueError, match="no term"):
+        Poly.parse(text)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: p.degree("y"),
+        lambda p: p.coefficient_of("y", 1),
+        lambda p: p.substitute("y", T),
+        lambda p: p.rename({"y": "t"}),
+        lambda p: p.rename({"t": "y"}),
+        lambda p: p.eval({"y": 1, "t": 1}),
+        lambda p: Poly.variable("y"),
+        lambda p: Poly.from_terms([(1, {"y": 1})]),
+    ],
+)
+def test_unknown_variable_is_a_value_error(call):
+    with pytest.raises(ValueError, match="unknown variable 'y'"):
+        call(T + 1)
