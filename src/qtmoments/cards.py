@@ -160,7 +160,7 @@ def _card(kind: OperatorLetter, level: int, choice: int | None = None) -> Card:
 
 
 def _expansion_states(word: OperatorWord) -> Iterator[tuple]:
-    """DFS over the line choices of a contributor.
+    """DFS over the line choices of a contributor (else :class:`NotContributor`).
 
     Yields (cards, block_of_element, q_exp, t_exp, singleton_levels) where
     block_of_element[k] is the 0-based block id of element k+1, q_exp/t_exp
@@ -169,6 +169,10 @@ def _expansion_states(word: OperatorWord) -> Iterator[tuple]:
     cards (the extra t-exponent under the T_POWER_N gauge).  The open lines
     are a tuple, bottom line first.
     """
+    if not word.letters:
+        raise ValueError("the empty word has no card arrangements")
+    if not word.is_contributor:
+        raise NotContributor(word.to_string())
     C, A, S = OperatorLetter.CREATION, OperatorLetter.ANNIHILATION, OperatorLetter.SCALAR
     letters = word.application_order()
     n = len(letters)
@@ -207,10 +211,6 @@ def expand_arrangements(
 ) -> list:
     """All admissible card arrangements of a contributor, with weights and
     induced partitions.  Raises :class:`NotContributor` otherwise."""
-    if not word.letters:
-        raise ValueError("the empty word has no card arrangements")
-    if not word.is_contributor:
-        raise NotContributor(word.to_string())
     n = len(word)
     # one block per creation or singleton card
     lam = sum(1 for letter in word.letters

@@ -2,20 +2,25 @@
 cross-verification driver.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Results go to
-stdout, diagnostics to stderr.  All JSON output carries a schema tag.
+stdout, diagnostics to stderr.  All JSON output carries a schema tag.  The
+``partitions`` and ``cards`` listings write ``LISTING_CHUNK`` lines per call,
+each from one f-string with sorted keys: the bytes of ``json.dumps(record,
+sort_keys=True)`` for :func:`partition_record` and :func:`arrangement_record`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 
 from .cards import (
     NotContributor,
-    arrangement_record,
+    _expansion_states,
     enumerate_contributors,
     expand_arrangements,
     moment_by_cards,
@@ -45,7 +50,7 @@ from .orthopoly import (
     specialize,
     three_term_polys,
 )
-from .partitions import enumerate_partitions, moment_by_partitions, partition_record
+from .partitions import SetPartition, enumerate_partitions, moment_by_partitions, partition_record
 from .ring import Poly
 
 SCHEMA = "qtmoments/1"
@@ -65,6 +70,9 @@ PRESETS = {
 #: without building an encoder per line.
 _JSON = json.JSONEncoder(sort_keys=True)
 
+#: Lines per ``write`` of a listing: bounded, so no listing is held whole in memory.
+LISTING_CHUNK = 512
+
 #: Domain errors raised by a request's own arguments: reported as usage errors.
 USAGE_ERRORS = (ValueError, NotContributor, InsufficientDepth, TruncationOverflow)
 
@@ -78,6 +86,13 @@ def rational(text: str) -> Fraction:
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"invalid rational {text!r}: {exc}")
+
+
+def _write_lines(lines) -> None:
+    """Write newline-terminated lines to stdout, ``LISTING_CHUNK`` per write."""
+    write = sys.stdout.write
+    while chunk := "".join(islice(lines, LISTING_CHUNK)):
+        write(chunk)
 
 
 def _routes(mode: str, n_max: int) -> dict:
@@ -143,16 +158,15 @@ def cmd_moments(args) -> int:
 
 
 def cmd_partitions(args) -> int:
-    for p in enumerate_partitions(args.n):
-        record = partition_record(p)
-        if args.output == "json":
-            record["schema"] = SCHEMA
-            print(_JSON.encode(record))
-        else:
-            print(
-                f"{p}  blocks={record['blocks']} rc={record['rc']} "
-                f"rn_strict={record['rn_strict']} rn_covered={record['rn_covered']}"
-            )
+    records = ((p, partition_record(p)) for p in enumerate_partitions(args.n))
+    if args.output == "json":
+        lines = (f'{{"blocks": {r["blocks"]}, "rc": {r["rc"]}, "rgs": {r["rgs"]}, '
+                 f'"rn_covered": {r["rn_covered"]}, "rn_strict": {r["rn_strict"]}, '
+                 f'"schema": "{SCHEMA}"}}\n' for _, r in records)
+    else:
+        lines = (f"{p}  blocks={r['blocks']} rc={r['rc']} "
+                 f"rn_strict={r['rn_strict']} rn_covered={r['rn_covered']}\n" for p, r in records)
+    _write_lines(lines)
     return 0
 
 
@@ -186,23 +200,33 @@ def cmd_charlier(args) -> int:
     return 0
 
 
+def _card_lines(words, covered: bool, json_out: bool):
+    """The ``cards`` listing lines of ``words``, formatted straight from the expansion walk."""
+    sep = '", "' if json_out else ","
+    weights: dict = {}  # (lambda, q, t) exponents -> canonical text
+    for word in words:
+        text = word.to_string()
+        lam = text.count("C") + text.count("S")  # one block per creation or singleton card
+        for cards, owner, q_exp, t_exp, single_lv in _expansion_states(word):
+            exps = (lam, q_exp, t_exp + single_lv if covered else t_exp)
+            weight = weights.get(exps)
+            if weight is None:
+                monomial = dict(zip(("lambda", "q", "t"), exps))
+                weight = weights[exps] = Poly.from_terms([(1, monomial)]).canonical_str()
+            blocks = SetPartition._trusted(len(owner), owner).blocks()
+            names = sep.join([c.name for c in cards])
+            if json_out:
+                yield (f'{{"cards": ["{names}"], "partition": {blocks}, "schema": "{SCHEMA}", '
+                       f'"weight": "{weight}", "word": "{text}"}}\n')
+            else:
+                yield f"{text}  cards={names}  weight={weight}  partition={blocks}\n"
+
+
 def cmd_cards(args) -> int:
     gauge, _ = MODES[args.mode]
-    if args.word is not None:
-        words = [OperatorWord.from_string(args.word)]
-    else:
-        words = list(enumerate_contributors(args.n))
-    for word in words:
-        for arr in expand_arrangements(word, gauge):
-            record = arrangement_record(arr)
-            if args.output == "json":
-                record["schema"] = SCHEMA
-                print(_JSON.encode(record))
-            else:
-                print(
-                    f"{record['word']}  cards={','.join(record['cards'])}  "
-                    f"weight={record['weight']}  partition={record['partition']}"
-                )
+    words = (enumerate_contributors(args.n) if args.word is None
+             else [OperatorWord.from_string(args.word)])
+    _write_lines(_card_lines(words, gauge is ScalarGauge.T_POWER_N, args.output == "json"))
     return 0
 
 
@@ -437,8 +461,11 @@ def main(argv=None) -> int:
         parser.error("--n-max must be >= 1")
 
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
     except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit flush
         return 0
     except USAGE_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -24,8 +24,9 @@ term's diagonal key is its key with the q exponent j folded into the t field,
 and its q^j coefficient sits at bit W*j of the diagonal's int, where
 W = bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 2 keeps every
 output coefficient off a slot's sign bit, so the balanced W-bit digits are
-exact.  ``__mul__`` packs once both operands reach ``_PACKED_MIN`` terms;
-below that the schoolbook loop is faster, and it is the packed path's oracle.
+exact.  ``__mul__`` packs once both operands reach ``_PACKED_MIN`` terms and
+their diagonals have no long gaps (``_GAP_LIMIT``); otherwise the schoolbook
+loop is faster, and it is the packed path's oracle.
 
 Printing looks up the text of a key's (lambda, t) half (bits 32-63) and of
 its (q, x) half (bits 0-31) in two tables filled on first sight, ``""`` for a
@@ -72,6 +73,9 @@ _FOLD = (1 << _SHIFT["t"]) - (1 << _SHIFT["q"])
 #: ``__mul__`` packs diagonals once the smaller operand has at least the first
 #: number of terms and the larger at least the second; measured on ``tables``.
 _PACKED_MIN = (5, 100)
+#: Slots per term in the diagonals' ints past which ``_packed_mul`` takes the
+#: schoolbook loop: every route keeps under 1, and at 4 the two cost the same.
+_GAP_LIMIT = 4
 #: Text of each (lambda, t) and each (q, x) half key printed so far.
 _HIGH_TEXT: dict = {}
 _LOW_TEXT: dict = {}
@@ -153,15 +157,31 @@ def _diagonals(terms: dict, width: int) -> dict:
     return out
 
 
+def _schoolbook_mul(a: dict, b: dict) -> dict:
+    """Product of two term dicts, one product per pair of terms."""
+    out: dict = {}
+    get = out.get
+    b_items = b.items()
+    for ka, ca in a.items():
+        for kb, cb in b_items:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
 def _packed_mul(a: dict, b: dict) -> dict:
-    """Product of two nonzero term dicts, one int product per pair of diagonals."""
+    """Product of two nonzero term dicts, one int product per pair of diagonals,
+    or by the schoolbook loop when long gaps make the diagonals' ints sparse."""
     width = (max(map(abs, a.values())).bit_length() + max(map(abs, b.values())).bit_length()
              + min(len(a), len(b)).bit_length() + 2)
+    a_diags, b_diags = _diagonals(a, width), _diagonals(b, width)
+    bits = sum(map(int.bit_length, a_diags.values())) + sum(map(int.bit_length, b_diags.values()))
+    if bits > _GAP_LIMIT * width * (len(a) + len(b)):
+        return _schoolbook_mul(a, b)
     slots: dict = {}
     get = slots.get
-    b_diags = _diagonals(b, width).items()
-    for da, va in _diagonals(a, width).items():
-        for db, vb in b_diags:
+    for da, va in a_diags.items():
+        for db, vb in b_diags.items():
             diag = da + db
             slots[diag] = get(diag, 0) + va * vb
     out = {}
@@ -331,14 +351,7 @@ class Poly:
             return _wrap({ka + kb: ca * cb for kb, cb in b.items()})
         if len(a) >= _PACKED_MIN[0] and len(b) >= _PACKED_MIN[1]:
             return _wrap(_packed_mul(a, b))
-        out: dict = {}
-        get = out.get
-        b_items = b.items()
-        for ka, ca in a.items():
-            for kb, cb in b_items:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        return _wrap({k: c for k, c in out.items() if c})
+        return _wrap(_schoolbook_mul(a, b))
 
     __rmul__ = __mul__
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,10 +11,16 @@ import pytest
 
 import qtmoments
 from qtmoments import cli
-from qtmoments.cards import expand_arrangements, moment_by_cards
-from qtmoments.cli import SUITES, build_parser, main, rational
-from qtmoments.fock import ScalarGauge, check_commutation
+from qtmoments.cards import (
+    arrangement_record,
+    enumerate_contributors,
+    expand_arrangements,
+    moment_by_cards,
+)
+from qtmoments.cli import SCHEMA, SUITES, build_parser, main, rational
+from qtmoments.fock import OperatorWord, ScalarGauge, check_commutation
 from qtmoments.orthopoly import charlier_strict, moments_by_motzkin, poisson_limit_check
+from qtmoments.partitions import enumerate_partitions, partition_record
 from qtmoments.ring import Poly, Q
 
 
@@ -154,6 +161,90 @@ def test_cards_dump_all(capsys):
     code, out, _ = run(capsys, "cards", "--n", "3", "--output", "json")
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert len(records) == 5  # bijection with partitions of {1,2,3}
+
+
+# -- listing lines, byte for byte ------------------------------------------------
+
+
+def _partition_line(p, output):
+    record = partition_record(p)
+    if output == "json":
+        return json.dumps({**record, "schema": SCHEMA}, sort_keys=True)
+    return (f"{p}  blocks={record['blocks']} rc={record['rc']} "
+            f"rn_strict={record['rn_strict']} rn_covered={record['rn_covered']}")
+
+
+def _card_line(arr, output):
+    record = arrangement_record(arr)
+    if output == "json":
+        return json.dumps({**record, "schema": SCHEMA}, sort_keys=True)
+    return (f"{record['word']}  cards={','.join(record['cards'])}  "
+            f"weight={record['weight']}  partition={record['partition']}")
+
+
+#: (argv, the records each listing line is formatted from): partitions for
+#: k <= 9, cards for k <= 8 in both modes, and one word's cards.
+LISTINGS = [
+    *((["partitions", "--n", str(k)], lambda k=k: enumerate_partitions(k)) for k in range(1, 10)),
+    *((["cards", "--n", str(k), "--mode", mode],
+       lambda k=k, gauge=gauge: [arr for word in enumerate_contributors(k)
+                                 for arr in expand_arrangements(word, gauge)])
+      for k in range(1, 9) for mode, (gauge, _) in cli.MODES.items()),
+    *((["cards", "--word", "AASNCC", "--mode", mode],
+       lambda gauge=gauge: expand_arrangements(OperatorWord.from_string("AASNCC"), gauge))
+      for mode, (gauge, _) in cli.MODES.items()),
+]
+
+
+@pytest.mark.parametrize("output", ["json", "pretty"])
+def test_listing_lines_are_the_records_byte_for_byte(capsys, output):
+    for argv, records in LISTINGS:
+        line = _partition_line if argv[0] == "partitions" else _card_line
+        code, out, _ = run(capsys, *argv, "--output", output)
+        assert code == 0
+        assert out.splitlines() == [line(r, output) for r in records()], argv
+        assert out.endswith("\n")
+
+
+def test_listing_fields_need_no_json_escaping():
+    # the listing templates quote card names, words and weights without escaping
+    plain = re.compile(r"[A-Za-z0-9_^*+-]*")
+    texts = 0
+    for argv, records in LISTINGS:
+        if argv[0] == "cards":
+            for arr in records():
+                record = arrangement_record(arr)
+                for text in (record["word"], record["weight"], *record["cards"]):
+                    assert plain.fullmatch(text), (argv, text)
+                    texts += 1
+    assert texts > 10**5
+
+
+CLOSED_PIPES = [
+    (["partitions", "--n", "10"], 1),
+    (["cards", "--n", "8"], 1),
+    (["cards", "--n", "8", "--output", "json"], 1),
+    (["cards", "--n", "3"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, lines", CLOSED_PIPES,
+                         ids=[f"{' '.join(argv)} read {lines}" for argv, lines in CLOSED_PIPES])
+def test_listing_into_a_closed_pipe_exits_quietly(argv, lines):
+    # like `qtmoments partitions --n 10 | head -1`: the reader leaves after
+    # `lines` lines; stdout is block-buffered, so the exit-time flush is tested
+    src = os.path.dirname(os.path.dirname(qtmoments.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.Popen([sys.executable, "-m", "qtmoments", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_cfrac_series(capsys):

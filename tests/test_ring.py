@@ -405,6 +405,45 @@ def test_packed_mul_degree_limit(monkeypatch, packed_calls):
         a * (b * T)
 
 
+@pytest.fixture
+def schoolbook_calls(monkeypatch):
+    calls = []
+    real = ring._schoolbook_mul
+
+    def counting(a, b):
+        calls.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(ring, "_schoolbook_mul", counting)
+    return calls
+
+
+@pytest.mark.parametrize("gap, fallback", [(1, False), (4, False), (64, True), (20000, True)])
+def test_packed_mul_takes_the_schoolbook_loop_on_gapped_diagonals(
+    packed_calls, schoolbook_calls, gap, fallback
+):
+    # every diagonal is t^gap +- q^gap: two terms gap slots apart in one int
+    a = sum(LAMBDA**i * (T**gap + Q**gap) for i in range(5))
+    b = sum(LAMBDA ** (i % 10) * X ** (i // 10) * (T**gap - Q**gap) for i in range(50))
+    product = a * b
+    assert packed_calls == [(10, 100)]
+    assert schoolbook_calls == ([(10, 100)] if fallback else [])
+    as_exps = [[(c, dict(zip(VARIABLES, m))) for m, c in p.terms()] for p in (a, b)]
+    assert product == schoolbook_mul(*as_exps)
+
+
+def test_packed_mul_degree_limit_with_dense_diagonals(monkeypatch, packed_calls, schoolbook_calls):
+    # t near the top of its field, q low: each diagonal's int is gap-free, so it stays packed
+    a = T**60000 * qt_number(5)
+    b = sum((i + 1) * Q**i * T ** (5531 - i) for i in range(100))
+    product = a * b
+    assert product.degree() == 2**16 - 1
+    assert packed_calls == [(5, 100)] and schoolbook_calls == []
+    assert product == _schoolbook(monkeypatch, a, b)
+    with pytest.raises(OverflowError):
+        a * (b * T)
+
+
 @pytest.mark.parametrize("text", ["", " ", "-", "+", " + "])
 def test_parse_rejects_text_without_terms(text):
     with pytest.raises(ValueError, match="no term"):
