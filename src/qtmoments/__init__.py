@@ -56,7 +56,6 @@ from .cards import (
 from .orthopoly import (
     InsufficientMoments,
     JacobiParams,
-    LimitReport,
     binomial,
     charlier_strict,
     charlier_t_gauge,

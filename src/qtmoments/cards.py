@@ -159,26 +159,26 @@ def _card(kind: OperatorLetter, level: int, choice: int | None = None) -> Card:
     return Card(kind, level, choice)
 
 
-def _expansion_states(word: OperatorWord) -> Iterator[tuple]:
-    """DFS over the line choices of a contributor (else :class:`NotContributor`).
+def _expansion_states(word: OperatorWord, covered: bool = False) -> Iterator[tuple]:
+    """DFS over the line choices of a word: (cards, block_of_element, exps) per
+    arrangement, exps its weight's (lambda, q, t) exponents.
 
-    Yields (cards, block_of_element, q_exp, t_exp, singleton_levels) where
-    block_of_element[k] is the 0-based block id of element k+1, q_exp/t_exp
-    the accumulated crossing/nesting exponents from annihilation and
-    intermediate cards, and singleton_levels the sum of levels of singleton
-    cards (the extra t-exponent under the T_POWER_N gauge).  The open lines
-    are a tuple, bottom line first.
+    block_of_element[k] is the 0-based block id of element k+1.  lambda counts
+    the blocks, q and t the crossings and nestings from annihilation and
+    intermediate cards, plus the singleton levels under ``covered``
+    (T_POWER_N).  The open lines are a tuple, bottom line first.  Every
+    arrangement of a word has the same levels, so the first path meets an
+    annihilation or number letter at level 0, or lines still open at the end,
+    before anything is yielded, and raises :class:`NotContributor`.
     """
     if not word.letters:
         raise ValueError("the empty word has no card arrangements")
-    if not word.is_contributor:
-        raise NotContributor(word.to_string())
     C, A, S = OperatorLetter.CREATION, OperatorLetter.ANNIHILATION, OperatorLetter.SCALAR
     letters = word.application_order()
     n = len(letters)
-    todo = [(0, (), 0, (), (), 0, 0, 0)]
+    todo = [(0, (), 0, (), (), 0, 0)]
     while todo:
-        pos, stack, next_block, cards, owner, q_exp, t_exp, single_lv = todo.pop()
+        pos, stack, next_block, cards, owner, q_exp, t_exp = todo.pop()
         # creation and singleton cards have no choice: lay them in place
         while pos < n and (letters[pos] is C or letters[pos] is S):
             letter = letters[pos]
@@ -187,15 +187,19 @@ def _expansion_states(word: OperatorWord) -> Iterator[tuple]:
             owner += (next_block,)
             if letter is C:
                 stack = (next_block,) + stack
-            else:
-                single_lv += level
+            elif covered:
+                t_exp += level
             next_block += 1
             pos += 1
-        if pos == n:
-            yield cards, owner, q_exp, t_exp, single_lv
-            continue
-        letter = letters[pos]
         level = len(stack)
+        if pos == n:
+            if level:
+                raise NotContributor(word.to_string())
+            yield cards, owner, (next_block, q_exp, t_exp)  # one block per C or S card
+            continue
+        if not level:
+            raise NotContributor(word.to_string())
+        letter = letters[pos]
         # choices are pushed from j = level down so that j = 1 is walked first
         for j in range(level, 0, -1):
             line = stack[j - 1]
@@ -203,7 +207,7 @@ def _expansion_states(word: OperatorWord) -> Iterator[tuple]:
             if letter is not A:  # NUMBER -> intermediate card: line re-anchored at the bottom
                 rest = (line,) + rest
             todo.append((pos + 1, rest, next_block, cards + (_card(letter, level, j),),
-                         owner + (line,), q_exp + j - 1, t_exp + level - j, single_lv))
+                         owner + (line,), q_exp + j - 1, t_exp + level - j))
 
 
 def expand_arrangements(
@@ -212,16 +216,10 @@ def expand_arrangements(
     """All admissible card arrangements of a contributor, with weights and
     induced partitions.  Raises :class:`NotContributor` otherwise."""
     n = len(word)
-    # one block per creation or singleton card
-    lam = sum(1 for letter in word.letters
-              if letter is OperatorLetter.CREATION or letter is OperatorLetter.SCALAR)
-    covered = gauge is ScalarGauge.T_POWER_N
     trusted = SetPartition._trusted
     out = []
-    for cards, owner, q_exp, t_exp, single_lv in _expansion_states(word):
-        weight = Poly.from_terms(
-            [(1, {"lambda": lam, "q": q_exp, "t": t_exp + single_lv if covered else t_exp})]
-        )
+    for cards, owner, (lam, q, t) in _expansion_states(word, gauge is ScalarGauge.T_POWER_N):
+        weight = Poly.from_terms([(1, {"lambda": lam, "q": q, "t": t})])
         # block ids are created in order of first appearance, which is
         # exactly the restricted-growth normalization
         out.append(CardArrangement(word, cards, weight, trusted(n, owner)))

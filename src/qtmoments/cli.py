@@ -206,9 +206,7 @@ def _card_lines(words, covered: bool, json_out: bool):
     weights: dict = {}  # (lambda, q, t) exponents -> canonical text
     for word in words:
         text = word.to_string()
-        lam = text.count("C") + text.count("S")  # one block per creation or singleton card
-        for cards, owner, q_exp, t_exp, single_lv in _expansion_states(word):
-            exps = (lam, q_exp, t_exp + single_lv if covered else t_exp)
+        for cards, owner, exps in _expansion_states(word, covered):
             weight = weights.get(exps)
             if weight is None:
                 monomial = dict(zip(("lambda", "q", "t"), exps))
@@ -455,6 +453,8 @@ def main(argv=None) -> int:
         if any(v is not None for v in given.values()) and None in given.values():
             parser.error("give all of --q, --t, --lambda or none")
         args.point = None if args.q is None else given
+        if args.command == "charlier" and args.point is None and args.output == "csv":
+            parser.error("charlier --output csv needs --q, --t and --lambda")
     if args.command in ("moments", "partitions") and args.n < 1:
         parser.error("--n must be >= 1")
     if args.command == "verify" and args.n_max < 1:

@@ -192,9 +192,7 @@ class FockVector:
 
     @classmethod
     def vacuum(cls, dim: int) -> "FockVector":
-        v = cls(dim)
-        v.coeffs[0] = Poly.one()
-        return v
+        return cls.basis(dim, 0)
 
     @classmethod
     def basis(cls, dim: int, k: int) -> "FockVector":

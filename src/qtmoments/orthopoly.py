@@ -60,7 +60,6 @@ __all__ = [
     "moment_functional",
     "check_orthogonality",
     "check_charlier_fock_identity",
-    "LimitReport",
     "poisson_limit_check",
     "default_jfraction_depth",
     "jfraction_series",
@@ -293,26 +292,13 @@ def check_charlier_fock_identity(n_max: int) -> CheckReport:
     return report
 
 
-@dataclass
-class LimitReport:
-    """Binomial-to-Poisson limit: symbolic checks plus deviation decay."""
-
-    symbolic: CheckReport
-    deviations: dict  # order -> list of (m, |binomial moment - Poisson moment|)
-    numeric_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.symbolic.passed and self.numeric_ok
-
-
 def poisson_limit_check(
     n_max: int,
     lam: Fraction,
     m_values: Sequence[int],
     q: Fraction = Fraction(1, 3),
     t: Fraction = Fraction(2, 3),
-) -> LimitReport:
+) -> CheckReport:
     """Verify the binomial family converges to the Poisson family as m grows.
 
     Symbolic part: write lambda = a/b and p = lambda/m.  Clearing the 1/m
@@ -333,6 +319,9 @@ def poisson_limit_check(
     along the distinct m_values, ascending, whenever it is nonzero.  Fewer
     than two distinct values compare nothing and raise ValueError, as does
     an m that is not an integer above lambda.
+
+    Both parts record into one :class:`CheckReport` named "poisson-limit",
+    one check per cleared form, per sample and per consecutive pair of m.
     """
     lam = Fraction(lam)
     if lam <= 0:
@@ -344,21 +333,21 @@ def poisson_limit_check(
         raise ValueError("need at least two distinct m values to compare")
     a, b = lam.numerator, lam.denominator
 
-    symbolic = CheckReport(name="poisson-limit-symbolic")
+    report = CheckReport(name="poisson-limit")
     alpha_scaled = {}
     omega_scaled = {}
     for n in range(n_max + 1):
         num = qt_number(n)
         scaled_a = a * X + (b * X - 2 * a) * num
         alpha_scaled[n] = scaled_a
-        symbolic.record(
+        report.record(
             scaled_a.coefficient_of("x", 1) == a + b * num and scaled_a.degree("x") <= 1,
             f"alpha_{n}: leading m-term is not lambda + [{n}]",
         )
         if n >= 1:
             scaled_w = a * num * (X - qt_number(n - 1)) * (b * X - a)
             omega_scaled[n] = scaled_w
-            symbolic.record(
+            report.record(
                 scaled_w.coefficient_of("x", 2) == a * b * num
                 and scaled_w.degree("x") <= 2,
                 f"omega_{n}: leading m^2-term is not lambda [{n}]",
@@ -366,34 +355,31 @@ def poisson_limit_check(
 
     poisson = specialize(charlier_strict(), {"q": q, "t": t, "lambda": lam})
     poisson_moments = moments_by_motzkin(poisson, n_max)
-    deviations: dict = {k: [] for k in range(n_max + 1)}
+    deviations = []  # (m, |binomial moment - Poisson moment| per order)
     for mv in m_values:
         p = lam / mv
         binom = binomial(Fraction(mv), p, q, t)
         for n in range(n_max + 1):
             lhs = alpha_scaled[n].eval({"x": mv, "q": q, "t": t}) / (b * mv)
-            symbolic.record(
+            report.record(
                 lhs == binom.alpha(n),
                 f"alpha_{n} cleared form mismatch at m={mv}",
             )
             if n >= 1:
                 lhs = omega_scaled[n].eval({"x": mv, "q": q, "t": t}) / (b * mv) ** 2
-                symbolic.record(
+                report.record(
                     lhs == binom.omega(n),
                     f"omega_{n} cleared form mismatch at m={mv}",
                 )
         binom_moments = moments_by_motzkin(binom, n_max)
-        for k in range(n_max + 1):
-            deviations[k].append((mv, abs(binom_moments[k] - poisson_moments[k])))
-
-    numeric_ok = True
-    for devs in deviations.values():
-        for (_m1, d1), (_m2, d2) in zip(devs, devs[1:]):
-            if d1 == 0 and d2 == 0:
-                continue
-            if not d2 < d1:
-                numeric_ok = False
-    return LimitReport(symbolic=symbolic, deviations=deviations, numeric_ok=numeric_ok)
+        deviations.append((mv, [abs(bm - pm) for bm, pm in zip(binom_moments, poisson_moments)]))
+    for (m1, devs1), (m2, devs2) in zip(deviations, deviations[1:]):
+        for k, (d1, d2) in enumerate(zip(devs1, devs2)):
+            report.record(
+                d2 < d1 or d1 == d2 == 0,
+                f"order {k}: deviation {d2} at m={m2} is not below {d1} at m={m1}",
+            )
+    return report
 
 
 # -- J-fraction series ---------------------------------------------------------

@@ -100,20 +100,6 @@ def _shift_of(name: str) -> int:
     return shift
 
 
-def _pack(mono: Monomial) -> int:
-    """Packed key of an exponent tuple aligned with ``VARIABLES``."""
-    if len(mono) != _NVARS:
-        raise ValueError(f"monomial needs {_NVARS} exponents, got {len(mono)}")
-    key = deg = 0
-    for e in mono:
-        if e < 0:
-            raise ValueError("negative exponent")
-        key = (key << _BITS) | e
-        deg += e
-    _check_degree(deg)
-    return key | deg << _DEG_SHIFT
-
-
 def _pack_exps(exps: Mapping[str, int]) -> int:
     """Packed key of a {variable: exponent} mapping."""
     key = deg = 0
@@ -213,15 +199,15 @@ def _wrap(terms: dict) -> "Poly":
 class Poly:
     """Immutable sparse polynomial with big-integer coefficients.
 
-    Construction normalizes away zero coefficients; all arithmetic returns
-    new objects, so instances are safe to share across threads or processes.
+    Every constructor drops zero coefficients (``Poly()`` is zero); arithmetic
+    returns new objects, so instances are safe to share across threads or processes.
     Integers mix freely with polynomials in ``+``, ``-`` and ``*``.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self._terms = {_pack(mono): coeff for mono, coeff in (terms or {}).items() if coeff}
+    def __init__(self):
+        self._terms = {}
 
     # -- constructors -----------------------------------------------------
 

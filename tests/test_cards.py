@@ -175,8 +175,11 @@ def test_scalar_word_expansion():
 
 
 def test_non_contributor_raises():
-    with pytest.raises(NotContributor):
-        expand_arrangements(OperatorWord.from_string("C"), IDENTITY)
+    # CAC and ASAC fail only after a choice card; the walk raises on its first path.
+    for text in ("A", "N", "C", "CA", "CAC", "ASAC"):
+        for gauge in (IDENTITY, TPOWER):
+            with pytest.raises(NotContributor, match=f"^{text}$"):
+                expand_arrangements(OperatorWord.from_string(text), gauge)
 
 
 def test_expansion_count_is_product_of_levels():

@@ -308,7 +308,9 @@ def _repeated_pairs(word, gauge):
 
 
 def _not_converging(*args):
-    return dataclasses.replace(poisson_limit_check(*args), numeric_ok=False)
+    report = poisson_limit_check(*args)
+    report.record(False, "injected deviation failure")
+    return report
 
 
 def _failing_commutation(depth):
@@ -404,9 +406,12 @@ def test_one_parser_serves_requests_in_any_order(capsys):
         ["cards", "--word", ""],
         ["cards", "--word", " "],
         ["cards", "--word", "CA"],
+        ["cards", "--word", "CAC"],
+        ["cards", "--word", "ASAC"],
         ["cards", "--n", "8", "--word", "AC"],
         ["charlier", "--n-max", "-1"],
         ["charlier", "--n-max", "3", "--q=1/2"],
+        ["charlier", "--n-max", "3", "--output", "csv"],
         ["cfrac", "--order", "4", "--depth", "0"],
         ["cfrac", "--order", "4", "--depth", "1"],
         ["cfrac", "--order", "-1"],

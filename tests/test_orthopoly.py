@@ -6,6 +6,7 @@ from functools import cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qtmoments import orthopoly
 from qtmoments.fock import ScalarGauge, leading_principal_minors, moment_by_operator
 from qtmoments.orthopoly import (
     InsufficientMoments,
@@ -298,14 +299,29 @@ def test_binomial_clamp_at_deformed_sample():
 
 
 def test_poisson_limit_check():
-    report = poisson_limit_check(6, Fraction(1), [10, 100, 1000])
-    assert report.symbolic.passed, report.symbolic.failures[:3]
-    assert report.numeric_ok
-    assert report.passed
+    q, t, lam = Fraction(1, 3), Fraction(2, 3), Fraction(1)
+    report = poisson_limit_check(6, lam, [10, 100, 1000], q, t)
+    assert report.name == "poisson-limit"
+    assert report.passed, report.failures[:3]
     # deviations visibly shrink about linearly in 1/m
+    point = {"q": q, "t": t, "lambda": lam}
+    poisson = moments_by_motzkin(specialize(charlier_strict(), point), 6)
+    devs = [[abs(b - p) for b, p in zip(moments_by_motzkin(binomial(m, lam / m, q, t), 6), poisson)]
+            for m in (10, 100, 1000)]
     for order in (2, 3, 4):
-        devs = [d for _m, d in report.deviations[order]]
-        assert devs[0] > devs[1] > devs[2] > 0
+        assert devs[0][order] > devs[1][order] > devs[2][order] > 0
+
+
+def test_poisson_limit_fails_when_deviation_grows(monkeypatch):
+    # Negative control: an alpha that drifts further from lambda + [n] as m grows.
+    def drifting(m, p, q, t):
+        j = binomial(m, p, q, t)
+        return JacobiParams(j.name, lambda n: j.alpha(n) + m / 10, j.omega)
+
+    monkeypatch.setattr(orthopoly, "binomial", drifting)
+    report = poisson_limit_check(4, Fraction(1), [10, 100, 1000])
+    assert not report.passed
+    assert any("deviation" in message for message in report.failures)
 
 
 def test_poisson_limit_rational_lambda():
