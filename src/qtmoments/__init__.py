@@ -44,7 +44,6 @@ from .fock import (
     vacuum_expectation_word,
 )
 from .cards import (
-    Card,
     CardArrangement,
     NotContributor,
     arrangement_record,

@@ -2,7 +2,8 @@
 whose line concatenation produces a set partition.
 
 Each letter of a contributor word gets one card at its level i (the number of
-open lines when the letter acts):
+open lines when the letter acts).  A card is its printed name, such as C0, S2,
+A3_2 or I2_1: the letter, the level i and, for A and I, the line choice j:
 
     creation card      C_i       weight lambda             opens a new line
     annihilation card  A_i_j     weight t^(i-j) q^(j-1)    ends the j-th line
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 from typing import Iterator
 
@@ -43,7 +44,6 @@ from .ring import Poly
 
 __all__ = [
     "NotContributor",
-    "Card",
     "CardArrangement",
     "enumerate_contributors",
     "contributor_count",
@@ -60,49 +60,10 @@ class NotContributor(Exception):
 
 
 @dataclass(frozen=True)
-class Card:
-    """One card: its letter kind, its level, and the line choice j (1-based,
-    from the bottom) for annihilation/intermediate cards."""
-
-    kind: OperatorLetter
-    level: int
-    choice: int | None = None
-
-    def __post_init__(self):
-        needs_choice = self.kind in (OperatorLetter.ANNIHILATION, OperatorLetter.NUMBER)
-        if needs_choice:
-            if self.choice is None or not (1 <= self.choice <= self.level):
-                raise ValueError(f"invalid line choice for {self.kind} at level {self.level}")
-        elif self.choice is not None:
-            raise ValueError(f"{self.kind} card takes no line choice")
-        if self.level < 0 or (needs_choice and self.level < 1):
-            raise ValueError("invalid card level")
-
-    @cached_property
-    def name(self) -> str:
-        if self.kind is OperatorLetter.CREATION:
-            return f"C{self.level}"
-        if self.kind is OperatorLetter.SCALAR:
-            return f"S{self.level}"
-        prefix = "A" if self.kind is OperatorLetter.ANNIHILATION else "I"
-        return f"{prefix}{self.level}_{self.choice}"
-
-    def weight(self, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
-        """The card weight as a monomial, in the rescaled basis of the operator."""
-        if self.kind is OperatorLetter.CREATION:
-            return Poly.from_terms([(1, {"lambda": 1})])
-        if self.kind is OperatorLetter.SCALAR:
-            exps = {"lambda": 1}
-            if gauge is ScalarGauge.T_POWER_N and self.level:
-                exps["t"] = self.level
-            return Poly.from_terms([(1, exps)])
-        return Poly.from_terms([(1, {"t": self.level - self.choice, "q": self.choice - 1})])
-
-
-@dataclass(frozen=True)
 class CardArrangement:
-    """One admissible card choice for a contributor, with its weight (the
-    product of its card weights) and the induced partition."""
+    """One admissible card choice for a contributor: its card names in
+    application order, its weight (the product of its card weights) and the
+    induced partition."""
 
     word: OperatorWord
     cards: tuple
@@ -153,15 +114,9 @@ def contributor_count(n: int) -> int:
     return sum(1 for _ in _contributor_letter_stream(n))
 
 
-@cache
-def _card(kind: OperatorLetter, level: int, choice: int | None = None) -> Card:
-    """The one validated :class:`Card` with these fields."""
-    return Card(kind, level, choice)
-
-
 def _expansion_states(word: OperatorWord, covered: bool = False) -> Iterator[tuple]:
-    """DFS over the line choices of a word: (cards, block_of_element, exps) per
-    arrangement, exps its weight's (lambda, q, t) exponents.
+    """DFS over the line choices of a word: (card names, block_of_element, exps)
+    per arrangement, exps its weight's (lambda, q, t) exponents.
 
     block_of_element[k] is the 0-based block id of element k+1.  lambda counts
     the blocks, q and t the crossings and nestings from annihilation and
@@ -181,14 +136,15 @@ def _expansion_states(word: OperatorWord, covered: bool = False) -> Iterator[tup
         pos, stack, next_block, cards, owner, q_exp, t_exp = todo.pop()
         # creation and singleton cards have no choice: lay them in place
         while pos < n and (letters[pos] is C or letters[pos] is S):
-            letter = letters[pos]
             level = len(stack)
-            cards += (_card(letter, level),)
             owner += (next_block,)
-            if letter is C:
+            if letters[pos] is C:
+                cards += (f"C{level}",)
                 stack = (next_block,) + stack
-            elif covered:
-                t_exp += level
+            else:
+                cards += (f"S{level}",)
+                if covered:
+                    t_exp += level
             next_block += 1
             pos += 1
         level = len(stack)
@@ -200,13 +156,14 @@ def _expansion_states(word: OperatorWord, covered: bool = False) -> Iterator[tup
         if not level:
             raise NotContributor(word.to_string())
         letter = letters[pos]
+        prefix = f"A{level}_" if letter is A else f"I{level}_"
         # choices are pushed from j = level down so that j = 1 is walked first
         for j in range(level, 0, -1):
             line = stack[j - 1]
             rest = stack[: j - 1] + stack[j:]
             if letter is not A:  # NUMBER -> intermediate card: line re-anchored at the bottom
                 rest = (line,) + rest
-            todo.append((pos + 1, rest, next_block, cards + (_card(letter, level, j),),
+            todo.append((pos + 1, rest, next_block, cards + (f"{prefix}{j}",),
                          owner + (line,), q_exp + j - 1, t_exp + level - j))
 
 
@@ -273,7 +230,7 @@ def arrangement_record(arr: CardArrangement) -> dict:
     """The JSON-line record used by the CLI dump (cards in application order)."""
     return {
         "word": arr.word.to_string(),
-        "cards": [c.name for c in arr.cards],
+        "cards": list(arr.cards),
         "weight": arr.weight.canonical_str(),
         "partition": arr.partition.blocks(),
     }

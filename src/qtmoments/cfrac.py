@@ -71,21 +71,14 @@ def cf_series(spec: ContinuedFractionSpec, order: int) -> list:
     return jfraction_series_from_arrays(list(spec.b), list(spec.lam), order)
 
 
-def _entry_str(value) -> str:
-    try:
-        return value.canonical_str()
-    except AttributeError:
-        return str(value)
-
-
 def render_cf(spec: ContinuedFractionSpec) -> str:
     """The truncated fraction as nested text, one level per line."""
     lines = ["1 /"]
     for h in range(spec.depth + 1):
         indent = "  " * (h + 1)
-        b_str = _entry_str(spec.b[h])
+        b_str = str(spec.b[h])
         if h < spec.depth:
-            lam_str = _entry_str(spec.lam[h])
+            lam_str = str(spec.lam[h])
             lines.append(f"{indent}(1 - ({b_str}) z - ({lam_str}) z^2 /")
         else:
             lines.append(f"{indent}(1 - ({b_str}) z" + ")" * (spec.depth + 1))

@@ -212,7 +212,7 @@ def _card_lines(words, covered: bool, json_out: bool):
                 monomial = dict(zip(("lambda", "q", "t"), exps))
                 weight = weights[exps] = Poly.from_terms([(1, monomial)]).canonical_str()
             blocks = SetPartition._trusted(len(owner), owner).blocks()
-            names = sep.join([c.name for c in cards])
+            names = sep.join(cards)
             if json_out:
                 yield (f'{{"cards": ["{names}"], "partition": {blocks}, "schema": "{SCHEMA}", '
                        f'"weight": "{weight}", "word": "{text}"}}\n')

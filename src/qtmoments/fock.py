@@ -539,6 +539,19 @@ def multimode_gram(
     return matrix
 
 
+def _eliminate_below(work: list, k: int) -> None:
+    """Clear column k below the nonzero pivot ``work[k][k]``; only the columns
+    where the pivot row is nonzero change."""
+    top = work[k]
+    pivot = top[k]
+    cols = [c for c in range(k + 1, len(work)) if top[c] != 0]
+    for row in work[k + 1:]:
+        if row[k] != 0:
+            factor = row[k] / pivot
+            for c in cols:
+                row[c] -= factor * top[c]
+
+
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant by fraction Gaussian elimination with row pivoting."""
     n = len(matrix)
@@ -552,17 +565,8 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
         if pivot_row != k:
             work[k], work[pivot_row] = work[pivot_row], work[k]
             det = -det
-        pivot = work[k][k]
-        det *= pivot
-        top = work[k]
-        # only the columns where the pivot row is nonzero change
-        cols = [c for c in range(k + 1, n) if top[c] != 0]
-        for r in range(k + 1, n):
-            row = work[r]
-            if row[k] != 0:
-                factor = row[k] / pivot
-                for c in cols:
-                    row[c] -= factor * top[c]
+        det *= work[k][k]
+        _eliminate_below(work, k)
     return det
 
 
@@ -586,14 +590,7 @@ def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list:
             return minors + [determinant([r[:s] for r in matrix[:s]]) for s in range(k + 1, n + 1)]
         det *= pivot
         minors.append(det)
-        pivot_row = work[k]
-        cols = [c for c in range(k + 1, n) if pivot_row[c] != 0]
-        for r in range(k + 1, n):
-            row = work[r]
-            if row[k] != 0:
-                factor = row[k] / pivot
-                for c in cols:
-                    row[c] -= factor * pivot_row[c]
+        _eliminate_below(work, k)
     return minors
 
 

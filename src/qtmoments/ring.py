@@ -39,6 +39,7 @@ objects; evaluation of a polynomial at rational points is exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -471,56 +472,31 @@ class Poly:
         (integer coefficients, ``*``-joined factors, ``^`` exponents),
         with arbitrary whitespace.
         """
-        stripped = text.strip()
-        if stripped == "0":
-            return cls.zero()
-        # split into signed terms at top level
-        terms: list[tuple[int, str]] = []
-        sign = 1
-        buf = []
-        i = 0
-        first = True
-        while i < len(stripped):
-            ch = stripped[i]
-            if ch in "+-" and (first or buf):
-                if first and not buf:
-                    sign = -1 if ch == "-" else 1
-                else:
-                    terms.append((sign, "".join(buf).strip()))
-                    buf = []
-                    sign = -1 if ch == "-" else 1
-                first = False
-                i += 1
-                continue
-            buf.append(ch)
-            first = False
-            i += 1
-        if buf:
-            terms.append((sign, "".join(buf).strip()))
-        if not terms:
+        # a factor is an integer, or a variable with an optional ^exponent
+        factor_re = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)(?:\s*\^\s*(\d+))?)\s*")
+        parts = re.split(r"([+-])", text)  # body, sign, body, sign, ...
+        if parts[0].strip():
+            parts.insert(0, "+")
+        else:
+            del parts[0]  # a leading sign, or no term at all
+        if not any(body.strip() for body in parts[1::2]):
             raise ValueError(f"no term in {text!r}")
         acc: list = []
-        for sgn, body in terms:
-            if not body:
+        for sign, body in zip(parts[::2], parts[1::2]):
+            if not body.strip():
                 raise ValueError(f"empty term in {text!r}")
-            coeff = sgn
-            exps: dict = {}
+            coeff, exps = (-1 if sign == "-" else 1), {}
             for factor in body.split("*"):
-                factor = factor.strip()
-                if not factor:
-                    raise ValueError(f"empty factor in {text!r}")
-                if factor.lstrip("-").isdigit():
-                    coeff *= int(factor)
-                    continue
-                if "^" in factor:
-                    name, _, e_str = factor.partition("^")
-                    name = name.strip()
-                    e = int(e_str)
-                else:
-                    name, e = factor, 1
-                if name not in _SHIFT:
+                match = factor_re.fullmatch(factor)
+                if match is None:
+                    raise ValueError(f"malformed factor {factor.strip()!r} in {text!r}")
+                digits, name, e = match.groups()
+                if digits:
+                    coeff *= int(digits)
+                elif name not in _SHIFT:
                     raise ValueError(f"unknown variable {name!r} in {text!r}")
-                exps[name] = exps.get(name, 0) + e
+                else:
+                    exps[name] = exps.get(name, 0) + int(e or 1)
             acc.append((coeff, exps))
         return cls.from_terms(acc)
 

@@ -5,23 +5,24 @@ test: schoolbook convolution for products, counting recurrences for Bell and
 Catalan numbers, explicit matrix powers for path-weighted moments, full-order
 series inversion for J-fractions, and exhaustive scans for small
 combinatorial counts, full products under the moment functional for
-orthogonality, block-by-block determinants for leading minors, the sum over
-all permutations for the deformed inner product, the recursive card
-walks with freshly validated cards, factor-by-factor text for canonical
-strings, and the four letters applied one by one for the Poisson step.  The
-weight census is the plain recursive walk that calls once per partition.
-Tests freeze values from these, never from the implementation being checked.
+orthogonality, block-by-block determinants for leading minors, cofactor
+expansion for determinants, the sum over all permutations for the deformed
+inner product, the recursive card walk and a per-name card weight table,
+factor-by-factor text for canonical strings, and the four letters applied
+one by one for the Poisson step.  The weight census is the plain recursive
+walk that calls once per partition.  Tests freeze values from these, never
+from the implementation being checked.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 
-from qtmoments.cards import Card
-from qtmoments.fock import FockVector, OperatorLetter, apply_letter, determinant
+from qtmoments.fock import FockVector, OperatorLetter, ScalarGauge, apply_letter, determinant
 from qtmoments.partitions import SetPartition
 from qtmoments.ring import VARIABLES, Poly, Q, T
 
@@ -205,6 +206,17 @@ def product_orthogonality_values(polys, moments) -> dict:
     return out
 
 
+def laplace_determinant(matrix, cols=None):
+    """det by cofactor expansion along the first row, recursively over the
+    rows below and the columns left (all of them at first)."""
+    cols = list(range(len(matrix))) if cols is None else cols
+    if not cols:
+        return Fraction(1)
+    row = matrix[len(matrix) - len(cols)]
+    return sum(((-1) ** i * row[c] * laplace_determinant(matrix, cols[:i] + cols[i + 1:])
+                for i, c in enumerate(cols) if row[c]), Fraction(0))
+
+
 def blockwise_leading_minors(matrix) -> list:
     """Leading principal minors, each k-by-k block eliminated on its own
     (row exchanges allowed) by :func:`qtmoments.fock.determinant`."""
@@ -369,10 +381,32 @@ def recursive_contributor_letters(n: int):
     yield from walk(0, 0, [])
 
 
+_CARD_NAME = re.compile(r"([CS])(\d+)|([AI])(\d+)_(\d+)")
+
+
+def card_weight(name: str, gauge=ScalarGauge.IDENTITY) -> Poly:
+    """The weight of one card, by its name, in the rescaled basis of the
+    operator: lambda for C_i, lambda (lambda t^i under T_POWER_N) for S_i, and
+    t^(i-j) q^(j-1) for A_i_j and I_i_j.  Raises ValueError on a malformed
+    name or a line choice j outside 1..i."""
+    match = _CARD_NAME.fullmatch(name)
+    if match is None:
+        raise ValueError(f"malformed card name {name!r}")
+    letter, level, _, choice_level, choice = match.groups()
+    if letter == "S" and gauge is ScalarGauge.T_POWER_N:
+        return Poly.from_terms([(1, {"lambda": 1, "t": int(level)})])
+    if letter:
+        return Poly.from_terms([(1, {"lambda": 1})])
+    i, j = int(choice_level), int(choice)
+    if not 1 <= j <= i:
+        raise ValueError(f"line choice {j} outside 1..{i} in {name!r}")
+    return Poly.from_terms([(1, {"t": i - j, "q": j - 1})])
+
+
 def recursive_expansion_states(word):
-    """(cards, block_of_element, q_exp, t_exp, singleton_levels) of every card
-    arrangement of a contributor, by a recursive DFS over the line choices
-    (j = 1 first) that validates a new :class:`Card` at every step."""
+    """(card names, block_of_element, q_exp, t_exp, singleton_levels) of every
+    card arrangement of a contributor, by a recursive DFS over the line
+    choices (j = 1 first), each name built from its letter, level and j."""
     letters = word.application_order()
     n = len(letters)
 
@@ -383,14 +417,14 @@ def recursive_expansion_states(word):
         letter = letters[pos]
         level = len(stack)
         if letter is OperatorLetter.CREATION:
-            cards.append(Card(letter, level))
+            cards.append(f"C{level}")
             owner.append(next_block)
             yield from walk(pos + 1, (next_block,) + stack, next_block + 1,
                             cards, owner, q_exp, t_exp, single_lv)
             cards.pop()
             owner.pop()
         elif letter is OperatorLetter.SCALAR:
-            cards.append(Card(letter, level))
+            cards.append(f"S{level}")
             owner.append(next_block)
             yield from walk(pos + 1, stack, next_block + 1,
                             cards, owner, q_exp, t_exp, single_lv + level)
@@ -398,7 +432,7 @@ def recursive_expansion_states(word):
             owner.pop()
         elif letter is OperatorLetter.ANNIHILATION:
             for j in range(1, level + 1):
-                cards.append(Card(letter, level, j))
+                cards.append(f"A{level}_{j}")
                 owner.append(stack[j - 1])
                 yield from walk(pos + 1, stack[: j - 1] + stack[j:], next_block,
                                 cards, owner, q_exp + j - 1, t_exp + level - j, single_lv)
@@ -406,7 +440,7 @@ def recursive_expansion_states(word):
                 owner.pop()
         else:  # NUMBER -> intermediate card: block re-anchored at the bottom
             for j in range(1, level + 1):
-                cards.append(Card(letter, level, j))
+                cards.append(f"I{level}_{j}")
                 owner.append(stack[j - 1])
                 moved = (stack[j - 1],) + stack[: j - 1] + stack[j:]
                 yield from walk(pos + 1, moved, next_block,

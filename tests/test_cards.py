@@ -1,6 +1,7 @@
 """Card arrangements: expansion, weights, induced partitions, bijection."""
 
 import itertools
+import re
 from functools import reduce
 from operator import mul
 
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import qtmoments.cards as cards
 from qtmoments.cards import (
-    Card,
     NotContributor,
     _contributor_letter_stream,
     arrangement_record,
@@ -35,6 +35,8 @@ from qtmoments.orthopoly import charlier_strict, charlier_t_gauge, moments_by_mo
 from qtmoments.ring import Poly
 
 from oracles import (
+    bell_numbers,
+    card_weight,
     catalan_numbers,
     partition_from_blocks,
     recursive_contributor_letters,
@@ -96,8 +98,7 @@ def test_expansion_matches_recursive_oracle():
                 arrs = expand_arrangements(word, gauge)
                 assert len(arrs) == len(states), word.to_string()
                 for arr, (cards, owner, q_exp, t_exp, single_lv) in zip(arrs, states):
-                    lam = sum(1 for c in cards
-                              if c.kind in (OperatorLetter.CREATION, OperatorLetter.SCALAR))
+                    lam = sum(1 for name in cards if name[0] in "CS")
                     t_total = t_exp + (single_lv if gauge is TPOWER else 0)
                     assert arr.word == word
                     assert arr.cards == cards
@@ -105,16 +106,6 @@ def test_expansion_matches_recursive_oracle():
                     assert arr.weight == Poly.from_terms(
                         [(1, {"lambda": lam, "q": q_exp, "t": t_total})]
                     ), word.to_string()
-
-
-def test_interned_cards_match_fresh_cards():
-    for n in range(1, 8):
-        for word in enumerate_contributors(n):
-            for arr in expand_arrangements(word, IDENTITY):
-                for card in arr.cards:
-                    fresh = Card(card.kind, card.level, card.choice)
-                    assert card == fresh
-                    assert card.name == fresh.name
 
 
 def test_empty_word_has_no_arrangements():
@@ -136,7 +127,7 @@ def test_worked_example_is_a_contributor():
 def test_worked_example_expansion():
     arrs = expand_arrangements(OperatorWord.from_string("AASNCC"), IDENTITY)
     got = {
-        (tuple(c.name for c in a.cards), a.weight.canonical_str(), str(a.partition))
+        (a.cards, a.weight.canonical_str(), str(a.partition))
         for a in arrs
     }
     assert got == {
@@ -219,7 +210,7 @@ def test_weight_equals_partition_statistics():
 
 
 def _card_product(arr, gauge) -> Poly:
-    return reduce(mul, (card.weight(gauge) for card in arr.cards), Poly.one())
+    return reduce(mul, (card_weight(name, gauge) for name in arr.cards), Poly.one())
 
 
 def test_arrangement_weights_sum_to_vacuum_expectation():
@@ -278,24 +269,47 @@ def test_intermediate_card_is_annihilation_then_creation():
 
 
 def test_card_validation():
-    with pytest.raises(ValueError):
-        Card(OperatorLetter.ANNIHILATION, 2, 3)  # choice beyond level
-    with pytest.raises(ValueError):
-        Card(OperatorLetter.CREATION, 1, 1)  # creation takes no choice
+    for name in ("A2_3", "I3_0"):  # line choice outside 1..i
+        with pytest.raises(ValueError, match="outside"):
+            card_weight(name)
+    for name in ("C1_1", "S", "N1_1"):  # a creation takes no line choice; no level; no such card
+        with pytest.raises(ValueError, match="malformed"):
+            card_weight(name)
+
+
+def test_card_names_follow_the_walk():
+    # each name is its letter and the level the word gives it, then 1 <= j <= i for A and I
+    pattern = re.compile(r"C\d+|S\d+|[AI]\d+_\d+")
+    card_letter = {OperatorLetter.CREATION: "C", OperatorLetter.ANNIHILATION: "A",
+                   OperatorLetter.NUMBER: "I", OperatorLetter.SCALAR: "S"}
+    checked = 0
+    for n in range(1, 9):
+        for word in enumerate_contributors(n):
+            levels = word.levels  # levels[k] is the level before the k-th applied letter
+            heads = [f"{card_letter[letter]}{level}"
+                     for letter, level in zip(word.application_order(), levels)]
+            for gauge in (IDENTITY, TPOWER):
+                for arr in expand_arrangements(word, gauge):
+                    assert len(arr.cards) == n
+                    for name, head, level in zip(arr.cards, heads, levels):
+                        assert type(name) is str and pattern.fullmatch(name), name
+                        head_got, _, j = name.partition("_")
+                        assert head_got == head, (word.to_string(), arr.cards)
+                        assert not j or 1 <= int(j) <= level, name
+                        checked += 1
+    assert checked == 2 * sum(n * bell for n, bell in enumerate(bell_numbers(8)))
 
 
 def test_card_weights():
     # the rescaled operator basis: a creation weighs lambda, an annihilation
     # only its crossing/nesting monomial
-    assert Card(OperatorLetter.CREATION, 0).weight() == Poly.parse("lambda")
-    assert Card(OperatorLetter.CREATION, 2).weight(TPOWER) == Poly.parse("lambda")
-    s2_tpow = Card(OperatorLetter.SCALAR, 2).weight(TPOWER)
-    assert s2_tpow == Poly.from_terms([(1, {"lambda": 1, "t": 2})])
-    a32 = Card(OperatorLetter.ANNIHILATION, 3, 2).weight()
-    assert a32 == Poly.from_terms([(1, {"t": 1, "q": 1})])
-    assert Card(OperatorLetter.ANNIHILATION, 1, 1).weight() == Poly.one()
-    i31 = Card(OperatorLetter.NUMBER, 3, 1).weight()
-    assert i31 == Poly.from_terms([(1, {"t": 2})])
+    assert card_weight("C0") == Poly.parse("lambda")
+    assert card_weight("C2", TPOWER) == Poly.parse("lambda")
+    assert card_weight("S2") == Poly.parse("lambda")
+    assert card_weight("S2", TPOWER) == Poly.from_terms([(1, {"lambda": 1, "t": 2})])
+    assert card_weight("A3_2") == Poly.from_terms([(1, {"t": 1, "q": 1})])
+    assert card_weight("A1_1") == Poly.one()
+    assert card_weight("I3_1") == Poly.from_terms([(1, {"t": 2})])
 
 
 def test_moment_by_cards_small():

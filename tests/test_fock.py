@@ -34,6 +34,7 @@ from qtmoments.ring import LAMBDA, Poly, Q, T
 from oracles import (
     blockwise_leading_minors,
     inversion_sum,
+    laplace_determinant,
     letterwise_poisson,
     permutation_inner_product,
 )
@@ -308,6 +309,8 @@ def _square(n: int):
 @example([[1, 2], [2, 4]])  # singular: last minor 0
 def test_one_pass_minors_match_blockwise_determinants(matrix):
     assert leading_principal_minors(matrix) == blockwise_leading_minors(matrix)
+    # the two share one elimination step, so check the full determinant apart
+    assert blockwise_leading_minors(matrix)[-1] == laplace_determinant(matrix)
 
 
 @pytest.mark.parametrize(

@@ -451,6 +451,16 @@ def test_parse_rejects_text_without_terms(text):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [("q +", "empty term"), ("q - ", "empty term"), ("++q", "empty term")]
+    + [(text, "malformed factor") for text in ("q*", "2**q", "q^", "q^-1", "q 2", "3q", "q^2^3")],
+)
+def test_parse_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError, match=message):
+        Poly.parse(text)
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda p: p.degree("y"),
