@@ -29,7 +29,6 @@ from .partitions import (
 from .fock import (
     CheckReport,
     FockVector,
-    OperatorLetter,
     OperatorWord,
     ScalarGauge,
     TruncationOverflow,

@@ -38,7 +38,7 @@ from functools import cache
 from itertools import product
 from typing import Iterator
 
-from .fock import OperatorLetter, OperatorWord, ScalarGauge
+from .fock import OperatorWord, ScalarGauge
 from .partitions import SetPartition, _histogram_moments
 from .ring import Poly
 
@@ -71,17 +71,11 @@ class CardArrangement:
     partition: SetPartition
 
 
-def _contributor_letter_stream(n: int) -> Iterator[tuple]:
-    """DFS over application-order letter tuples satisfying the level rules."""
-    C, A, N, S = (
-        OperatorLetter.CREATION,
-        OperatorLetter.ANNIHILATION,
-        OperatorLetter.NUMBER,
-        OperatorLetter.SCALAR,
-    )
+def _contributor_letter_stream(n: int) -> Iterator[str]:
+    """DFS over application-order letter strings satisfying the level rules."""
     # letters are pushed in reverse so they pop in the order C, A, N, S,
     # which fixes the deterministic enumeration order
-    todo = [((), 0)]
+    todo = [("", 0)]
     while todo:
         acc, level = todo.pop()
         remaining = n - len(acc)
@@ -90,13 +84,13 @@ def _contributor_letter_stream(n: int) -> Iterator[tuple]:
                 yield acc
             continue
         if level <= remaining - 1:
-            todo.append((acc + (S,), level))
+            todo.append((acc + "S", level))
             if level:
-                todo.append((acc + (N,), level))
+                todo.append((acc + "N", level))
         if level:
-            todo.append((acc + (A,), level - 1))
+            todo.append((acc + "A", level - 1))
         if level + 1 <= remaining - 1:  # else it cannot come back down to 0 in time
-            todo.append((acc + (C,), level + 1))
+            todo.append((acc + "C", level + 1))
 
 
 def enumerate_contributors(n: int) -> Iterator[OperatorWord]:
@@ -105,8 +99,8 @@ def enumerate_contributors(n: int) -> Iterator[OperatorWord]:
         raise ValueError("n must be positive")
     if n > SOFT_LIMIT:
         warnings.warn(f"enumerating contributors of length {n} (4^n search space)")
-    for app_letters in _contributor_letter_stream(n):
-        yield OperatorWord(tuple(reversed(app_letters)))
+    for letters in _contributor_letter_stream(n):
+        yield OperatorWord(letters[::-1])
 
 
 def contributor_count(n: int) -> int:
@@ -128,17 +122,16 @@ def _expansion_states(word: OperatorWord, covered: bool = False) -> Iterator[tup
     """
     if not word.letters:
         raise ValueError("the empty word has no card arrangements")
-    C, A, S = OperatorLetter.CREATION, OperatorLetter.ANNIHILATION, OperatorLetter.SCALAR
     letters = word.application_order()
     n = len(letters)
     todo = [(0, (), 0, (), (), 0, 0)]
     while todo:
         pos, stack, next_block, cards, owner, q_exp, t_exp = todo.pop()
         # creation and singleton cards have no choice: lay them in place
-        while pos < n and (letters[pos] is C or letters[pos] is S):
+        while pos < n and letters[pos] in "CS":
             level = len(stack)
             owner += (next_block,)
-            if letters[pos] is C:
+            if letters[pos] == "C":
                 cards += (f"C{level}",)
                 stack = (next_block,) + stack
             else:
@@ -156,12 +149,12 @@ def _expansion_states(word: OperatorWord, covered: bool = False) -> Iterator[tup
         if not level:
             raise NotContributor(word.to_string())
         letter = letters[pos]
-        prefix = f"A{level}_" if letter is A else f"I{level}_"
+        prefix = f"A{level}_" if letter == "A" else f"I{level}_"
         # choices are pushed from j = level down so that j = 1 is walked first
         for j in range(level, 0, -1):
             line = stack[j - 1]
             rest = stack[: j - 1] + stack[j:]
-            if letter is not A:  # NUMBER -> intermediate card: line re-anchored at the bottom
+            if letter == "N":  # intermediate card: line re-anchored at the bottom
                 rest = (line,) + rest
             todo.append((pos + 1, rest, next_block, cards + (f"{prefix}{j}",),
                          owner + (line,), q_exp + j - 1, t_exp + level - j))
@@ -192,19 +185,18 @@ def _card_moments(n: int) -> dict:
     line choices is one arrangement, and its q-exponent is counted.  Only the
     weight of each arrangement is kept, not its cards or partition.
     """
-    C, A, S = OperatorLetter.CREATION, OperatorLetter.ANNIHILATION, OperatorLetter.SCALAR
     histogram: dict = {}
     for app_letters in _contributor_letter_stream(n):
         levels = []  # the level of each annihilation/intermediate card
         level = t_shift = 0
         for letter in app_letters:
-            if letter is C:
+            if letter == "C":
                 level += 1
-            elif letter is S:
+            elif letter == "S":
                 t_shift += level
             else:
                 levels.append(level)
-                if letter is A:
+                if letter == "A":
                     level -= 1
         lam = n - len(levels)  # one block per creation or singleton card
         # choice j at level i adds j-1 to q and i-j to t, which sum to i-1

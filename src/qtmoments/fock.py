@@ -17,8 +17,9 @@ entry is a lambda-polynomial and no square roots ever materialize:
 The deformed Poisson operator is the sum of the four letters; its vacuum
 moments are the coefficient of f_0 after n applications.
 
-Words over the four letters are written with the leftmost character applied
-last (operator product order), e.g. "AASNCC" applies two creations first.
+Words are text over C, A, N, S (creation, annihilation, number, scalar),
+written with the leftmost character applied last (operator product order),
+e.g. "AASNCC" applies two creations first.
 
 Multi-mode layer
 ----------------
@@ -60,7 +61,7 @@ from .qtnum import qt_number
 from .ring import LAMBDA, Poly, Q, T
 
 __all__ = [
-    "OperatorLetter",
+    "LETTERS",
     "ScalarGauge",
     "OperatorWord",
     "FockVector",
@@ -82,22 +83,8 @@ __all__ = [
     "check_gram_positivity",
 ]
 
-
-class OperatorLetter(Enum):
-    """The four factors of the deformed Poisson operator."""
-
-    CREATION = "C"
-    ANNIHILATION = "A"
-    NUMBER = "N"
-    SCALAR = "S"
-
-    @property
-    def level_step(self) -> int:
-        if self is OperatorLetter.CREATION:
-            return 1
-        if self is OperatorLetter.ANNIHILATION:
-            return -1
-        return 0
+LETTERS = "CANS"  # creation, annihilation, number, scalar
+_STEP = {"C": 1, "A": -1}  # level change of a letter; N and S keep the level
 
 
 class ScalarGauge(Enum):
@@ -118,7 +105,8 @@ class TruncationOverflow(Exception):
 
 @dataclass(frozen=True)
 class OperatorWord:
-    """A product of operator letters; ``letters[0]`` is applied last.
+    """A product of operator letters, written as text over C, A, N, S;
+    ``letters[0]`` is applied last.
 
     The level sequence runs in application order: ``levels[0] = 0`` is the
     level before the first (rightmost) letter acts, ``levels[k]`` the level
@@ -127,33 +115,32 @@ class OperatorWord:
     acts at level >= 1.
     """
 
-    letters: tuple
+    letters: str
 
     def __post_init__(self):
-        for letter in self.letters:
-            if not isinstance(letter, OperatorLetter):
-                raise TypeError(f"not an OperatorLetter: {letter!r}")
+        if not isinstance(self.letters, str) or not set(self.letters).issubset(LETTERS):
+            raise ValueError(f"not a word over {LETTERS}: {self.letters!r}")
 
     @classmethod
     def from_string(cls, text: str) -> "OperatorWord":
-        return cls(tuple(OperatorLetter(ch) for ch in text.strip().upper()))
+        return cls(text.strip().upper())
 
     def to_string(self) -> str:
-        return "".join(letter.value for letter in self.letters)
+        return self.letters
 
     def __len__(self) -> int:
         return len(self.letters)
 
-    def application_order(self) -> tuple:
+    def application_order(self) -> str:
         """The letters in the order they act (rightmost first)."""
-        return tuple(reversed(self.letters))
+        return self.letters[::-1]
 
     @property
     def levels(self) -> tuple:
         level = 0
         out = [0]
         for letter in self.application_order():
-            level += letter.level_step
+            level += _STEP.get(letter, 0)
             out.append(level)
         return tuple(out)
 
@@ -161,9 +148,9 @@ class OperatorWord:
     def is_contributor(self) -> bool:
         level = 0
         for letter in self.application_order():
-            if letter is OperatorLetter.NUMBER and level < 1:
+            if letter == "N" and level < 1:
                 return False
-            level += letter.level_step
+            level += _STEP.get(letter, 0)
             if level < 0:
                 return False
         return level == 0
@@ -222,28 +209,30 @@ class FockVector:
 
 
 def apply_letter(
-    letter: OperatorLetter, v: FockVector, gauge: ScalarGauge = ScalarGauge.IDENTITY
+    letter: str, v: FockVector, gauge: ScalarGauge = ScalarGauge.IDENTITY
 ) -> FockVector:
-    """Apply one operator letter to a vector in the rescaled basis."""
+    """Apply one operator letter (one of C, A, N, S) to a vector in the rescaled basis."""
+    if letter not in ("C", "A", "N", "S"):  # not LETTERS: "" and "CA" are in "CANS"
+        raise ValueError(f"not an operator letter: {letter!r}")
     out = FockVector(v.dim)
-    if letter is OperatorLetter.CREATION:
+    if letter == "C":
         if not v.coeffs[v.dim].is_zero:
             raise TruncationOverflow(f"creation past level {v.dim}")
         for k in range(v.dim):
             c = v.coeffs[k]
             if not c.is_zero:
                 out.coeffs[k + 1] = c * LAMBDA
-    elif letter is OperatorLetter.ANNIHILATION:
+    elif letter == "A":
         for k in range(1, v.dim + 1):
             c = v.coeffs[k]
             if not c.is_zero:
                 out.coeffs[k - 1] = c * qt_number(k)
-    elif letter is OperatorLetter.NUMBER:
+    elif letter == "N":
         for k in range(1, v.dim + 1):
             c = v.coeffs[k]
             if not c.is_zero:
                 out.coeffs[k] = c * qt_number(k)
-    else:  # SCALAR
+    else:  # S
         for k in range(v.dim + 1):
             c = v.coeffs[k]
             if not c.is_zero:

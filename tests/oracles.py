@@ -22,7 +22,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 
-from qtmoments.fock import FockVector, OperatorLetter, ScalarGauge, apply_letter, determinant
+from qtmoments.fock import LETTERS, FockVector, ScalarGauge, apply_letter, determinant
 from qtmoments.partitions import SetPartition
 from qtmoments.ring import VARIABLES, Poly, Q, T
 
@@ -83,7 +83,7 @@ def factorwise_canonical_str(p: Poly) -> str:
 def letterwise_poisson(v: FockVector, gauge) -> FockVector:
     """The Poisson step as the sum of the four letters, each applied on its own."""
     out = FockVector(v.dim)
-    for letter in OperatorLetter:
+    for letter in LETTERS:
         out = out + apply_letter(letter, v, gauge)
     return out
 
@@ -341,36 +341,30 @@ def _follow_pairs(blocks: list) -> list:
 
 
 def recursive_contributor_letters(n: int):
-    """Application-order letter tuples of the length-n contributors, by a
+    """Application-order letter strings of the length-n contributors, by a
     recursive DFS trying the letters in the order C, A, N, S."""
-    order = (
-        OperatorLetter.CREATION,
-        OperatorLetter.ANNIHILATION,
-        OperatorLetter.NUMBER,
-        OperatorLetter.SCALAR,
-    )
 
     def walk(pos: int, level: int, acc: list):
         if pos == n:
             if level == 0:
-                yield tuple(acc)
+                yield "".join(acc)
             return
         remaining = n - pos
-        for letter in order:
-            if letter is OperatorLetter.CREATION:
+        for letter in LETTERS:
+            if letter == "C":
                 if level + 1 > remaining - 1:
                     continue  # cannot come back down to 0 in time
                 acc.append(letter)
                 yield from walk(pos + 1, level + 1, acc)
                 acc.pop()
-            elif letter is OperatorLetter.ANNIHILATION:
+            elif letter == "A":
                 if level < 1:
                     continue
                 acc.append(letter)
                 yield from walk(pos + 1, level - 1, acc)
                 acc.pop()
             else:
-                if letter is OperatorLetter.NUMBER and level < 1:
+                if letter == "N" and level < 1:
                     continue
                 if level > remaining - 1:
                     continue
@@ -416,21 +410,21 @@ def recursive_expansion_states(word):
             return
         letter = letters[pos]
         level = len(stack)
-        if letter is OperatorLetter.CREATION:
+        if letter == "C":
             cards.append(f"C{level}")
             owner.append(next_block)
             yield from walk(pos + 1, (next_block,) + stack, next_block + 1,
                             cards, owner, q_exp, t_exp, single_lv)
             cards.pop()
             owner.pop()
-        elif letter is OperatorLetter.SCALAR:
+        elif letter == "S":
             cards.append(f"S{level}")
             owner.append(next_block)
             yield from walk(pos + 1, stack, next_block + 1,
                             cards, owner, q_exp, t_exp, single_lv + level)
             cards.pop()
             owner.pop()
-        elif letter is OperatorLetter.ANNIHILATION:
+        elif letter == "A":
             for j in range(1, level + 1):
                 cards.append(f"A{level}_{j}")
                 owner.append(stack[j - 1])
@@ -438,7 +432,7 @@ def recursive_expansion_states(word):
                                 cards, owner, q_exp + j - 1, t_exp + level - j, single_lv)
                 cards.pop()
                 owner.pop()
-        else:  # NUMBER -> intermediate card: block re-anchored at the bottom
+        else:  # N -> intermediate card: block re-anchored at the bottom
             for j in range(1, level + 1):
                 cards.append(f"I{level}_{j}")
                 owner.append(stack[j - 1])

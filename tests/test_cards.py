@@ -19,7 +19,7 @@ from qtmoments.cards import (
     moment_by_cards,
 )
 from qtmoments.fock import (
-    OperatorLetter,
+    LETTERS,
     OperatorWord,
     ScalarGauge,
     vacuum_expectation_word,
@@ -50,7 +50,7 @@ TPOWER = ScalarGauge.T_POWER_N
 def _brute_force_contributors(n: int) -> list:
     """Independent route: a word contributes iff its vacuum expectation is nonzero."""
     out = []
-    for letters in itertools.product(OperatorLetter, repeat=n):
+    for letters in map("".join, itertools.product(LETTERS, repeat=n)):
         w = OperatorWord(letters)
         if not vacuum_expectation_word(w).is_zero:
             out.append(w.to_string())
@@ -110,7 +110,7 @@ def test_expansion_matches_recursive_oracle():
 
 def test_empty_word_has_no_arrangements():
     with pytest.raises(ValueError, match="empty word"):
-        expand_arrangements(OperatorWord(()), IDENTITY)
+        expand_arrangements(OperatorWord(""), IDENTITY)
 
 
 def test_enumeration_is_deterministic():
@@ -179,7 +179,7 @@ def test_expansion_count_is_product_of_levels():
     letters = word.application_order()
     expected = 1
     for k, letter in enumerate(letters):
-        if letter in (OperatorLetter.ANNIHILATION, OperatorLetter.NUMBER):
+        if letter in ("A", "N"):
             expected *= levels[k]
     assert len(expand_arrangements(word, IDENTITY)) == expected == 4
 
@@ -229,22 +229,22 @@ def contributor_words(draw, max_len: int = 10):
     """A random contributor, built letter by letter in application order: each
     letter keeps the level non-negative and able to return to 0 in time."""
     n = draw(st.integers(1, max_len))
-    letters, level = [], 0
+    letters, level = "", 0
     for pos in range(n):
         remaining = n - pos - 1  # letters still to come after this one
         allowed = []
         if level + 1 <= remaining:
-            allowed.append(OperatorLetter.CREATION)
+            allowed.append("C")
         if level >= 1:
-            allowed.append(OperatorLetter.ANNIHILATION)
+            allowed.append("A")
         if level <= remaining:
             if level >= 1:
-                allowed.append(OperatorLetter.NUMBER)
-            allowed.append(OperatorLetter.SCALAR)
+                allowed.append("N")
+            allowed.append("S")
         letter = draw(st.sampled_from(allowed))
-        letters.append(letter)
-        level += letter.level_step
-    return OperatorWord(tuple(reversed(letters)))
+        letters += letter
+        level += {"C": 1, "A": -1}.get(letter, 0)
+    return OperatorWord(letters[::-1])
 
 
 @given(contributor_words(), st.sampled_from([IDENTITY, TPOWER]))
@@ -280,8 +280,7 @@ def test_card_validation():
 def test_card_names_follow_the_walk():
     # each name is its letter and the level the word gives it, then 1 <= j <= i for A and I
     pattern = re.compile(r"C\d+|S\d+|[AI]\d+_\d+")
-    card_letter = {OperatorLetter.CREATION: "C", OperatorLetter.ANNIHILATION: "A",
-                   OperatorLetter.NUMBER: "I", OperatorLetter.SCALAR: "S"}
+    card_letter = {"C": "C", "A": "A", "N": "I", "S": "S"}
     checked = 0
     for n in range(1, 9):
         for word in enumerate_contributors(n):
@@ -340,8 +339,8 @@ def test_moment_by_cards_matches_expanded_weights():
 def _recursive_card_moment(n: int, gauge) -> Poly:
     terms = []
     for letters in recursive_contributor_letters(n):
-        word = OperatorWord(tuple(reversed(letters)))
-        lam = sum(1 for c in letters if c in (OperatorLetter.CREATION, OperatorLetter.SCALAR))
+        word = OperatorWord(letters[::-1])
+        lam = sum(1 for c in letters if c in "CS")
         for _, _, q_exp, t_exp, single_lv in recursive_expansion_states(word):
             t_total = t_exp + (single_lv if gauge is TPOWER else 0)
             terms.append((1, {"lambda": lam, "q": q_exp, "t": t_total}))

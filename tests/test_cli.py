@@ -419,6 +419,8 @@ def test_one_parser_serves_requests_in_any_order(capsys):
         ["moments", "--n", "3", "--gauge", "tpowern"],
         ["cards", "--word", "CA", "--output", "csv"],
         ["word", "--word", "AC", "--output", "csv"],
+        ["word", "--word", "CX"],
+        ["word", "--word", "A C"],
     ],
     ids=" ".join,
 )
@@ -433,3 +435,9 @@ def test_invalid_input_is_a_usage_error(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("error:") == 1
     assert proc.stdout == ""
+
+
+def test_invalid_letter_error_names_the_word(capsys):
+    code, out, err = run(capsys, "cards", "--word", "XYZ")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ValueError: ") and "'XYZ'" in err

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qtmoments.fock import (
     FockVector,
-    OperatorLetter,
+    LETTERS,
     OperatorWord,
     ScalarGauge,
     TruncationOverflow,
@@ -45,29 +45,55 @@ TPOWER = ScalarGauge.T_POWER_N
 
 def test_letter_actions():
     v = FockVector.basis(4, 2)
-    assert apply_letter(OperatorLetter.NUMBER, v).coeffs[2] == T + Q
-    assert apply_letter(OperatorLetter.CREATION, v).coeffs[3] == LAMBDA
-    assert apply_letter(OperatorLetter.ANNIHILATION, v).coeffs[1] == T + Q
-    assert apply_letter(OperatorLetter.SCALAR, v).coeffs[2] == LAMBDA
-    assert apply_letter(OperatorLetter.SCALAR, v, TPOWER).coeffs[2] == LAMBDA * T**2
+    assert apply_letter("N", v).coeffs[2] == T + Q
+    assert apply_letter("C", v).coeffs[3] == LAMBDA
+    assert apply_letter("A", v).coeffs[1] == T + Q
+    assert apply_letter("S", v).coeffs[2] == LAMBDA
+    assert apply_letter("S", v, TPOWER).coeffs[2] == LAMBDA * T**2
+
+
+@pytest.mark.parametrize(
+    "letter, gauge, expected",
+    [
+        ("C", IDENTITY, "f3: lambda"),
+        ("A", IDENTITY, "f1: t + q"),
+        ("N", IDENTITY, "f2: t + q"),
+        ("S", IDENTITY, "f2: lambda"),
+        ("S", TPOWER, "f2: lambda*t^2"),
+    ],
+)
+def test_apply_letter_acts_by_its_character(letter, gauge, expected):
+    assert repr(apply_letter(letter, FockVector.basis(4, 2), gauge)) == f"FockVector({expected})"
+
+
+@pytest.mark.parametrize("bad", ["X", "", "CA", "c", None], ids=repr)
+def test_apply_letter_rejects_anything_but_one_letter(bad):
+    with pytest.raises(ValueError, match="not an operator letter"):
+        apply_letter(bad, FockVector.basis(4, 2))
+
+
+@pytest.mark.parametrize("bad", ["CX", "A C", ("C", "A"), None], ids=repr)
+def test_word_rejects_text_outside_the_alphabet(bad):
+    with pytest.raises(ValueError, match="not a word over CANS"):
+        OperatorWord(bad)
 
 
 def test_annihilation_kills_vacuum():
     v = FockVector.vacuum(3)
-    assert apply_letter(OperatorLetter.ANNIHILATION, v).is_zero()
+    assert apply_letter("A", v).is_zero()
 
 
 def test_creation_then_annihilation_gives_lambda():
     v = FockVector.vacuum(2)
-    v = apply_letter(OperatorLetter.CREATION, v)
-    v = apply_letter(OperatorLetter.ANNIHILATION, v)
+    v = apply_letter("C", v)
+    v = apply_letter("A", v)
     assert v.coeffs[0] == LAMBDA
 
 
 def test_truncation_overflow():
     v = FockVector.basis(2, 2)
     with pytest.raises(TruncationOverflow):
-        apply_letter(OperatorLetter.CREATION, v)
+        apply_letter("C", v)
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5], ids=repr)
@@ -93,7 +119,7 @@ def test_single_creation_is_not_a_contributor():
 
 
 def test_empty_word_is_identity():
-    w = OperatorWord(())
+    w = OperatorWord("")
     assert vacuum_expectation_word(w) == Poly.one()
 
 
@@ -127,7 +153,7 @@ def test_moment_equals_sum_over_all_words():
     for gauge in (IDENTITY, TPOWER):
         for n in range(7):
             total = Poly.zero()
-            for letters in itertools.product(OperatorLetter, repeat=n):
+            for letters in map("".join, itertools.product(LETTERS, repeat=n)):
                 total = total + vacuum_expectation_word(OperatorWord(letters), gauge)
             assert total == moment_by_operator(n, gauge)
 
@@ -145,7 +171,7 @@ def test_number_letter_expands_to_creation_annihilation():
 
     for n in range(1, 7):
         for w in enumerate_contributors(n):
-            if OperatorLetter.NUMBER not in w.letters:
+            if "N" not in w.letters:
                 continue
             expanded = OperatorWord.from_string(
                 w.to_string().replace("N", "CA")
@@ -435,7 +461,7 @@ def test_poisson_step_matches_letterwise_sum(v, gauge):
 def test_apply_word_matches_letterwise():
     w = OperatorWord.from_string("ANC")
     v = FockVector.vacuum(4)
-    step = apply_letter(OperatorLetter.CREATION, v)
-    step = apply_letter(OperatorLetter.NUMBER, step)
-    step = apply_letter(OperatorLetter.ANNIHILATION, step)
+    step = apply_letter("C", v)
+    step = apply_letter("N", step)
+    step = apply_letter("A", step)
     assert apply_word(w, v) == step
