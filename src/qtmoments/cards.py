@@ -38,7 +38,7 @@ from functools import cache
 from itertools import product
 from typing import Iterator
 
-from .fock import OperatorWord, ScalarGauge
+from .fock import OperatorWord, ScalarGauge, _covered
 from .partitions import SetPartition, _histogram_moments
 from .ring import Poly
 
@@ -168,7 +168,7 @@ def expand_arrangements(
     n = len(word)
     trusted = SetPartition._trusted
     out = []
-    for cards, owner, (lam, q, t) in _expansion_states(word, gauge is ScalarGauge.T_POWER_N):
+    for cards, owner, (lam, q, t) in _expansion_states(word, _covered(gauge)):
         weight = Poly.from_terms([(1, {"lambda": lam, "q": q, "t": t})])
         # block ids are created in order of first appearance, which is
         # exactly the restricted-growth normalization
@@ -177,9 +177,9 @@ def expand_arrangements(
 
 
 @cache
-def _card_moments(n: int) -> dict:
-    """{gauge: moment} for both conventions from one walk over the line
-    choices of every contributor of length n.
+def _card_moments(n: int) -> tuple:
+    """(strict, covered) moments from one walk over the line choices of every
+    contributor of length n.
 
     Every arrangement of every contributor is still enumerated: each tuple of
     line choices is one arrangement, and its q-exponent is counted.  Only the
@@ -211,11 +211,12 @@ def moment_by_cards(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
     """The n-th moment as the sum of arrangement weights over all contributors;
     singleton cards add their levels to t only under T_POWER_N, so one walk
     per n serves both conventions."""
+    covered = _covered(gauge)
     if n < 1:
         raise ValueError("n must be positive")
     if n > 10:
         warnings.warn(f"card expansion at n={n} touches every partition of {n} elements")
-    return _card_moments(n)[gauge]
+    return _card_moments(n)[covered]
 
 
 def arrangement_record(arr: CardArrangement) -> dict:

@@ -7,9 +7,10 @@ A finite-depth J-fraction
 with b_n and lam_n taken from Jacobi data reproduces the moment generating
 series: the coefficient of z^n is the n-th moment.  A path that reaches depth h
 and comes back spends at least 2h powers of z, so depth order // 2 already
-pins every coefficient up to z^order; the default adds one spare level.  The
-expansion (orthopoly.jfraction_series_from_arrays) keeps only the
-coefficients of each level that can still reach z^order.
+pins every coefficient up to z^order; the default depth (order + 1) // 2 + 1
+adds one spare level at even orders and two at odd ones.  The expansion
+(orthopoly.jfraction_series_from_arrays) keeps only the coefficients of each
+level that can still reach z^order.
 """
 
 from __future__ import annotations

@@ -24,15 +24,20 @@ e.g. "AASNCC" applies two creations first.
 Multi-mode layer
 ----------------
 For alphabet size d and level cap n, basis vectors are words over {0..d-1} of
-length <= n, and all arithmetic is over exact rationals: the deformed inner
-product of two equal-length words u, v with one-particle Gram g is
+length <= n, and all arithmetic is over exact rationals.  The deformed inner
+product of two equal-length words u, v with one-particle Gram g is defined as
 
     sum over permutations sigma of  q^inv(sigma) t^(M - inv(sigma))
         * prod_k g[u_k][v_sigma(k)],      M = m(m-1)/2.
 
+One loop, ``_permutation_sum``, computes that definition: with symbolic q and t
+for :func:`qt_inner_product`, and with rationals for the words
+(:meth:`_WordForm.words`, :func:`word_inner_product`).
+
 Creation prepends a letter; annihilation of letter i removes slot k
 (0-based) of a length-m word v with weight q^k t^(m-1-k) g[i][v_k].  That one
-rule is :meth:`_WordForm.lower`.
+rule is :meth:`_WordForm.lower`, and it is the only recursion: expanding the
+definition by the first letter of u gives the same weights.
 
 Words of different lengths are orthogonal, so the Gram matrix is
 block-diagonal by length.  :func:`multimode_gram` builds the length-m block
@@ -42,10 +47,11 @@ leading minors then come from one elimination that skips zero entries, so the
 positivity check reaches d = 2, n = 6 (127 words) and d = 3, n = 4 (121 words).
 
 That recursion is the statement that annihilation is the adjoint of creation.
-:func:`check_adjointness` tests it on basis words: the permutation sum of
-(i, u) against v must equal the sum over ``lower(i, v)`` of weight times the
-permutation sum of u against the shortened word.  So a wrong weight in
-``lower`` breaks both the Gram recursion and this check.
+:func:`check_adjointness` tests it on basis words against the definition: the
+permutation sum of (i, u) against v must equal the sum over ``lower(i, v)`` of
+weight times the permutation sum of u against the shortened word.  So a wrong
+weight in ``lower`` breaks both the Gram recursion and this check, and a wrong
+permutation weight breaks this check and the symbolic inner product alike.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from operator import getitem
 from typing import Sequence
 
 from .qtnum import qt_number
@@ -97,6 +104,14 @@ class ScalarGauge(Enum):
 
     IDENTITY = "identity"
     T_POWER_N = "tpowern"
+
+
+def _covered(gauge: ScalarGauge) -> bool:
+    """Whether ``gauge`` is T_POWER_N; a value that is not a ScalarGauge member
+    is rejected, so no route reads a wrong value as either convention."""
+    if not isinstance(gauge, ScalarGauge):
+        raise ValueError(f"not a ScalarGauge member: {gauge!r}")
+    return gauge is ScalarGauge.T_POWER_N
 
 
 class TruncationOverflow(Exception):
@@ -212,6 +227,7 @@ def apply_letter(
     letter: str, v: FockVector, gauge: ScalarGauge = ScalarGauge.IDENTITY
 ) -> FockVector:
     """Apply one operator letter (one of C, A, N, S) to a vector in the rescaled basis."""
+    covered = _covered(gauge)
     if letter not in ("C", "A", "N", "S"):  # not LETTERS: "" and "CA" are in "CANS"
         raise ValueError(f"not an operator letter: {letter!r}")
     out = FockVector(v.dim)
@@ -236,8 +252,7 @@ def apply_letter(
         for k in range(v.dim + 1):
             c = v.coeffs[k]
             if not c.is_zero:
-                factor = LAMBDA if gauge is ScalarGauge.IDENTITY else LAMBDA * T**k
-                out.coeffs[k] = c * factor
+                out.coeffs[k] = c * (LAMBDA * T**k if covered else LAMBDA)
     return out
 
 
@@ -245,6 +260,7 @@ def apply_word(
     w: OperatorWord, v: FockVector, gauge: ScalarGauge = ScalarGauge.IDENTITY
 ) -> FockVector:
     """Apply a word, rightmost letter first."""
+    _covered(gauge)  # the empty word applies no letter that would check it
     for letter in w.application_order():
         v = apply_letter(letter, v, gauge)
     return v
@@ -257,6 +273,7 @@ def apply_poisson(v: FockVector, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> F
     product c_k [k] lands on f_k and on f_(k-1); c_k lambda likewise serves
     the creation letter and, in the IDENTITY gauge, the scalar one.
     """
+    covered = _covered(gauge)
     dim, coeffs = v.dim, v.coeffs
     if not coeffs[dim].is_zero:
         raise TruncationOverflow(f"creation past level {dim}")
@@ -265,7 +282,7 @@ def apply_poisson(v: FockVector, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> F
         if c.is_zero:
             continue
         lam_c = c * LAMBDA
-        own = lam_c if gauge is ScalarGauge.IDENTITY else lam_c * T**k
+        own = lam_c * T**k if covered else lam_c
         if k:
             shared = c * qt_number(k)
             out[k - 1] += shared
@@ -286,6 +303,7 @@ def vacuum_expectation_word(
 
 def moment_by_operator(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
     """The n-th vacuum moment of the deformed Poisson operator."""
+    _covered(gauge)  # n = 0 applies no step that would check it
     if n < 0:
         raise ValueError("n must be non-negative")
     v = FockVector.vacuum(n + 1)
@@ -297,7 +315,7 @@ def moment_by_operator(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Pol
     return v.coeffs[0]
 
 
-# -- deformed inner product (symbolic) -----------------------------------------
+# -- deformed inner product ----------------------------------------------------
 
 
 @cache
@@ -309,6 +327,30 @@ def _inversion_counts(n: int) -> bytes:
     )
 
 
+def _inversion_weights(n: int, q, t) -> list:
+    """q^i t^(M-i) for i = 0..M, M = n(n-1)/2: the weight of i inversions."""
+    top = n * (n - 1) // 2
+    return [q**i * t ** (top - i) for i in range(top + 1)]
+
+
+def _permutation_sum(rows: Sequence[Sequence], weights: list):
+    """sum over sigma of weights[inv(sigma)] * prod_k rows[k][sigma(k)], adding the
+    products per inversion count and stopping each at its first zero factor."""
+    n = len(rows)
+    sums = [0] * len(weights)
+    for sigma, inv in zip(itertools.permutations(range(n)), _inversion_counts(n)):
+        factors = map(getitem, rows, sigma)
+        prod = next(factors, 1)  # 1: the empty product, for n = 0
+        for x in factors:
+            if not prod:
+                break
+            prod *= x
+        if prod:
+            # prod on the left: int + Fraction takes Fraction's slow reflected add
+            sums[inv] = prod + sums[inv]
+    return sum((w * s for w, s in zip(weights, sums) if s), weights[0] * 0)
+
+
 def qt_inner_product(gram: Sequence[Sequence]) -> Poly:
     """The deformed inner product, symbolically in q and t.
 
@@ -317,35 +359,12 @@ def qt_inner_product(gram: Sequence[Sequence]) -> Poly:
 
         sum over sigma of q^inv(sigma) t^(M-inv(sigma)) prod_k gram[k][sigma(k)]
 
-    with M = n(n-1)/2, so t-exponents are never negative.  It is computed one
-    row at a time over the set S of columns still free: row r = n - |S| takes
-    column c in S, and c makes an inversion with each of the rank(c) members
-    of S below it, so
-
-        f(S) = sum_{c in S} q^rank(c) t^(|S|-1-rank(c)) gram[r][c] f(S - {c}),
-
-    f of the empty set is 1 and the result is f({0..n-1}): n 2^n products in
-    place of n! n.
+    with M = n(n-1)/2, so t-exponents are never negative.
     """
     n = len(gram)
     if any(len(row) != n for row in gram):
         raise ValueError("gram must be square")
-    weights = [[Q**rank * T ** (size - 1 - rank) for rank in range(size)] for size in range(n + 1)]
-    f = [Poly.one()] + [Poly.zero()] * ((1 << n) - 1)
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        row, w = gram[n - size], weights[size]
-        total = Poly.zero()
-        rank = 0
-        for c in range(n):
-            bit = 1 << c
-            if mask & bit:
-                rest = f[mask ^ bit]
-                if rest and row[c] != 0:
-                    total = total + w[rank] * row[c] * rest
-                rank += 1
-        f[mask] = total
-    return f[-1]
+    return _permutation_sum(gram, _inversion_weights(n, Q, T))
 
 
 # -- check reports --------------------------------------------------------------
@@ -425,20 +444,8 @@ class _WordForm:
             return Fraction(0)
         m = len(u)
         if m not in self.weights:
-            top = m * (m - 1) // 2
-            self.weights[m] = [self.q**i * self.t ** (top - i) for i in range(top + 1)]
-        weights = self.weights[m]
-        rows = [self.g[a] for a in u]
-        total = Fraction(0)
-        for sigma, inv in zip(itertools.permutations(range(m)), _inversion_counts(m)):
-            prod = Fraction(1)
-            for k in range(m):
-                prod *= rows[k][v[sigma[k]]]
-                if prod == 0:
-                    break
-            if prod:
-                total += weights[inv] * prod
-        return total
+            self.weights[m] = _inversion_weights(m, self.q, self.t)
+        return _permutation_sum([[self.g[a][b] for b in v] for a in u], self.weights[m])
 
     def lower(self, i: int, v: tuple) -> list:
         """Annihilation of letter i on the basis word v: ``(weight, v without
@@ -458,6 +465,10 @@ def word_inner_product(
     u: Sequence[int], v: Sequence[int], gram: Sequence[Sequence], q: Fraction, t: Fraction
 ) -> Fraction:
     """Deformed inner product of two basis words (0 when lengths differ)."""
+    d = len(gram)
+    _check_gram_shape(d, gram)
+    if not all(a in range(d) for a in (*u, *v)):
+        raise ValueError(f"words {tuple(u)}, {tuple(v)} have a letter outside range({d})")
     return _WordForm(gram, q, t).words(u, v)
 
 

@@ -386,7 +386,8 @@ def poisson_limit_check(
 
 
 def default_jfraction_depth(order: int) -> int:
-    """Truncation depth used when none is given: one spare level past order // 2."""
+    """Truncation depth used when none is given: (order + 1) // 2 + 1, one
+    level past order // 2 at even orders and two at odd ones (4 at order 5)."""
     return (order + 1) // 2 + 1
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterator, Sequence
 
-from .fock import ScalarGauge
+from .fock import ScalarGauge, _covered
 from .ring import Poly
 
 __all__ = [
@@ -180,7 +180,7 @@ def restricted_crossings(p: SetPartition) -> int:
 def restricted_nestings(p: SetPartition, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> int:
     """Number of nesting arc pairs; under T_POWER_N also the covered singletons."""
     _, _, rn, cov = p.statistics
-    return rn + cov if gauge is ScalarGauge.T_POWER_N else rn
+    return rn + cov if _covered(gauge) else rn
 
 
 def _weight_census(n: int) -> dict:
@@ -229,29 +229,30 @@ def _weight_census(n: int) -> dict:
     return census
 
 
-def _histogram_moments(histogram: dict) -> dict:
-    """{gauge: moment} from {(blocks, q-exponent, strict t-exponent,
-    covered-singleton t-exponent): count}; only T_POWER_N adds the last."""
+def _histogram_moments(histogram: dict) -> tuple:
+    """(strict, covered) moments from {(blocks, q-exponent, strict t-exponent,
+    covered-singleton t-exponent): count}; only the covered one adds the last."""
     items = histogram.items()
-    return {
-        ScalarGauge.IDENTITY: Poly.from_terms(
+    return (
+        Poly.from_terms(
             (count, {"lambda": b, "q": qe, "t": te}) for (b, qe, te, _), count in items),
-        ScalarGauge.T_POWER_N: Poly.from_terms(
+        Poly.from_terms(
             (count, {"lambda": b, "q": qe, "t": te + cov}) for (b, qe, te, cov), count in items),
-    }
+    )
 
 
 @cache
-def _partition_moments(n: int) -> dict:
+def _partition_moments(n: int) -> tuple:
     return _histogram_moments(_weight_census(n))
 
 
 def moment_by_partitions(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
     """The n-th moment as the partition sum of lambda^blocks q^rc t^rn; the
     census of each n is taken once and serves both conventions."""
+    covered = _covered(gauge)
     if n < 1:
         raise ValueError("n must be positive")
-    return _partition_moments(n)[gauge]
+    return _partition_moments(n)[covered]
 
 
 def partition_record(p: SetPartition) -> dict:

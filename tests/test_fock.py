@@ -27,7 +27,8 @@ from qtmoments.fock import (
     word_inner_product,
     _WordForm,
 )
-from qtmoments.partitions import moment_by_partitions
+from qtmoments.cards import expand_arrangements, moment_by_cards
+from qtmoments.partitions import SetPartition, moment_by_partitions, restricted_nestings
 from qtmoments.qtnum import qt_factorial, qt_number
 from qtmoments.ring import LAMBDA, Poly, Q, T
 
@@ -70,6 +71,30 @@ def test_apply_letter_acts_by_its_character(letter, gauge, expected):
 def test_apply_letter_rejects_anything_but_one_letter(bad):
     with pytest.raises(ValueError, match="not an operator letter"):
         apply_letter(bad, FockVector.basis(4, 2))
+
+
+_CONVENTION_TAKERS = {
+    "apply_letter": lambda g: apply_letter("S", FockVector.basis(2, 1), g),
+    "apply_poisson": lambda g: apply_poisson(FockVector.vacuum(2), g),
+    "apply_word-empty": lambda g: apply_word(OperatorWord(""), FockVector.vacuum(1), g),
+    "vacuum_expectation_word": lambda g: vacuum_expectation_word(OperatorWord("ASC"), g),
+    "vacuum_expectation_word-empty": lambda g: vacuum_expectation_word(OperatorWord(""), g),
+    "moment_by_operator": lambda g: moment_by_operator(3, g),
+    "moment_by_operator-n0": lambda g: moment_by_operator(0, g),
+    "restricted_nestings": lambda g: restricted_nestings(SetPartition(3, (0, 1, 0)), g),
+    "moment_by_partitions": lambda g: moment_by_partitions(3, g),
+    "expand_arrangements": lambda g: expand_arrangements(OperatorWord("ASC"), g),
+    "moment_by_cards": lambda g: moment_by_cards(3, g),
+}
+
+
+@pytest.mark.parametrize("bad", [None, "tpowern", True], ids=repr)
+@pytest.mark.parametrize("route", _CONVENTION_TAKERS)
+def test_every_route_rejects_a_convention_that_is_not_a_gauge(route, bad):
+    # a wrong value must not be read as either convention, and a member's own
+    # value ("tpowern") is no second spelling of it
+    with pytest.raises(ValueError, match=f"not a ScalarGauge member: {bad!r}"):
+        _CONVENTION_TAKERS[route](bad)
 
 
 @pytest.mark.parametrize("bad", ["CX", "A C", ("C", "A"), None], ids=repr)
@@ -195,7 +220,7 @@ def test_inner_product_all_ones_matches_factorial():
         assert qt_inner_product(gram) == qt_factorial(n) == inversion_sum(n)
 
 
-# zeros twice as likely, so that the recursion meets zero entries and zero subsets
+# zeros twice as likely, so that products often stop at a zero factor
 _ring_entries = st.sampled_from([0, 0, 1, -1, 2, Q, T - 1, 2 * Q * T + LAMBDA])
 
 
@@ -205,7 +230,7 @@ _ring_entries = st.sampled_from([0, 0, 1, -1, 2, Q, T - 1, 2 * Q * T + LAMBDA])
         lambda n: st.lists(st.lists(_ring_entries, min_size=n, max_size=n), min_size=n, max_size=n)
     )
 )
-def test_subset_recursion_matches_permutation_sum(gram):
+def test_symbolic_inner_product_matches_permutation_sum(gram):
     assert qt_inner_product(gram) == permutation_inner_product(gram)
 
 
@@ -384,6 +409,25 @@ def test_block_recursion_matches_permutation_sum(case):
             assert entry == expected, (u, v)
 
 
+@st.composite
+def _word_pair(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 5))
+    word = st.lists(st.integers(0, d - 1), min_size=m, max_size=m).map(tuple)
+    return draw(word), draw(word), draw(_square(d)), draw(_qt_values), draw(_qt_values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_word_pair())
+@example(((0, 1, 1), (1, 1, 0), [[2, 1], [0, 3]], Fraction(1, 3), Fraction(1, 2)))
+def test_word_inner_product_matches_permutation_sum(case):
+    # a non-symmetric rational Gram with zeros and negative entries, at points
+    # with q or t zero or negative, against the oracle's n! sum
+    u, v, gram, q, t = case
+    expected = permutation_inner_product([[gram[a][b] for b in v] for a in u], q, t)
+    assert word_inner_product(u, v, gram, q, t) == expected
+
+
 @pytest.mark.parametrize(
     "d, gram",
     [
@@ -391,13 +435,29 @@ def test_block_recursion_matches_permutation_sum(case):
         (2, [[1, 0], [0]]),
         (2, [[1]]),
         (1, [[1, 5], [5, 1]]),
+        (1, [[1, 0]]),
     ],
-    ids=["too-small", "ragged", "one-by-one", "too-large"],
+    ids=["too-small", "ragged", "one-by-one", "too-large", "one-by-two"],
 )
 def test_gram_of_wrong_size_is_rejected(d, gram):
     for check in (check_gram_positivity, check_adjointness, multimode_gram):
         with pytest.raises(ValueError, match="gram must be a d x d matrix"):
             check(d, 2, gram, Fraction(1, 3), Fraction(1, 2))
+    # two words carry no d: their Gram is wrong only when it is not square
+    if any(len(row) != len(gram) for row in gram):
+        with pytest.raises(ValueError, match="gram must be a d x d matrix"):
+            word_inner_product((0,), (0,), gram, Fraction(1, 3), Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [((-1,), (1,)), ((2,), (1,)), ((0,), (2,)), ((0, 1), (1, -2))],
+    ids=["negative-left", "too-large-left", "too-large-right", "negative-in-second-slot"],
+)
+def test_word_letter_outside_the_gram_is_rejected(u, v):
+    # a negative letter must not index the Gram from its end
+    with pytest.raises(ValueError, match=r"letter outside range\(2\)"):
+        word_inner_product(u, v, [[1, 0], [0, 1]], Fraction(1, 3), Fraction(1, 2))
 
 
 @pytest.mark.parametrize(
