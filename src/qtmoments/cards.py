@@ -124,6 +124,10 @@ def _expansion_states(word: OperatorWord, covered: bool = False) -> Iterator[tup
         raise ValueError("the empty word has no card arrangements")
     letters = word.application_order()
     n = len(letters)
+    # Each position's card names, once per word: one for C and S, [j] for A and N (I cards).
+    names = [f"{letter}{level}" if letter in "CS"
+             else [None] + [f"{letter.replace('N', 'I')}{level}_{j}" for j in range(1, level + 1)]
+             for letter, level in zip(letters, word.levels)]
     todo = [(0, (), 0, (), (), 0, 0)]
     while todo:
         pos, stack, next_block, cards, owner, q_exp, t_exp = todo.pop()
@@ -131,13 +135,11 @@ def _expansion_states(word: OperatorWord, covered: bool = False) -> Iterator[tup
         while pos < n and letters[pos] in "CS":
             level = len(stack)
             owner += (next_block,)
+            cards += (names[pos],)
             if letters[pos] == "C":
-                cards += (f"C{level}",)
                 stack = (next_block,) + stack
-            else:
-                cards += (f"S{level}",)
-                if covered:
-                    t_exp += level
+            elif covered:
+                t_exp += level
             next_block += 1
             pos += 1
         level = len(stack)
@@ -148,15 +150,14 @@ def _expansion_states(word: OperatorWord, covered: bool = False) -> Iterator[tup
             continue
         if not level:
             raise NotContributor(word.to_string())
-        letter = letters[pos]
-        prefix = f"A{level}_" if letter == "A" else f"I{level}_"
+        letter, choices = letters[pos], names[pos]
         # choices are pushed from j = level down so that j = 1 is walked first
         for j in range(level, 0, -1):
             line = stack[j - 1]
             rest = stack[: j - 1] + stack[j:]
             if letter == "N":  # intermediate card: line re-anchored at the bottom
                 rest = (line,) + rest
-            todo.append((pos + 1, rest, next_block, cards + (f"{prefix}{j}",),
+            todo.append((pos + 1, rest, next_block, cards + (choices[j],),
                          owner + (line,), q_exp + j - 1, t_exp + level - j))
 
 

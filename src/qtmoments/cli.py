@@ -113,13 +113,23 @@ def _routes(mode: str, n_max: int) -> dict:
     }
 
 
+@cache
+def _moment(method: str, mode: str, n: int) -> Poly:
+    """One route's symbolic moment, kept for the life of the process."""
+    return _routes(mode, n)[method](n)
+
+
 def cmd_moments(args) -> int:
-    results = {name: route(args.n) for name, route in _routes(args.mode, args.n).items()
+    """Print the n-th moment by the chosen routes and whether they agree.  A
+    point request reads each symbolic moment through the :func:`_moment` memo,
+    so a process computes it once; a symbolic request computes it afresh."""
+    point = args.point
+    results = {name: route(args.n) if point is None else _moment(name, args.mode, args.n)
+               for name, route in _routes(args.mode, args.n).items()
                if args.method in ("all", name)}
     values = list(results.values())
     agree = all(v == values[0] for v in values)
 
-    point = args.point
     if args.output == "json":
         record = {
             "schema": SCHEMA,

@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from .fock import CheckReport, FockVector, ScalarGauge, apply_poisson
@@ -117,7 +118,8 @@ def specialize(j: JacobiParams, point: Mapping[str, Fraction | int]) -> JacobiPa
     -> Q, and the Motzkin and J-fraction routes build every moment from alpha
     and omega with + and * alone.  So the moments of the specialized data,
     computed over Fraction, are exactly the symbolic moments evaluated at the
-    point, and no polynomial product is formed on the way.
+    point, and no polynomial product is formed on the way;
+    :func:`moments_by_motzkin` runs such data over integers.
     """
     point = {name: Fraction(v) for name, v in point.items()}
     label = ", ".join(f"{name}={v}" for name, v in point.items())
@@ -163,14 +165,29 @@ def three_term_polys(j: JacobiParams, n_max: int) -> tuple:
 
 
 def moments_by_motzkin(j: JacobiParams, n_max: int) -> list:
-    """Moments 0..n_max by the weighted Motzkin path recursion."""
+    """Moments 0..n_max by the weighted Motzkin path recursion.
+
+    Rational data (``Fraction`` or ``int``) run the recursion over integers:
+    with D the lcm of the denominators, flat steps weigh alpha D and down
+    steps omega D^2, so every path of length k gains exactly D^k and moment k
+    is M_k / D^k, with no gcd inside the loop.  Symbolic data run it as given.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    one = j.one()
     # A path of length n_max that ends at height 0 never climbs above n_max // 2.
     top = n_max // 2
     alpha = [j.alpha(h) for h in range(top + 1)]
-    omega = [None] + [j.omega(h) for h in range(1, top + 1)]
+    omega = [j.omega(h) for h in range(1, top + 1)]
+    if not all(isinstance(v, (int, Fraction)) for v in alpha + omega):
+        return _motzkin_walk(alpha, omega, n_max, j.one())
+    d = lcm(*(v.denominator for v in alpha + omega))
+    alpha = [v.numerator * (d // v.denominator) for v in alpha]
+    omega = [v.numerator * (d // v.denominator) * d for v in omega]
+    return [Fraction(m, d**k) for k, m in enumerate(_motzkin_walk(alpha, omega, n_max, 1))]
+
+
+def _motzkin_walk(alpha: list, omega: list, n_max: int, one) -> list:
+    """Path sums 0..n_max: flat steps at h weigh alpha[h], down steps omega[h - 1]."""
     out = [one]
     state = {0: one}
     for left in range(n_max - 1, -1, -1):
@@ -183,7 +200,7 @@ def moments_by_motzkin(j: JacobiParams, n_max: int) -> list:
             if level <= left:
                 new[level] = new.get(level, 0) + w * alpha[level]
             if level >= 1:
-                new[level - 1] = new.get(level - 1, 0) + w * omega[level]
+                new[level - 1] = new.get(level - 1, 0) + w * omega[level - 1]
         state = new
         out.append(state.get(0, one * 0))
     return out

@@ -2,7 +2,8 @@
 
 Each helper recomputes a quantity by a different route than the code under
 test: schoolbook convolution for products, counting recurrences for Bell and
-Catalan numbers, explicit matrix powers for path-weighted moments, full-order
+Catalan numbers, explicit matrix powers for path-weighted moments, the
+Motzkin recursion over ``Fraction`` for rational Jacobi data, full-order
 series inversion for J-fractions, and exhaustive scans for small
 combinatorial counts, full products under the moment functional for
 orthogonality, block-by-block determinants for leading minors, cofactor
@@ -132,6 +133,35 @@ def tridiagonal_moments(alpha, omega, n_max: int) -> list:
                     nxt[j] = nxt[j] + ri * matrix[i][j]
         row = nxt
         out.append(row[0])
+    return out
+
+
+def fraction_motzkin_moments(j, n_max: int) -> list:
+    """Moments 0..n_max by the Motzkin path recursion over the data's own
+    ring: for rational data, a ``Fraction`` add and multiply (and their gcd)
+    at every step."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    one = j.one()
+    # A path of length n_max that ends at height 0 never climbs above n_max // 2.
+    top = n_max // 2
+    alpha = [j.alpha(h) for h in range(top + 1)]
+    omega = [None] + [j.omega(h) for h in range(1, top + 1)]
+    out = [one]
+    state = {0: one}
+    for left in range(n_max - 1, -1, -1):
+        # ``left`` steps remain after this one; a path above that height can
+        # no longer come back down, so no level above it is kept.
+        new: dict = {}
+        for level, w in state.items():
+            if level < left:
+                new[level + 1] = new.get(level + 1, 0) + w  # up step, weight 1
+            if level <= left:
+                new[level] = new.get(level, 0) + w * alpha[level]
+            if level >= 1:
+                new[level - 1] = new.get(level - 1, 0) + w * omega[level]
+        state = new
+        out.append(state.get(0, one * 0))
     return out
 
 

@@ -441,3 +441,60 @@ def test_invalid_letter_error_names_the_word(capsys):
     code, out, err = run(capsys, "cards", "--word", "XYZ")
     assert (code, out) == (2, "")
     assert err.startswith("error: ValueError: ") and "'XYZ'" in err
+
+
+@pytest.fixture
+def fresh_memo():
+    """An empty point-query moment memo before and after the test."""
+    cli._moment.cache_clear()
+    yield
+    cli._moment.cache_clear()
+
+
+POINT_A = ["--q=1/3", "--t=2/3", "--lambda=1"]
+POINT_B = ["--q=-1/4", "--t=2/3", "--lambda=3/2"]
+
+
+@pytest.mark.parametrize("method, target", [("operator", "moment_by_operator"),
+                                            ("motzkin", "moments_by_motzkin")])
+def test_point_requests_compute_each_moment_once(capsys, monkeypatch, fresh_memo,
+                                                 method, target):
+    calls = []
+    real = getattr(cli, target)
+    monkeypatch.setattr(cli, target, lambda *args: calls.append(args) or real(*args))
+    argv = ["moments", "--n", "6", "--method", method, "--mode", "covered", "--output", "json"]
+    code_a, out_a, _ = run(capsys, *argv, *POINT_A)
+    code_b, out_b, _ = run(capsys, *argv, *POINT_B)
+    assert code_a == code_b == 0
+    assert len(calls) == 1
+    assert json.loads(out_a)["value"] != json.loads(out_b)["value"]
+    # Another mode is another moment.
+    run(capsys, "moments", "--n", "6", "--method", method, *POINT_A)
+    assert len(calls) == 2
+
+
+def test_symbolic_request_leaves_the_memo_empty(capsys, fresh_memo):
+    assert run(capsys, "moments", "--n", "5", "--method", "all")[0] == 0
+    assert cli._moment.cache_info().currsize == 0
+    assert run(capsys, "moments", "--n", "5", "--method", "all", *POINT_A)[0] == 0
+    assert cli._moment.cache_info().currsize == 5
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_memoised_request_prints_what_a_fresh_one_prints(capsys, fresh_memo, output):
+    argv = ["moments", "--n", "5", "--mode", "covered", "--output", output]
+    run(capsys, *argv, *POINT_A)
+    memoised = run(capsys, *argv, *POINT_B)
+    assert cli._moment.cache_info().hits == 5
+    cli._moment.cache_clear()
+    assert run(capsys, *argv, *POINT_B) == memoised
+    assert memoised[0] == 0 and memoised[1]
+
+
+def test_point_request_still_compares_every_route(capsys, monkeypatch, fresh_memo):
+    monkeypatch.setattr(cli, "moment_by_cards", _wrong_strict_cards)
+    for point in (POINT_A, POINT_B):  # computed, then read from the memo
+        code, out, err = run(capsys, "moments", "--n", "3", "--output", "json", *point)
+        assert code == 1
+        assert err == "error: moment methods disagree\n"
+        assert json.loads(out)["agree"] is False

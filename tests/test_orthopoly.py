@@ -34,6 +34,7 @@ from oracles import (
     bell_numbers,
     catalan_numbers,
     classical_binomial_moments,
+    fraction_motzkin_moments,
     product_orthogonality_values,
     tridiagonal_moment,
     tridiagonal_moments,
@@ -429,3 +430,69 @@ def test_specialized_motzkin_equals_evaluated_symbolic_moments(preset, n, q, t, 
     assert direct == evaluated
     assert all(isinstance(v, Fraction) for v in direct)
     assert [str(v) for v in direct] == [str(v) for v in evaluated]
+
+
+#: Rational points (q, t, lambda) for the specialized Charlier presets.
+RATIONAL_POINTS = [
+    (Fraction(1, 3), Fraction(2, 3), Fraction(3, 2)),
+    (Fraction(-1, 4), Fraction(2, 3), Fraction(3, 2)),
+    (Fraction(5, 6), Fraction(1, 6), Fraction(1)),
+]
+
+
+@pytest.mark.parametrize("preset", [charlier_strict, charlier_t_gauge], ids=["strict", "tgauge"])
+@pytest.mark.parametrize("point", RATIONAL_POINTS, ids=lambda p: ",".join(map(str, p)))
+def test_rational_motzkin_matches_jfraction_and_evaluated_moments(preset, point):
+    point = dict(zip(("q", "t", "lambda"), point))
+    j = specialize(preset(), point)
+    moments = moments_by_motzkin(j, 40)
+    assert moments == jfraction_series(j, 40)
+    assert moments[:15] == [p.eval(point) for p in _symbolic_moments(preset().name, 14)]
+
+
+#: Random rational Jacobi entries: Fractions of either sign, plain ints, and
+#: zero (an omega of zero is the binomial clamp).
+_jacobi_entries = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.integers(-5, 5),
+    st.just(Fraction(0)),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 30), st.lists(_jacobi_entries, min_size=31, max_size=31))
+@example(30, [Fraction(1, 3), 2, Fraction(-5, 7), 0] * 7 + [Fraction(0), -1, Fraction(9, 4)])
+@example(12, [3, -2, 1, 0, 4, 1, -1] * 4 + [2, 2, 2])
+def test_integer_motzkin_equals_fraction_recursion(n, entries):
+    # alpha_0..alpha_15 first, then omega_1..omega_15
+    j = JacobiParams("random", lambda h: entries[h], lambda h: entries[15 + h])
+    moments = moments_by_motzkin(j, n)
+    expected = fraction_motzkin_moments(j, n)
+    assert moments == expected
+    assert [str(v) for v in moments] == [str(v) for v in expected]
+
+
+#: (m, p, q, t) cases of the rational binomial family, clamped and unclamped.
+BINOMIAL_CASES = [
+    ("10", "1/10", "1/3", "2/3"),
+    ("7/2", "2/5", "-1/2", "3/4"),
+    ("5", "1/2", "1/2", "1/2"),
+    ("12", "1/4", "2/3", "1/3"),
+    ("3", "1/3", "-1/4", "1"),
+    ("8", "3/5", "1/5", "4/5"),
+    ("20", "1/20", "3/4", "1/2"),
+    ("9/2", "1/6", "-1/3", "2/3"),
+    ("6", "2/3", "1/4", "5/4"),
+    ("15", "1/5", "2/5", "3/5"),
+    ("4", "1/8", "-2/3", "1/2"),
+    ("11", "3/10", "1/6", "5/6"),
+]
+
+
+@pytest.mark.parametrize("m, p, q, t", BINOMIAL_CASES, ids=lambda v: v)
+def test_binomial_moments_unchanged_by_integer_motzkin(m, p, q, t):
+    j = binomial(*map(Fraction, (m, p, q, t)))
+    moments = moments_by_motzkin(j, 24)
+    expected = fraction_motzkin_moments(j, 24)
+    assert moments == expected
+    assert [str(v) for v in moments] == [str(v) for v in expected]
