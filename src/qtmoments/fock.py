@@ -65,7 +65,7 @@ from operator import getitem
 from typing import Sequence
 
 from .qtnum import qt_number
-from .ring import LAMBDA, Poly, Q, T
+from .ring import LAMBDA, Poly, Q, T, _folded
 
 __all__ = [
     "LETTERS",
@@ -266,31 +266,37 @@ def apply_word(
     return v
 
 
-def apply_poisson(v: FockVector, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> FockVector:
-    """Apply the deformed Poisson operator (sum of the four letters).
+def _poisson_data(gauge: ScalarGauge, top: int) -> tuple:
+    """[k] and the scalar letter's weight at each level k < top."""
+    scalars = [LAMBDA * T**k for k in range(top)] if _covered(gauge) else [LAMBDA] * top
+    return [qt_number(k) for k in range(top)], scalars
 
-    The number and annihilation letters both scale level k by [k], so one
-    product c_k [k] lands on f_k and on f_(k-1); c_k lambda likewise serves
-    the creation letter and, in the IDENTITY gauge, the scalar one.
-    """
-    covered = _covered(gauge)
-    dim, coeffs = v.dim, v.coeffs
-    if not coeffs[dim].is_zero:
-        raise TruncationOverflow(f"creation past level {dim}")
-    out = [Poly.zero()] * (dim + 1)
+
+def _poisson_step(coeffs: list, lam, nums: Sequence, scalars: Sequence) -> list:
+    """The Poisson operator on sum_k coeffs[k] f_k, as coefficients of f_0 ..
+    f_len(coeffs), over any ring: creation weighs ``lam``, the scalar letter
+    ``scalars[k]``, and one product c_k nums[k] = c_k [k] serves both the
+    number letter (onto f_k) and annihilation (onto f_(k-1))."""
+    out = [lam * 0] * (len(coeffs) + 1)
     for k, c in enumerate(coeffs):
-        if c.is_zero:
+        if not c:
             continue
-        lam_c = c * LAMBDA
-        own = lam_c * T**k if covered else lam_c
+        own = c * scalars[k]
         if k:
-            shared = c * qt_number(k)
+            shared = c * nums[k]
             out[k - 1] += shared
             own += shared
         out[k] += own
-        # k < dim here, and no earlier level has reached f_(k+1) yet
-        out[k + 1] = lam_c
-    return FockVector(dim, out)
+        out[k + 1] = c * lam  # no earlier level has reached f_(k+1) yet
+    return out
+
+
+def apply_poisson(v: FockVector, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> FockVector:
+    """Apply the deformed Poisson operator (sum of the four letters)."""
+    nums, scalars = _poisson_data(gauge, v.dim)
+    if not v.coeffs[v.dim].is_zero:
+        raise TruncationOverflow(f"creation past level {v.dim}")
+    return FockVector(v.dim, _poisson_step(v.coeffs[:-1], LAMBDA, nums, scalars))
 
 
 def vacuum_expectation_word(
@@ -302,17 +308,20 @@ def vacuum_expectation_word(
 
 
 def moment_by_operator(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
-    """The n-th vacuum moment of the deformed Poisson operator."""
-    _covered(gauge)  # n = 0 applies no step that would check it
+    """The n-th vacuum moment of the deformed Poisson operator, by steps on
+    q-folded data (:mod:`qtmoments.ring`), where [k] is one term."""
+    data = _poisson_data(gauge, n)
     if n < 0:
         raise ValueError("n must be non-negative")
-    v = FockVector.vacuum(n + 1)
-    for left in range(n - 1, -1, -1):
-        v = apply_poisson(v, gauge)
-        # ``left`` steps remain: a level above that can no longer reach the vacuum.
-        for k in range(left + 1, v.dim + 1):
-            v.coeffs[k] = Poly.zero()
-    return v.coeffs[0]
+
+    def walk(lam, nums, scalars):
+        coeffs = [1]  # the vacuum
+        for left in range(n - 1, -1, -1):
+            # ``left`` steps remain: a level above that can no longer reach the vacuum.
+            coeffs = _poisson_step(coeffs, lam[0], nums, scalars)[: left + 1]
+        return coeffs[:1]
+
+    return _folded(walk, [LAMBDA], *data)[0]
 
 
 # -- deformed inner product ----------------------------------------------------

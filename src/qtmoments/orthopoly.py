@@ -46,7 +46,7 @@ from typing import Callable, Mapping, Sequence
 
 from .fock import CheckReport, FockVector, ScalarGauge, apply_poisson
 from .qtnum import qt_number
-from .ring import LAMBDA, Poly, T, X
+from .ring import LAMBDA, Poly, T, X, _folded
 
 __all__ = [
     "JacobiParams",
@@ -152,16 +152,20 @@ def binomial(m: Fraction, p: Fraction, q: Fraction, t: Fraction) -> JacobiParams
 
 
 def three_term_polys(j: JacobiParams, n_max: int) -> tuple:
-    """Monic P_0..P_{n_max}, P_k of degree k in x, exactly from the recurrence."""
+    """Monic P_0..P_{n_max}, P_k of degree k in x, exactly from the recurrence
+    P_{n+1} = (x + a_n) P_n + w_n P_{n-1} on q-folded a_n = -alpha_n, w_n = -omega_n."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    polys = [Poly.one()]
-    if n_max >= 1:
-        polys.append(X - j.alpha(0))
-    for n in range(1, n_max):
-        nxt = (X - j.alpha(n)) * polys[n] - j.omega(n) * polys[n - 1]
-        polys.append(nxt)
-    return tuple(polys)
+    alpha = [-j.alpha(n) for n in range(n_max)]
+    omega = [0] + [-j.omega(n) for n in range(1, n_max)]  # w_0 meets P_{-1} = 0
+
+    def walk(x, a, w):
+        polys = [0, 1]  # P_{-1}, P_0
+        for n in range(n_max):
+            polys.append((x[0] + a[n]) * polys[-1] + w[n] * polys[-2])
+        return polys[1:]
+
+    return tuple(_folded(walk, [X], alpha, omega))
 
 
 def moments_by_motzkin(j: JacobiParams, n_max: int) -> list:
@@ -170,7 +174,7 @@ def moments_by_motzkin(j: JacobiParams, n_max: int) -> list:
     Rational data (``Fraction`` or ``int``) run the recursion over integers:
     with D the lcm of the denominators, flat steps weigh alpha D and down
     steps omega D^2, so every path of length k gains exactly D^k and moment k
-    is M_k / D^k, with no gcd inside the loop.  Symbolic data run it as given.
+    is M_k / D^k, with no gcd inside the loop.  Symbolic data run it q-folded.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -179,17 +183,17 @@ def moments_by_motzkin(j: JacobiParams, n_max: int) -> list:
     alpha = [j.alpha(h) for h in range(top + 1)]
     omega = [j.omega(h) for h in range(1, top + 1)]
     if not all(isinstance(v, (int, Fraction)) for v in alpha + omega):
-        return _motzkin_walk(alpha, omega, n_max, j.one())
+        return _folded(lambda a, w: _motzkin_walk(a, w, n_max), alpha, omega)
     d = lcm(*(v.denominator for v in alpha + omega))
     alpha = [v.numerator * (d // v.denominator) for v in alpha]
     omega = [v.numerator * (d // v.denominator) * d for v in omega]
-    return [Fraction(m, d**k) for k, m in enumerate(_motzkin_walk(alpha, omega, n_max, 1))]
+    return [Fraction(m, d**k) for k, m in enumerate(_motzkin_walk(alpha, omega, n_max))]
 
 
-def _motzkin_walk(alpha: list, omega: list, n_max: int, one) -> list:
+def _motzkin_walk(alpha: list, omega: list, n_max: int) -> list:
     """Path sums 0..n_max: flat steps at h weigh alpha[h], down steps omega[h - 1]."""
-    out = [one]
-    state = {0: one}
+    out = [1]
+    state = {0: 1}
     for left in range(n_max - 1, -1, -1):
         # ``left`` steps remain after this one; a path above that height can
         # no longer come back down, so no level above it is kept.
@@ -202,7 +206,7 @@ def _motzkin_walk(alpha: list, omega: list, n_max: int, one) -> list:
             if level >= 1:
                 new[level - 1] = new.get(level - 1, 0) + w * omega[level - 1]
         state = new
-        out.append(state.get(0, one * 0))
+        out.append(state.get(0, 0))
     return out
 
 
@@ -416,22 +420,26 @@ def jfraction_series_from_arrays(b: Sequence, lam: Sequence, order: int) -> list
     the inverse of 1 - b_h z - lam_{h+1} z^2 S_{h+1}.  S_h enters the surface
     series only through the factor lam_1 ... lam_h z^(2h), so only its
     coefficients z^0..z^(order-2h) can reach z^order; higher ones are never
-    formed, and levels deeper than order // 2 are skipped altogether.
+    formed, and levels deeper than order // 2 are skipped.  Poly data run folded.
     """
-    depth = len(b) - 1
-    if len(lam) != depth:
+    if len(lam) != len(b) - 1:
         raise ValueError("need exactly one lam entry per level below the surface")
-    one = b[0] * 0 + 1
-    zero = one * 0
+    if any(isinstance(v, Poly) for v in (*b, *lam)):
+        return _folded(lambda b, lam: _jfraction_walk(b, lam, order), b, lam)
+    return _jfraction_walk(b, lam, order)
+
+
+def _jfraction_walk(b: list, lam: list, order: int) -> list:
+    zero = b[0] * 0
     inner: list = []  # the kept part of the level below; empty below the last
-    for h in range(min(depth, order // 2), -1, -1):
+    for h in range(min(len(lam), order // 2), -1, -1):
         # w = b_h z + lam_{h+1} z^2 S_{h+1}; lam[h] is lam_{h+1}.
         w = [zero, b[h]] + [lam[h] * c for c in inner]
-        series = [one]
+        series = [zero + 1]
         for k in range(1, order - 2 * h + 1):
             acc = zero
             for j in range(1, min(k, len(w) - 1) + 1):
-                if w[j] != 0:
+                if w[j]:
                     acc = acc + w[j] * series[k - j]
             series.append(acc)
         inner = series

@@ -19,14 +19,16 @@ monomial of total degree 2^16 or more raises :class:`OverflowError`.  The
 public API still speaks in exponent tuples aligned with ``VARIABLES``.
 
 Large products multiply whole (q+t)-diagonals as ints (Kronecker substitution
-along one direction; Harvey, JSC 2009): a (q,t)-number [n] lies on one.  A
-term's diagonal key is its key with the q exponent j folded into the t field,
-and its q^j coefficient sits at bit W*j of the diagonal's int, where
-W = bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 2 keeps every
-output coefficient off a slot's sign bit, so the balanced W-bit digits are
-exact.  ``__mul__`` packs once both operands reach ``_PACKED_MIN`` terms and
-their diagonals have no long gaps (``_GAP_LIMIT``); otherwise the schoolbook
-loop is faster, and it is the packed path's oracle.
+along one direction; Harvey, JSC 2009): a (q,t)-number [n] lies on one.
+``_diagonals`` is the fold q = 2^W t, a ring homomorphism Z[lambda,t,q,x] ->
+Z[lambda,t,x] that moves a term's q exponent j into its t field and its
+coefficient to bit W*j of its diagonal's int; ``_undiagonals``, the one
+decoder, reads balanced W-bit digits back, exact for coefficients in
+[-2^(W-1), 2^(W-1)).  ``_packed_mul`` folds at W = bits(max|a|) + bits(max|b|)
++ bits(min(len a, len b)) + 2 once both operands reach ``_PACKED_MIN`` terms
+and their diagonals have no long gaps (``_GAP_LIMIT``), else the schoolbook
+loop, its oracle, is faster.  ``_folded`` runs a whole symbolic route folded,
+at W = bits(B) + 1 for B the route run over ints on its data's L1 norms.
 
 Printing looks up the text of a key's (lambda, t) half (bits 32-63) and of
 its (q, x) half (bits 0-31) in two tables filled on first sight, ``""`` for a
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -171,9 +174,14 @@ def _packed_mul(a: dict, b: dict) -> dict:
         for db, vb in b_diags.items():
             diag = da + db
             slots[diag] = get(diag, 0) + va * vb
+    return _undiagonals(slots, width)
+
+
+def _undiagonals(diags: dict, width: int) -> dict:
+    """The inverse of ``_diagonals``: each int read as balanced width-bit digits."""
     out = {}
     mask, half = (1 << width) - 1, 1 << (width - 1)
-    for key, packed in slots.items():
+    for key, packed in diags.items():
         while packed:
             coeff = packed & mask
             if not coeff:  # jump over a run of zero digits in one shift
@@ -188,6 +196,21 @@ def _packed_mul(a: dict, b: dict) -> dict:
             out[key] = coeff
             key -= _FOLD
     return out
+
+
+def _folded(walk, *data: list) -> list:
+    """The Polys ``walk(*data)`` returns, computed on q-folded data.
+
+    ``walk`` uses + and * alone on lists of Polys or ints.  The L1 norm (sum
+    of |coefficients|) is sub-additive and sub-multiplicative, so the largest
+    output B of ``walk`` on the data's norms bounds every output coefficient.
+    """
+    terms = lambda d: (d if isinstance(d, Poly) else Poly.constant(index(d)))._terms
+    norms = walk(*([sum(map(abs, terms(d).values())) for d in arg] for arg in data))
+    width = max(norms).bit_length() + 1
+    folded = walk(*([_wrap({k: v for k, v in _diagonals(terms(d), width).items() if v})
+                     for d in arg] for arg in data))
+    return [_wrap(_undiagonals(terms(v), width)) for v in folded]
 
 
 def _wrap(terms: dict) -> "Poly":

@@ -10,9 +10,11 @@ orthogonality, block-by-block determinants for leading minors, cofactor
 expansion for determinants, the sum over all permutations for the deformed
 inner product, the recursive card walk and a per-name card weight table,
 factor-by-factor text for canonical strings, and the four letters applied
-one by one for the Poisson step.  The weight census is the plain recursive
-walk that calls once per partition.  Tests freeze values from these, never
-from the implementation being checked.
+one by one for the Poisson step, unfolded polynomial arithmetic for the
+q-folded routes, and a two-term recurrence for the moments at q = -t written
+down by hand.  The weight census is the plain recursive walk that calls once
+per partition.  Tests freeze values from these, never from the
+implementation being checked.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import comb
 
 from qtmoments.fock import LETTERS, FockVector, ScalarGauge, apply_letter, determinant
 from qtmoments.partitions import SetPartition
-from qtmoments.ring import VARIABLES, Poly, Q, T
+from qtmoments.ring import VARIABLES, Poly, Q, T, X
 
 
 def graded_lex_terms(p: Poly) -> list:
@@ -87,6 +89,45 @@ def letterwise_poisson(v: FockVector, gauge) -> FockVector:
     for letter in LETTERS:
         out = out + apply_letter(letter, v, gauge)
     return out
+
+
+def letterwise_moments(n_max: int, gauge) -> list:
+    """Vacuum moments 0..n_max: n_max letterwise Poisson steps on the whole
+    truncated space, with no level dropped, reading f_0 after each."""
+    v = FockVector.vacuum(n_max + 1)
+    out = [v.coeffs[0]]
+    for _ in range(n_max):
+        v = letterwise_poisson(v, gauge)
+        out.append(v.coeffs[0])
+    return out
+
+
+def recurrence_polys(j, n_max: int) -> tuple:
+    """Monic P_0..P_{n_max} from P_{n+1} = (x - alpha_n) P_n - omega_n P_{n-1},
+    over plain polynomials, with no folding."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    polys = [Poly.one()]
+    if n_max >= 1:
+        polys.append(X - j.alpha(0))
+    for n in range(1, n_max):
+        nxt = (X - j.alpha(n)) * polys[n] - j.omega(n) * polys[n - 1]
+        polys.append(nxt)
+    return tuple(polys)
+
+
+def collapse_recurrence(covered: bool) -> tuple:
+    """(tau, delta) with m_(n+1) = tau m_n - delta m_(n-1), n >= 1, for the
+    moments at q = -t, written down by hand.  There [k] is t^(k-1) for odd k
+    and 0 for even k, so omega_2 = lambda [2] = 0 and only heights 0 and 1 are
+    reachable: the moments are those of the 2x2 array [[alpha_0, omega_1],
+    [1, alpha_1]] with alpha_0 = lambda, omega_1 = lambda and alpha_1 =
+    lambda + 1 (covered: lambda t + 1), and by Cayley-Hamilton tau is its trace
+    and delta its determinant."""
+    lam = Poly.variable("lambda")
+    if covered:
+        return lam + lam * T + 1, lam**2 * T
+    return 2 * lam + 1, lam**2
 
 
 def bell_numbers(n_max: int) -> list:
