@@ -72,8 +72,8 @@ __all__ = [
 class JacobiParams:
     """Recurrence data: alpha(n) for n >= 0 and omega(n) for n >= 1.
 
-    The rules return ring elements; symbolic presets return Poly, rationally
-    specialized ones return Fraction.  Every consumer here needs only + and *.
+    Symbolic presets return Poly and rationally specialized ones Fraction;
+    three_term_polys and check_orthogonality run folded, on Poly or int data only.
     """
 
     name: str

@@ -18,17 +18,16 @@ field from carrying into its neighbour; building or multiplying into a
 monomial of total degree 2^16 or more raises :class:`OverflowError`.  The
 public API still speaks in exponent tuples aligned with ``VARIABLES``.
 
-Large products multiply whole (q+t)-diagonals as ints (Kronecker substitution
-along one direction; Harvey, JSC 2009): a (q,t)-number [n] lies on one.
+Routes and large products run on q-folded data (one-way Kronecker substitution;
+Harvey, JSC 2009), as a (q,t)-number [n] lies on one (q+t)-diagonal.
 ``_diagonals`` is the fold q = 2^W t, a ring homomorphism Z[lambda,t,q,x] ->
-Z[lambda,t,x] that moves a term's q exponent j into its t field and its
-coefficient to bit W*j of its diagonal's int; ``_undiagonals``, the one
-decoder, reads balanced W-bit digits back, exact for coefficients in
-[-2^(W-1), 2^(W-1)).  ``_packed_mul`` folds at W = bits(max|a|) + bits(max|b|)
-+ bits(min(len a, len b)) + 2 once both operands reach ``_PACKED_MIN`` terms
-and their diagonals have no long gaps (``_GAP_LIMIT``), else the schoolbook
-loop, its oracle, is faster.  ``_folded`` runs a whole symbolic route folded,
-at W = bits(B) + 1 for B the route run over ints on its data's L1 norms.
+Z[lambda,t,x] moving a term's q exponent j into its t field and its coefficient
+to bit W*j of its diagonal's int.  ``_undiagonals``, the one decoder, reads
+balanced W-bit digits back, exact for coefficients in [-2^(W-1), 2^(W-1)).
+``_folded`` runs a route, or one product, folded at the one width rule
+W = bits(B) + 1, B the walk run on the data's L1 norms.  ``__mul__`` folds once
+both operands reach ``_PACKED_MIN`` terms, one holds a q and the smaller one's
+diagonals are dense (``_GAP_LIMIT``); folded operands hold no q, so never fold.
 
 Printing looks up the text of a key's (lambda, t) half (bits 32-63) and of
 its (q, x) half (bits 0-31) in two tables filled on first sight, ``""`` for a
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import index
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -74,11 +72,11 @@ _HALF = 2 * _BITS
 _HALF_MASK = (1 << _HALF) - 1
 #: Adding ``j * _FOLD`` to a key moves its q exponent j into the t field.
 _FOLD = (1 << _SHIFT["t"]) - (1 << _SHIFT["q"])
-#: ``__mul__`` packs diagonals once the smaller operand has at least the first
-#: number of terms and the larger at least the second; measured on ``tables``.
+#: ``__mul__`` folds once its operands reach (smaller, larger) terms; in practice
+#: that is the orthogonality check's products and the tests' unfolded oracles.
 _PACKED_MIN = (5, 100)
-#: Slots per term in the diagonals' ints past which ``_packed_mul`` takes the
-#: schoolbook loop: every route keeps under 1, and at 4 the two cost the same.
+#: Slots per term in the smaller operand's diagonals past which ``__mul__`` takes
+#: the schoolbook loop: those products keep under 1, and at 4 the two cost the same.
 _GAP_LIMIT = 4
 #: Text of each (lambda, t) and each (q, x) half key printed so far.
 _HIGH_TEXT: dict = {}
@@ -159,26 +157,24 @@ def _schoolbook_mul(a: dict, b: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def _packed_mul(a: dict, b: dict) -> dict:
-    """Product of two nonzero term dicts, one int product per pair of diagonals,
-    or by the schoolbook loop when long gaps make the diagonals' ints sparse."""
-    width = (max(map(abs, a.values())).bit_length() + max(map(abs, b.values())).bit_length()
-             + min(len(a), len(b)).bit_length() + 2)
-    a_diags, b_diags = _diagonals(a, width), _diagonals(b, width)
-    bits = sum(map(int.bit_length, a_diags.values())) + sum(map(int.bit_length, b_diags.values()))
-    if bits > _GAP_LIMIT * width * (len(a) + len(b)):
-        return _schoolbook_mul(a, b)
-    slots: dict = {}
-    get = slots.get
-    for da, va in a_diags.items():
-        for db, vb in b_diags.items():
-            diag = da + db
-            slots[diag] = get(diag, 0) + va * vb
-    return _undiagonals(slots, width)
+def _fold_pays(a: dict, b: dict) -> bool:
+    """Whether the product of ``a`` and the larger ``b`` should fold: one holds a
+    q, and ``a``'s (q+t)-diagonals span at most ``_GAP_LIMIT`` slots per term.
+    ``b`` is not judged: a pass over its terms would cost about what the fold does."""
+    q = _SHIFT["q"]
+    top: dict = {}  # diagonal -> its highest q exponent
+    for key in a:
+        j = (key >> q) & _MASK
+        diag = key + j * _FOLD
+        top[diag] = max(j, top.get(diag, 0))
+    tops = sum(top.values())
+    return len(top) + tops <= _GAP_LIMIT * len(a) and (tops > 0 or any(k >> q & _MASK for k in b))
 
 
 def _undiagonals(diags: dict, width: int) -> dict:
     """The inverse of ``_diagonals``: each int read as balanced width-bit digits."""
+    if width < 2 and any(diags.values()):
+        raise ValueError(f"a width-{width} digit cannot hold a nonzero coefficient")
     out = {}
     mask, half = (1 << width) - 1, 1 << (width - 1)
     for key, packed in diags.items():
@@ -205,7 +201,9 @@ def _folded(walk, *data: list) -> list:
     of |coefficients|) is sub-additive and sub-multiplicative, so the largest
     output B of ``walk`` on the data's norms bounds every output coefficient.
     """
-    terms = lambda d: (d if isinstance(d, Poly) else Poly.constant(index(d)))._terms
+    if not all(isinstance(d, (Poly, int)) for arg in data for d in arg):
+        raise TypeError("a folded walk takes Poly or int data")
+    terms = lambda d: Poly._coerce(d)._terms
     norms = walk(*([sum(map(abs, terms(d).values())) for d in arg] for arg in data))
     width = max(norms).bit_length() + 1
     folded = walk(*([_wrap({k: v for k, v in _diagonals(terms(d), width).items() if v})
@@ -359,8 +357,8 @@ class Poly:
             # so nothing collides or cancels
             [(ka, ca)] = a.items()
             return _wrap({ka + kb: ca * cb for kb, cb in b.items()})
-        if len(a) >= _PACKED_MIN[0] and len(b) >= _PACKED_MIN[1]:
-            return _wrap(_packed_mul(a, b))
+        if len(a) >= _PACKED_MIN[0] and len(b) >= _PACKED_MIN[1] and _fold_pays(a, b):
+            return _folded(lambda x, y: [x[0] * y[0]], [self], [other])[0]
         return _wrap(_schoolbook_mul(a, b))
 
     __rmul__ = __mul__

@@ -10,21 +10,26 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qtmoments import ring
+from qtmoments.cards import moment_by_cards
 from qtmoments.fock import FockVector, ScalarGauge, _poisson_data, _poisson_step, moment_by_operator
 from qtmoments.orthopoly import (
     JacobiParams,
     charlier_strict,
     charlier_t_gauge,
+    check_orthogonality,
     default_jfraction_depth,
     ejsmont,
     jfraction_series,
     jfraction_series_from_arrays,
     moments_by_motzkin,
+    specialize,
     three_term_polys,
 )
+from qtmoments.partitions import enumerate_partitions, moment_by_partitions
 from qtmoments.ring import LAMBDA, VARIABLES, Poly, Q, T
 
 from oracles import (
+    bell_numbers,
     collapse_recurrence,
     letterwise_moments,
     recurrence_polys,
@@ -74,6 +79,25 @@ def test_a_coefficient_of_half_a_slot_does_not_round_trip(width):
     # the digit reads as -2^(W-1) and carries one into the q^1 slot
     assert _round_trip(half * T, width) == -half * T + Q
     assert _round_trip((half - 1) * T, width) == (half - 1) * T
+
+
+def test_width_one_decodes_only_zero():
+    # at width 1 the digit 1 reads as -1 and borrows 1 back: the int never empties
+    [key] = T._terms
+    with pytest.raises(ValueError, match="width-1"):
+        ring._undiagonals({key: 1}, 1)
+    assert ring._undiagonals({key: 0}, 1) == {}
+    # a walk whose outputs are all 0 has norm bound 0, so the fold asks for width 1
+    assert ring._folded(lambda a: [a[0] * 0, a[0] - a[0]], [T - Q]) == [Poly.zero()] * 2
+
+
+def test_folded_routes_reject_rational_data_by_name():
+    j = specialize(charlier_strict(), {"q": Fraction(1, 3), "t": Fraction(2, 3), "lambda": 1})
+    message = "^a folded walk takes Poly or int data$"
+    with pytest.raises(TypeError, match=message):
+        three_term_polys(j, 3)
+    with pytest.raises(TypeError, match=message):
+        check_orthogonality(j, 2, moments_by_motzkin(j, 4))
 
 
 # -- each folded route against its unfolded oracle --------------------------------
@@ -175,6 +199,26 @@ def test_moments_at_q_minus_t_follow_the_two_term_recurrence(mode):
     assert [m.substitute("q", -T) for m in jfraction_series(preset(), 20)] == expected[:21]
     for n in (1, 2, 3, 4, 24):
         assert moment_by_operator(n, gauge).substitute("q", -T) == expected[n], n
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_brute_force_moments_at_q_minus_t_follow_the_two_term_recurrence(mode):
+    gauge, _ = MODES[mode]
+    expected = _collapsed(mode, 10)
+    for n in range(1, 11):
+        assert moment_by_partitions(n, gauge).substitute("q", -T) == expected[n], n
+        assert moment_by_cards(n, gauge).substitute("q", -T) == expected[n], n
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_partitions_with_a_crossing_or_a_nesting_cancel_at_q_minus_t(n):
+    # q^rc t^rn at q = -t is (-1)^rc t^(rc + rn); the rest are the
+    # C(2n-b-1, 2n-2b) partitions with b blocks and neither
+    tangled = [p.statistics for p in enumerate_partitions(n) if p.statistics[1] + p.statistics[2]]
+    signed = Poly.from_terms(((-1) ** rc, {"lambda": b, "t": rc + rn}) for b, rc, rn, _ in tangled)
+    assert signed == 0
+    plain = sum(comb(2 * n - b - 1, 2 * n - 2 * b) for b in range(1, n + 1))
+    assert len(tangled) == bell_numbers(n)[n] - plain
 
 
 def test_strict_moments_at_q_minus_t_have_the_binomial_closed_form():

@@ -296,7 +296,7 @@ def test_packed_degree_limit():
             Poly.variable(name)
 
 
-# -- packed diagonal products ----------------------------------------------------
+# -- folded products (the "packed_mul" in test names: products of packed diagonals) --
 
 
 def _schoolbook(monkeypatch, a, b):
@@ -304,6 +304,12 @@ def _schoolbook(monkeypatch, a, b):
     with monkeypatch.context() as m:
         m.setattr(ring, "_PACKED_MIN", (float("inf"), float("inf")))
         return a * b
+
+
+def _fold_product(a, b):
+    """``a * b`` through the one-product fold, whatever the operand sizes."""
+    [product] = ring._folded(lambda x, y: [x[0] * y[0]], [a], [b])
+    return product
 
 
 def _sized(n, shift=0):
@@ -315,15 +321,29 @@ def _sized(n, shift=0):
 
 
 @pytest.fixture
-def packed_calls(monkeypatch):
+def fold_calls(monkeypatch):
+    """The term counts of the data of every ``_folded`` call."""
     calls = []
-    real = ring._packed_mul
+    real = ring._folded
+
+    def counting(walk, *data):
+        calls.append([len(Poly._coerce(d)) for arg in data for d in arg])
+        return real(walk, *data)
+
+    monkeypatch.setattr(ring, "_folded", counting)
+    return calls
+
+
+@pytest.fixture
+def schoolbook_calls(monkeypatch):
+    calls = []
+    real = ring._schoolbook_mul
 
     def counting(a, b):
         calls.append((len(a), len(b)))
         return real(a, b)
 
-    monkeypatch.setattr(ring, "_packed_mul", counting)
+    monkeypatch.setattr(ring, "_schoolbook_mul", counting)
     return calls
 
 
@@ -346,7 +366,7 @@ _nonzero_big = st.one_of(_polys_over(_ALL_VARS, 3, _big, 12), wide_polys).filter
 @example(T - Q, T + Q)  # t^2 - q^2: the middle of the diagonal cancels
 def test_packed_mul_matches_schoolbook_and_sympy(a, b):
     sympy = pytest.importorskip("sympy")
-    got = ring._wrap(ring._packed_mul(a._terms, b._terms))
+    got = _fold_product(a, b)
     as_exps = [[(c, dict(zip(VARIABLES, m))) for m, c in p.terms()] for p in (a, b)]
     assert got == schoolbook_mul(*as_exps)
     gens = sympy.symbols("lambda t q x")
@@ -358,87 +378,75 @@ def test_packed_mul_matches_schoolbook_and_sympy(a, b):
     "sizes, packed",
     [((4, 100), False), ((5, 99), False), ((5, 100), True), ((100, 5), True), ((120, 130), True)],
 )
-def test_mul_threshold(monkeypatch, packed_calls, sizes, packed):
+def test_mul_threshold(monkeypatch, fold_calls, sizes, packed):
     assert ring._PACKED_MIN == (5, 100)
     a, b = _sized(sizes[0]), _sized(sizes[1], shift=7)
     assert (len(a), len(b)) == sizes
     expected = _schoolbook(monkeypatch, a, b)
-    assert not packed_calls
+    assert not fold_calls
     assert a * b == expected
-    assert len(packed_calls) == packed
+    # folded operands hold no q, so the product inside the fold does not fold again
+    assert fold_calls == ([list(sizes)] if packed else [])
 
 
-def test_packed_mul_cancels_whole_diagonals(packed_calls):
+def test_q_free_products_never_fold(fold_calls, schoolbook_calls):
+    # the sizes of the folded routes' own products: nothing there to fold
+    a = sum(LAMBDA**i * T ** (2 * i) for i in range(5))
+    b = sum((-1) ** i * (i + 1) * LAMBDA ** (i // 10) * T ** (i % 10) * X for i in range(100))
+    assert (len(a), len(b)) == (5, 100) and ring._PACKED_MIN == (5, 100)
+    product = a * b
+    assert fold_calls == [] and schoolbook_calls == [(5, 100)]
+    assert product == _fold_product(a, b)
+    as_exps = [[(c, dict(zip(VARIABLES, m))) for m, c in p.terms()] for p in (a, b)]
+    assert product == schoolbook_mul(*as_exps)
+
+
+def test_packed_mul_cancels_whole_diagonals(fold_calls):
     a = sum(k * LAMBDA**k * qt_number(k + 4) for k in range(1, 13))
     b = X * sum((-1) ** k * LAMBDA**k * qt_number(k + 3) for k in range(1, 13))
     product = (a + b) * (a - b)
     assert product == a * a - b * b
     # a*b holds every x^1 diagonal, and the two cross products cancel it
     assert (a * b).coefficient_of("x", 1) and not product.coefficient_of("x", 1)
-    assert min(map(min, packed_calls)) >= 100
+    assert len(fold_calls) == 4 and min(map(min, fold_calls)) >= 100
 
 
-@pytest.mark.parametrize("k, j", [(2, 4), (5, 7), (64, 7)])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_packed_mul_slot_width_boundary(monkeypatch, packed_calls, k, j, sign):
-    # the middle coefficient of (2^k-1)^2 [2^j-1]^2 has 2k+j bits, two below
-    # the slot width bits(2^k-1) + bits(2^k-1) + bits(2^j-1) + 2
-    n = 2**j - 1
-    a = (2**k - 1) * qt_number(n)
-    product = a * (sign * a)
-    middle = product.coefficient_of("q", n - 1).coefficient_of("t", n - 1)
-    assert middle == sign * (2**k - 1) ** 2 * n
-    assert abs(sign * (2**k - 1) ** 2 * n).bit_length() == 2 * k + j
-    assert ring._wrap(ring._packed_mul(a._terms, (sign * a)._terms)) == product
-    assert product == _schoolbook(monkeypatch, a, sign * a)
-    assert len(packed_calls) == 1 + (n >= 100)
-
-
-def test_packed_mul_degree_limit(monkeypatch, packed_calls):
-    # q and t near the top of their fields: each diagonal's int is long, its low digits 0
+def test_packed_mul_degree_limit(monkeypatch, fold_calls, schoolbook_calls):
+    # q and t near the top of their fields: each diagonal spans some 30000 slots
+    # for a handful of terms, so the product takes the schoolbook loop
     a = sum(Q ** (30000 + i) * T ** (4 - i) for i in range(5))
     b = sum((i + 1) * Q ** (35531 - i) * T**i for i in range(100))
     product = a * b
-    assert product.degree() == 2**16 - 1 and packed_calls == [(5, 100)]
-    assert product == _schoolbook(monkeypatch, a, b)
+    assert product.degree() == 2**16 - 1
+    assert fold_calls == [] and schoolbook_calls == [(5, 100)]
+    assert product == _schoolbook(monkeypatch, a, b) == _fold_product(a, b)
     with pytest.raises(OverflowError):
         a * (b * T)
 
 
-@pytest.fixture
-def schoolbook_calls(monkeypatch):
-    calls = []
-    real = ring._schoolbook_mul
-
-    def counting(a, b):
-        calls.append((len(a), len(b)))
-        return real(a, b)
-
-    monkeypatch.setattr(ring, "_schoolbook_mul", counting)
-    return calls
-
-
 @pytest.mark.parametrize("gap, fallback", [(1, False), (4, False), (64, True), (20000, True)])
 def test_packed_mul_takes_the_schoolbook_loop_on_gapped_diagonals(
-    packed_calls, schoolbook_calls, gap, fallback
+    fold_calls, schoolbook_calls, gap, fallback
 ):
     # every diagonal is t^gap +- q^gap: two terms gap slots apart in one int
     a = sum(LAMBDA**i * (T**gap + Q**gap) for i in range(5))
     b = sum(LAMBDA ** (i % 10) * X ** (i // 10) * (T**gap - Q**gap) for i in range(50))
     product = a * b
-    assert packed_calls == [(10, 100)]
-    assert schoolbook_calls == ([(10, 100)] if fallback else [])
+    # folded, the 5 and 50 diagonals multiply in the schoolbook loop
+    assert fold_calls == ([] if fallback else [[10, 100]])
+    assert schoolbook_calls == [(10, 100) if fallback else (5, 50)]
     as_exps = [[(c, dict(zip(VARIABLES, m))) for m, c in p.terms()] for p in (a, b)]
     assert product == schoolbook_mul(*as_exps)
 
 
-def test_packed_mul_degree_limit_with_dense_diagonals(monkeypatch, packed_calls, schoolbook_calls):
-    # t near the top of its field, q low: each diagonal's int is gap-free, so it stays packed
+def test_packed_mul_degree_limit_with_dense_diagonals(monkeypatch, fold_calls, schoolbook_calls):
+    # t near the top of its field, q low: each diagonal's int is gap-free, so it folds
     a = T**60000 * qt_number(5)
     b = sum((i + 1) * Q**i * T ** (5531 - i) for i in range(100))
     product = a * b
     assert product.degree() == 2**16 - 1
-    assert packed_calls == [(5, 100)] and schoolbook_calls == []
+    # one diagonal each: folded, the product is a single-term one
+    assert fold_calls == [[5, 100]] and schoolbook_calls == []
     assert product == _schoolbook(monkeypatch, a, b)
     with pytest.raises(OverflowError):
         a * (b * T)
