@@ -9,6 +9,11 @@ super-diagonal terms omega_n (n >= 1), with
     P_0 = 1,   P_1 = x - alpha_0,
     P_{n+1} = (x - alpha_n) P_n - omega_n P_{n-1}.
 
+The recurrence is written once, ``_recurrence`` on a_n = -alpha_n and
+w_n = -omega_n, and runs q-folded for the polynomials (x multiplies), the
+orthogonality check (x shifts coefficient rows and the moment list) and the
+operator identity (x is the Poisson step on Fock coefficients).
+
 The moment sequence of the orthogonalizing functional is recovered in two
 independent ways that must agree:
 
@@ -41,10 +46,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, chain, repeat
 from math import lcm
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
-from .fock import CheckReport, FockVector, ScalarGauge, apply_poisson
+from .fock import CheckReport, ScalarGauge, _poisson_data, _poisson_step
 from .qtnum import qt_number
 from .ring import LAMBDA, Poly, T, X, _folded
 
@@ -79,10 +86,6 @@ class JacobiParams:
     name: str
     alpha: Callable
     omega: Callable
-
-    def one(self):
-        """The multiplicative unit of the ring the data lives in."""
-        return self.alpha(0) * 0 + 1
 
 
 def charlier_strict() -> JacobiParams:
@@ -151,21 +154,35 @@ def binomial(m: Fraction, p: Fraction, q: Fraction, t: Fraction) -> JacobiParams
     return JacobiParams(name=f"binomial(m={m}, p={p})", alpha=alpha, omega=omega)
 
 
+def _recurrence(x: Callable, first: list, a: Sequence, w: Sequence) -> list:
+    """Rows u_0 = ``first``, u_1, .. from u_(n+1) = x(u_n) + a_n u_n + w_n u_(n-1),
+    u_(-1) = 0, one per pair (a_n, w_n).  Rows are lists of ring elements and ``x``
+    sets each one's length: entry i of x(u_n) meets entry i of u_n and of u_(n-1),
+    zero past their ends.  Only + and * are used, so rows run folded."""
+    rows, below = [first], []
+    for a_n, w_n in zip(a, w):
+        cur = rows[-1]
+        pad, pad_below = chain(cur, repeat(0)), chain(below, repeat(0))
+        rows.append([xu + a_n * u + w_n * v for xu, u, v in zip(x(cur), pad, pad_below)])
+        below = cur
+    return rows
+
+
+def _signed(j: JacobiParams, n_max: int, n_omega: int) -> tuple:
+    """a_n = -alpha_n for n < n_max, and w_0 = 0, w_n = -omega_n for 0 < n < n_omega."""
+    return [-j.alpha(n) for n in range(n_max)], [0] + [-j.omega(n) for n in range(1, n_omega)]
+
+
 def three_term_polys(j: JacobiParams, n_max: int) -> tuple:
     """Monic P_0..P_{n_max}, P_k of degree k in x, exactly from the recurrence
-    P_{n+1} = (x + a_n) P_n + w_n P_{n-1} on q-folded a_n = -alpha_n, w_n = -omega_n."""
+    P_{n+1} = x P_n + a_n P_n + w_n P_{n-1} on q-folded a_n = -alpha_n, w_n = -omega_n."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    alpha = [-j.alpha(n) for n in range(n_max)]
-    omega = [0] + [-j.omega(n) for n in range(1, n_max)]  # w_0 meets P_{-1} = 0
 
     def walk(x, a, w):
-        polys = [0, 1]  # P_{-1}, P_0
-        for n in range(n_max):
-            polys.append((x[0] + a[n]) * polys[-1] + w[n] * polys[-2])
-        return polys[1:]
+        return [u[0] for u in _recurrence(lambda u: [x[0] * u[0]], [1], a, w)]
 
-    return tuple(_folded(walk, [X], alpha, omega))
+    return tuple(_folded(walk, [X], *_signed(j, n_max, n_max)))
 
 
 def moments_by_motzkin(j: JacobiParams, n_max: int) -> list:
@@ -239,77 +256,59 @@ def check_orthogonality(j: JacobiParams, n_max: int, moments: Sequence) -> Check
         mixed[n+1][k] = mixed[n][k+1] - alpha_n mixed[n][k]
                         - omega_n mixed[n-1][k],              k <= 2 n_max - n - 1.
 
-    Each value is then evaluated symmetrically, expanding the polynomial of
-    lower degree: L(P_n P_m) = sum_{k <= lo} p_{lo,k} mixed[hi][k] with
-    lo = min(n, m) and hi = max(n, m), since P_n P_m = P_m P_n.  For any moment
-    list each value equals ``moment_functional(P_n * P_m, moments)``.
+    That is ``_recurrence`` with x shifting the moment list left, and with x
+    shifting coefficient rows right it gives p_{n,k}, the x^k coefficient of P_n.
+    Then L(P_n P_m) = sum_{k <= lo} p_{lo,k} mixed[hi][k], lo = min(n, m) and
+    hi = max(n, m), as P_n P_m = P_m P_n.  One q-folded walk forms the rows,
+    the values and w_1 ... w_n = (-1)^n norm_n.  For any moment list each
+    value equals ``moment_functional(P_n * P_m, moments)``.
     """
     top = 2 * n_max
     if len(moments) <= top:
         raise InsufficientMoments(f"need moments up to degree {top}, got {len(moments)}")
     report = CheckReport(name=f"orthogonality({j.name}, n_max={n_max})")
-    seq = three_term_polys(j, n_max)
-    coeffs = [[p.coefficient_of("x", k) for k in range(n + 1)] for n, p in enumerate(seq)]
+    pairs = [(lo, hi) for hi in range(n_max + 1) for lo in range(hi + 1)]
+
+    def walk(mu, a, w):
+        rows = _recurrence(lambda u: [0] + u, [1], a, w)
+        mixed = _recurrence(lambda u: u[1:], mu, a, w)
+        values = [sum(map(mul, rows[lo], mixed[hi])) for lo, hi in pairs]
+        return values + list(accumulate(w[1:], mul, initial=1))
+
+    out = _folded(walk, moments[: top + 1], *_signed(j, n_max, n_max + 1))
+    values = dict(zip(pairs, out))
+    norms = [-v if n % 2 else v for n, v in enumerate(out[len(pairs):])]
     zero = Poly.zero()
-    mixed = [list(moments[: top + 1])]
-    for n in range(n_max):
-        alpha, cur = j.alpha(n), mixed[n]
-        omega, below = (j.omega(n), mixed[n - 1]) if n else (None, None)
-        row = []
-        for k in range(top - n):
-            value = cur[k + 1]
-            if cur[k]:
-                value = value - alpha * cur[k]
-            if n and below[k]:
-                value = value - omega * below[k]
-            row.append(value)
-        mixed.append(row)
-    values = {}
-    for hi in range(n_max + 1):
-        for lo in range(hi + 1):
-            value = zero
-            for c, mx in zip(coeffs[lo], mixed[hi]):
-                if c and mx:
-                    value = value + c * mx
-            values[lo, hi] = value
-    norms = [Poly.one()]
-    for i in range(1, n_max + 1):
-        norms.append(norms[-1] * j.omega(i))
     for n in range(n_max + 1):
         for m in range(n_max + 1):
             value = values[min(n, m), max(n, m)]
             expected = norms[n] if n == m else zero
-            report.record(
-                value == expected,
-                f"L(P_{n} P_{m}) = {value}, expected {expected}",
-            )
+            report.record(value == expected, f"L(P_{n} P_{m}) = {value}, expected {expected}")
     return report
 
 
 def check_charlier_fock_identity(n_max: int) -> CheckReport:
     """Verify P_n(operator) vacuum = lambda^n f_n in the rescaled basis.
 
-    Runs the strict Poisson family against the IDENTITY-gauge operator: the
-    recurrence u_{n+1} = (p - alpha_n) u_n - omega_n u_{n-1} applied to
-    vectors must land exactly on the scaled basis vectors.
+    Runs the strict Poisson family against the IDENTITY-gauge operator:
+    ``_recurrence`` with x the Poisson step on coefficients of f_0, f_1, ..,
+    run q-folded from the vacuum, must land exactly on the scaled basis vectors.
     """
     report = CheckReport(name=f"charlier-fock(n_max={n_max})")
-    dim = n_max + 1
-    params = charlier_strict()
-    prev: FockVector | None = None
-    cur = FockVector.vacuum(dim)
-    report.record(cur == FockVector.vacuum(dim), "P_0 vacuum is the vacuum")
-    for n in range(n_max):
-        applied = apply_poisson(cur, ScalarGauge.IDENTITY)
-        nxt = applied + cur.scaled(-params.alpha(n))
-        if prev is not None:
-            nxt = nxt + prev.scaled(-params.omega(n))
-        expected = FockVector.basis(dim, n + 1).scaled(LAMBDA ** (n + 1))
+
+    def walk(lam, nums, scalars, a, w):
+        step = lambda u: _poisson_step(u, lam[0], nums, scalars)
+        return [c for row in _recurrence(step, [1], a, w) for c in row]
+
+    data = _poisson_data(ScalarGauge.IDENTITY, n_max)
+    flat = _folded(walk, [LAMBDA], *data, *_signed(charlier_strict(), n_max, n_max))
+    report.record(flat[:1] == [1], "P_0 vacuum is the vacuum")
+    for n in range(1, n_max + 1):
+        row = flat[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]  # row n holds f_0 .. f_n
         report.record(
-            nxt == expected,
-            f"P_{n + 1}(operator) vacuum differs from lambda^{n + 1} f_{n + 1}",
+            row == [0] * n + [LAMBDA**n],
+            f"P_{n}(operator) vacuum differs from lambda^{n} f_{n}",
         )
-        prev, cur = cur, nxt
     return report
 
 

@@ -28,6 +28,9 @@ balanced W-bit digits back, exact for coefficients in [-2^(W-1), 2^(W-1)).
 W = bits(B) + 1, B the walk run on the data's L1 norms.  ``__mul__`` folds once
 both operands reach ``_PACKED_MIN`` terms, one holds a q and the smaller one's
 diagonals are dense (``_GAP_LIMIT``); folded operands hold no q, so never fold.
+Every route and check already runs folded as a whole, so no workload request
+reaches that per-product fold: its traffic is the unfolded test oracles and
+callers' own products of large Polys.
 
 Printing looks up the text of a key's (lambda, t) half (bits 32-63) and of
 its (q, x) half (bits 0-31) in two tables filled on first sight, ``""`` for a
@@ -72,8 +75,8 @@ _HALF = 2 * _BITS
 _HALF_MASK = (1 << _HALF) - 1
 #: Adding ``j * _FOLD`` to a key moves its q exponent j into the t field.
 _FOLD = (1 << _SHIFT["t"]) - (1 << _SHIFT["q"])
-#: ``__mul__`` folds once its operands reach (smaller, larger) terms; in practice
-#: that is the orthogonality check's products and the tests' unfolded oracles.
+#: ``__mul__`` folds once its operands reach (smaller, larger) terms; no workload
+#: request does, only the tests' unfolded oracles and callers' own products.
 _PACKED_MIN = (5, 100)
 #: Slots per term in the smaller operand's diagonals past which ``__mul__`` takes
 #: the schoolbook loop: those products keep under 1, and at 4 the two cost the same.
@@ -325,22 +328,11 @@ class Poly:
 
     def __sub__(self, other) -> "Poly":
         other = Poly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = out.get(key, 0) - coeff
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return _wrap(out)
+        return NotImplemented if other is NotImplemented else self + -other
 
     def __rsub__(self, other) -> "Poly":
         other = Poly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return NotImplemented if other is NotImplemented else other + -self
 
     def __mul__(self, other) -> "Poly":
         other = Poly._coerce(other)

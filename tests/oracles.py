@@ -183,7 +183,7 @@ def fraction_motzkin_moments(j, n_max: int) -> list:
     at every step."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    one = j.one()
+    one = j.alpha(0) * 0 + 1
     # A path of length n_max that ends at height 0 never climbs above n_max // 2.
     top = n_max // 2
     alpha = [j.alpha(h) for h in range(top + 1)]

@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 from functools import cache
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qtmoments import orthopoly
+from qtmoments import cli, orthopoly, ring
 from qtmoments.fock import ScalarGauge, leading_principal_minors, moment_by_operator
 from qtmoments.orthopoly import (
     InsufficientMoments,
@@ -232,6 +233,69 @@ def test_orthogonality_rejects_short_moment_lists_before_any_work():
 def test_charlier_fock_identity():
     report = check_charlier_fock_identity(8)
     assert report.passed, report.failures[:3]
+
+
+def test_charlier_fock_identity_fails_without_the_number_letter(monkeypatch):
+    def no_number_step(coeffs, lam, nums, scalars):
+        out = [lam * 0] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            out[k] += c * scalars[k]  # scalar letter
+            if k:
+                out[k - 1] += c * nums[k]  # annihilation
+            out[k + 1] += c * lam  # creation
+        return out
+
+    monkeypatch.setattr(orthopoly, "_poisson_step", no_number_step)
+    report = check_charlier_fock_identity(8)
+    assert report.checked == 9
+    # P_1 = x - lambda never meets the number letter, which vanishes on the vacuum
+    assert report.failures == [
+        f"P_{n}(operator) vacuum differs from lambda^{n} f_{n}" for n in range(2, 9)
+    ]
+
+
+def test_orthopoly_requests_never_judge_a_product_fold(monkeypatch, capsys):
+    # every orthopoly route and check runs folded as a whole, so Poly.__mul__
+    # never reaches its per-product fold on these requests
+    judged = []
+    fold_pays = ring._fold_pays
+
+    def counted(a, b):
+        judged.append((len(a), len(b)))
+        return fold_pays(a, b)
+
+    monkeypatch.setattr(ring, "_fold_pays", counted)
+    requests = [["verify", "--suite", "orthopoly", "--n-max", "8"]] + [
+        ["charlier", "--n-max", "10", "--preset", preset] for preset in ("strict", "tgauge")
+    ]
+    for argv in requests:
+        assert cli.main(argv) == 0
+    assert "charlier-fock(n_max=8): 9 checks" in capsys.readouterr().out
+    assert judged == []
+
+
+HANKEL_POINT = {"q": Fraction(1, 3), "t": Fraction(2, 3), "lambda": Fraction(3, 2)}
+
+
+def _omega_hankel_products(j: JacobiParams, k_max: int) -> list:
+    """prod_{i <= k} omega_i^(k+1-i) at HANKEL_POINT, for k = 0..k_max."""
+    j = specialize(j, HANKEL_POINT)
+    return [prod(j.omega(i) ** (k + 1 - i) for i in range(1, k + 1)) for k in range(k_max + 1)]
+
+
+@pytest.mark.parametrize(
+    "preset, gauge",
+    [(charlier_strict, ScalarGauge.IDENTITY), (charlier_t_gauge, ScalarGauge.T_POWER_N)],
+    ids=["strict", "covered"],
+)
+def test_operator_hankel_minors_are_omega_products(preset, gauge):
+    # det[m_(i+j)]_(i,j <= k) = prod_(i <= k) omega_i^(k+1-i) (Viennot 1983); the
+    # operator route never reads alpha or omega, so this ties it to the omegas
+    moments = [moment_by_operator(n, gauge).eval(HANKEL_POINT) for n in range(25)]
+    minors = leading_principal_minors([moments[i : i + 13] for i in range(13)])
+    assert minors == _omega_hankel_products(preset(), 12)
+    broken = _omega_hankel_products(_charlier_broken_omega3(), 12)
+    assert [k for k in range(13) if minors[k] != broken[k]] == list(range(3, 13))
 
 
 def test_q_charlier_specialization_at_t_equal_one():
