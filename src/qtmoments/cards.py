@@ -28,6 +28,13 @@ The open-line stack evolves as:
 Summing arrangement weights over all contributors of length n gives the n-th
 moment; across all contributors the induced partitions enumerate every
 partition of {1..n} exactly once.
+
+Two walks visit every arrangement.  :func:`expand_arrangements` and the CLI
+listing take each word's line choices depth first and build every
+arrangement's cards and induced partition.  :func:`moment_by_cards` keeps only
+the weights: all arrangements of a word share their blocks and their q + t, so
+one pass over the word's letters lists one q-exponent per arrangement, and
+each is counted.
 """
 
 from __future__ import annotations
@@ -35,8 +42,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .fock import OperatorWord, ScalarGauge, _covered
 from .partitions import SetPartition, _histogram_moments
@@ -105,60 +111,84 @@ def enumerate_contributors(n: int) -> Iterator[OperatorWord]:
 
 def contributor_count(n: int) -> int:
     """Number of contributors of length n (level-sequence count, no expansion)."""
+    if n < 1:
+        raise ValueError("n must be positive")
     return sum(1 for _ in _contributor_letter_stream(n))
 
 
-def _expansion_states(word: OperatorWord, covered: bool = False) -> Iterator[tuple]:
-    """DFS over the line choices of a word: (card names, block_of_element, exps)
-    per arrangement, exps its weight's (lambda, q, t) exponents.
+def _expansion_states(words: Iterable[str], covered: bool = False) -> Iterator[tuple]:
+    """DFS over the line choices of each word, given as its letters in
+    application order: (word, card names, block_of_element, exps) per
+    arrangement, with word the written text and exps the weight's (lambda, q,
+    t) exponents.
 
     block_of_element[k] is the 0-based block id of element k+1.  lambda counts
     the blocks, q and t the crossings and nestings from annihilation and
     intermediate cards, plus the singleton levels under ``covered``
     (T_POWER_N).  The open lines are a tuple, bottom line first.  Every
-    arrangement of a word has the same levels, so the first path meets an
-    annihilation or number letter at level 0, or lines still open at the end,
-    before anything is yielded, and raises :class:`NotContributor`.
+    arrangement of a word has the same levels, so one pass over the letters
+    names the cards and fixes q + t, and the first path meets an annihilation
+    or number letter at level 0, or lines still open at the end, before
+    anything is yielded, and raises :class:`NotContributor`.
     """
-    if not word.letters:
-        raise ValueError("the empty word has no card arrangements")
-    letters = word.application_order()
-    n = len(letters)
-    # Each position's card names, once per word: one for C and S, [j] for A and N (I cards).
-    names = [f"{letter}{level}" if letter in "CS"
-             else [None] + [f"{letter.replace('N', 'I')}{level}_{j}" for j in range(1, level + 1)]
-             for letter, level in zip(letters, word.levels)]
-    todo = [(0, (), 0, (), (), 0, 0)]
-    while todo:
-        pos, stack, next_block, cards, owner, q_exp, t_exp = todo.pop()
-        # creation and singleton cards have no choice: lay them in place
-        while pos < n and letters[pos] in "CS":
-            level = len(stack)
-            owner += (next_block,)
-            cards += (names[pos],)
-            if letters[pos] == "C":
-                stack = (next_block,) + stack
-            elif covered:
-                t_exp += level
-            next_block += 1
-            pos += 1
-        level = len(stack)
-        if pos == n:
-            if level:
-                raise NotContributor(word.to_string())
-            yield cards, owner, (next_block, q_exp, t_exp)  # one block per C or S card
-            continue
-        if not level:
-            raise NotContributor(word.to_string())
-        letter, choices = letters[pos], names[pos]
-        # choices are pushed from j = level down so that j = 1 is walked first
-        for j in range(level, 0, -1):
-            line = stack[j - 1]
-            rest = stack[: j - 1] + stack[j:]
-            if letter == "N":  # intermediate card: line re-anchored at the bottom
-                rest = (line,) + rest
-            todo.append((pos + 1, rest, next_block, cards + (choices[j],),
-                         owner + (line,), q_exp + j - 1, t_exp + level - j))
+    known: dict = {}  # (letter, level) -> card name, or [None, name for j = 1, ..]
+    for letters in words:
+        if not letters:
+            raise ValueError("the empty word has no card arrangements")
+        word, n = letters[::-1], len(letters)
+        names = []
+        level = t_exp = 0
+        for letter in letters:
+            name = known.get((letter, level))
+            if name is None:
+                name = known[letter, level] = (
+                    f"{letter}{level}" if letter in "CS" else
+                    [None] + [f"{letter.replace('N', 'I')}{level}_{j}" for j in range(1, level + 1)])
+            names.append(name)
+            if letter == "C":
+                level += 1
+            elif letter == "S":
+                if covered:
+                    t_exp += level
+            else:
+                t_exp += level - 1  # choice j adds j-1 to q and level-j to t
+                if letter == "A":
+                    level -= 1
+        todo = [(0, (), 0, (), (), 0)]
+        while todo:
+            pos, stack, next_block, cards, owner, q_exp = todo.pop()
+            while True:
+                # creation and singleton cards have no choice: lay them in place
+                while pos < n and letters[pos] in "CS":
+                    owner += (next_block,)
+                    cards += (names[pos],)
+                    if letters[pos] == "C":
+                        stack = (next_block,) + stack
+                    next_block += 1
+                    pos += 1
+                level = len(stack)
+                if pos == n:
+                    if level:
+                        raise NotContributor(word)
+                    # one block per C or S card
+                    yield word, cards, owner, (next_block, q_exp, t_exp - q_exp)
+                    break
+                if not level:
+                    raise NotContributor(word)
+                choices = names[pos]
+                moved = letters[pos] == "N"  # intermediate card: line re-anchored at the bottom
+                # pushed from j = level down, so they pop from j = 2 up after
+                # j = 1, which is walked first, in place
+                for j in range(level, 1, -1):
+                    line = stack[j - 1]
+                    rest = stack[: j - 1] + stack[j:]
+                    todo.append((pos + 1, (line,) + rest if moved else rest, next_block,
+                                 cards + (choices[j],), owner + (line,), q_exp + j - 1))
+                cards += (choices[1],)
+                owner += stack[:1]
+                if not moved:
+                    stack = stack[1:]
+                pos += 1
 
 
 def expand_arrangements(
@@ -169,7 +199,8 @@ def expand_arrangements(
     n = len(word)
     trusted = SetPartition._trusted
     out = []
-    for cards, owner, (lam, q, t) in _expansion_states(word, _covered(gauge)):
+    for _, cards, owner, (lam, q, t) in _expansion_states([word.application_order()],
+                                                          _covered(gauge)):
         weight = Poly.from_terms([(1, {"lambda": lam, "q": q, "t": t})])
         # block ids are created in order of first appearance, which is
         # exactly the restricted-growth normalization
@@ -179,33 +210,45 @@ def expand_arrangements(
 
 @cache
 def _card_moments(n: int) -> tuple:
-    """(strict, covered) moments from one walk over the line choices of every
+    """(strict, covered) moments from one pass over the letters of every
     contributor of length n.
 
-    Every arrangement of every contributor is still enumerated: each tuple of
-    line choices is one arrangement, and its q-exponent is counted.  Only the
-    weight of each arrangement is kept, not its cards or partition.
+    Every arrangement of every contributor is still counted one by one, with
+    no grouping of contributors.  A choice j at level i adds j-1 to q and i-j
+    to t, so all arrangements of a word share their blocks, q + t from the
+    annihilation and intermediate cards (``t_top``) and singleton levels
+    (``t_shift``); only q differs.  The pass keeps one q-exponent per
+    arrangement of the letters read so far: an A or N letter at level i
+    replaces each entry s by s, s+1, .., s+i-1.  Each entry is then counted
+    into a list indexed by q, one list per (blocks, t_top, t_shift), and the
+    histogram is read off those lists once at the end.
     """
-    histogram: dict = {}
+    rows: dict = {}  # (blocks, t_top, t_shift) -> arrangements per q-exponent
+    choices = [range(i) for i in range(n)]
     for app_letters in _contributor_letter_stream(n):
-        levels = []  # the level of each annihilation/intermediate card
-        level = t_shift = 0
+        q_exps = [0]
+        blocks = n
+        level = t_top = t_shift = 0
         for letter in app_letters:
             if letter == "C":
                 level += 1
             elif letter == "S":
                 t_shift += level
             else:
-                levels.append(level)
+                if level > 1:
+                    q_exps = [s + j for s in q_exps for j in choices[level]]
+                t_top += level - 1
+                blocks -= 1  # one block per creation or singleton card
                 if letter == "A":
                     level -= 1
-        lam = n - len(levels)  # one block per creation or singleton card
-        # choice j at level i adds j-1 to q and i-j to t, which sum to i-1
-        t_top = sum(levels) - len(levels)
-        for q_exp in map(sum, product(*[range(i) for i in levels])):
-            key = (lam, q_exp, t_top - q_exp, t_shift)
-            histogram[key] = histogram.get(key, 0) + 1
-    return _histogram_moments(histogram)
+        row = rows.get((blocks, t_top, t_shift))
+        if row is None:
+            row = rows[blocks, t_top, t_shift] = [0] * (t_top + 1)
+        for q_exp in q_exps:
+            row[q_exp] += 1
+    return _histogram_moments({(blocks, q_exp, t_top - q_exp, t_shift): count
+                               for (blocks, t_top, t_shift), row in rows.items()
+                               for q_exp, count in enumerate(row) if count})
 
 
 def moment_by_cards(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:

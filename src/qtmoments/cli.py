@@ -20,6 +20,7 @@ from itertools import islice
 
 from .cards import (
     NotContributor,
+    _contributor_letter_stream,
     _expansion_states,
     enumerate_contributors,
     expand_arrangements,
@@ -50,7 +51,7 @@ from .orthopoly import (
     specialize,
     three_term_polys,
 )
-from .partitions import SetPartition, enumerate_partitions, moment_by_partitions, partition_record
+from .partitions import enumerate_partitions, moment_by_partitions, partition_record
 from .ring import Poly
 
 SCHEMA = "qtmoments/1"
@@ -168,14 +169,18 @@ def cmd_moments(args) -> int:
 
 
 def cmd_partitions(args) -> int:
-    records = ((p, partition_record(p)) for p in enumerate_partitions(args.n))
+    partitions = enumerate_partitions(args.n)
     if args.output == "json":
-        lines = (f'{{"blocks": {r["blocks"]}, "rc": {r["rc"]}, "rgs": {r["rgs"]}, '
+        # block ids are below n, so each prints from one table of their texts
+        digit = [str(b) for b in range(args.n)].__getitem__
+        lines = (f'{{"blocks": {r["blocks"]}, "rc": {r["rc"]}, '
+                 f'"rgs": [{", ".join(map(digit, r["rgs"]))}], '
                  f'"rn_covered": {r["rn_covered"]}, "rn_strict": {r["rn_strict"]}, '
-                 f'"schema": "{SCHEMA}"}}\n' for _, r in records)
+                 f'"schema": "{SCHEMA}"}}\n' for r in map(partition_record, partitions))
     else:
         lines = (f"{p}  blocks={r['blocks']} rc={r['rc']} "
-                 f"rn_strict={r['rn_strict']} rn_covered={r['rn_covered']}\n" for p, r in records)
+                 f"rn_strict={r['rn_strict']} rn_covered={r['rn_covered']}\n"
+                 for p in partitions for r in [partition_record(p)])
     _write_lines(lines)
     return 0
 
@@ -211,29 +216,31 @@ def cmd_charlier(args) -> int:
 
 
 def _card_lines(words, covered: bool, json_out: bool):
-    """The ``cards`` listing lines of ``words``, formatted straight from the expansion walk."""
+    """The ``cards`` listing lines of ``words`` (letters in application order),
+    formatted straight from the expansion walk: each partition's blocks are
+    filled from the walk's block ids, one list per block."""
     sep = '", "' if json_out else ","
     weights: dict = {}  # (lambda, q, t) exponents -> canonical text
-    for word in words:
-        text = word.to_string()
-        for cards, owner, exps in _expansion_states(word, covered):
-            weight = weights.get(exps)
-            if weight is None:
-                monomial = dict(zip(("lambda", "q", "t"), exps))
-                weight = weights[exps] = Poly.from_terms([(1, monomial)]).canonical_str()
-            blocks = SetPartition._trusted(len(owner), owner).blocks()
-            names = sep.join(cards)
-            if json_out:
-                yield (f'{{"cards": ["{names}"], "partition": {blocks}, "schema": "{SCHEMA}", '
-                       f'"weight": "{weight}", "word": "{text}"}}\n')
-            else:
-                yield f"{text}  cards={names}  weight={weight}  partition={blocks}\n"
+    for text, cards, owner, exps in _expansion_states(words, covered):
+        weight = weights.get(exps)
+        if weight is None:
+            monomial = dict(zip(("lambda", "q", "t"), exps))
+            weight = weights[exps] = Poly.from_terms([(1, monomial)]).canonical_str()
+        blocks = [[] for _ in range(exps[0])]  # lambda counts the blocks
+        for element, block in enumerate(owner, 1):
+            blocks[block].append(element)
+        names = sep.join(cards)
+        if json_out:
+            yield (f'{{"cards": ["{names}"], "partition": {blocks}, "schema": "{SCHEMA}", '
+                   f'"weight": "{weight}", "word": "{text}"}}\n')
+        else:
+            yield f"{text}  cards={names}  weight={weight}  partition={blocks}\n"
 
 
 def cmd_cards(args) -> int:
     gauge, _ = MODES[args.mode]
-    words = (enumerate_contributors(args.n) if args.word is None
-             else [OperatorWord.from_string(args.word)])
+    words = (_contributor_letter_stream(args.n) if args.word is None
+             else [OperatorWord.from_string(args.word).application_order()])
     _write_lines(_card_lines(words, gauge is ScalarGauge.T_POWER_N, args.output == "json"))
     return 0
 
@@ -465,7 +472,7 @@ def main(argv=None) -> int:
         args.point = None if args.q is None else given
         if args.command == "charlier" and args.point is None and args.output == "csv":
             parser.error("charlier --output csv needs --q, --t and --lambda")
-    if args.command in ("moments", "partitions") and args.n < 1:
+    if args.command in ("moments", "partitions", "cards") and args.n is not None and args.n < 1:
         parser.error("--n must be >= 1")
     if args.command == "verify" and args.n_max < 1:
         parser.error("--n-max must be >= 1")

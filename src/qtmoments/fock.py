@@ -276,18 +276,21 @@ def _poisson_step(coeffs: list, lam, nums: Sequence, scalars: Sequence) -> list:
     """The Poisson operator on sum_k coeffs[k] f_k, as coefficients of f_0 ..
     f_len(coeffs), over any ring: creation weighs ``lam``, the scalar letter
     ``scalars[k]``, and one product c_k nums[k] = c_k [k] serves both the
-    number letter (onto f_k) and annihilation (onto f_(k-1))."""
+    number letter (onto f_k) and annihilation (onto f_(k-1)).  Where the
+    scalar equals ``lam`` (every level of the IDENTITY gauge), the creation
+    product c_k lam serves the scalar letter too."""
     out = [lam * 0] * (len(coeffs) + 1)
     for k, c in enumerate(coeffs):
         if not c:
             continue
-        own = c * scalars[k]
+        created = c * lam
+        own = created if scalars[k] == lam else c * scalars[k]
         if k:
             shared = c * nums[k]
             out[k - 1] += shared
             own += shared
         out[k] += own
-        out[k + 1] = c * lam  # no earlier level has reached f_(k+1) yet
+        out[k + 1] = created  # no earlier level has reached f_(k+1) yet
     return out
 
 

@@ -76,9 +76,11 @@ class SetPartition:
         built without the checks of ``__post_init__``, with its
         :attr:`statistics` if the caller already knows them."""
         p = object.__new__(cls)
-        p.__dict__.update(n=n, rgs=rgs)
+        fields = p.__dict__
+        fields["n"] = n
+        fields["rgs"] = rgs
         if statistics is not None:
-            p.__dict__["statistics"] = statistics
+            fields["statistics"] = statistics
         return p
 
     @cached_property

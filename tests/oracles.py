@@ -11,10 +11,11 @@ expansion for determinants, the sum over all permutations for the deformed
 inner product, the recursive card walk and a per-name card weight table,
 factor-by-factor text for canonical strings, and the four letters applied
 one by one for the Poisson step, unfolded polynomial arithmetic for the
-q-folded routes, and a two-term recurrence for the moments at q = -t written
-down by hand.  The weight census is the plain recursive walk that calls once
-per partition.  Tests freeze values from these, never from the
-implementation being checked.
+q-folded routes, a two-term recurrence for the moments at q = -t written
+down by hand, and the Touchard, Narayana and lambda (1 + lambda)^(n-1)
+polynomials from their counting formulas.  The weight census is the plain
+recursive walk that calls once per partition.  Tests freeze values from
+these, never from the implementation being checked.
 """
 
 from __future__ import annotations
@@ -128,6 +129,30 @@ def collapse_recurrence(covered: bool) -> tuple:
     if covered:
         return lam + lam * T + 1, lam**2 * T
     return 2 * lam + 1, lam**2
+
+
+def touchard(n: int) -> Poly:
+    """sum_k S(n,k) lambda^k, with S(n,k) = k S(n-1,k) + S(n-1,k-1): every
+    partition of {1..n} counted by its blocks (the strict moment at q = t = 1)."""
+    row = [1]  # S(0, 0)
+    for m in range(1, n + 1):
+        row.append(0)  # S(m-1, m)
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, m + 1)]
+    return Poly.from_terms((s, {"lambda": k}) for k, s in enumerate(row))
+
+
+def narayana(n: int) -> Poly:
+    """sum_k C(n,k) C(n,k-1)/n lambda^k: the noncrossing partitions of {1..n}
+    counted by their blocks (the moment at q = 0, t = 1 in both conventions)."""
+    return Poly.from_terms((comb(n, k) * comb(n, k - 1) // n, {"lambda": k})
+                           for k in range(1, n + 1))
+
+
+def covered_chain(n: int) -> Poly:
+    """lambda (1 + lambda)^(n-1) = sum_k C(n-1,k-1) lambda^k: the partitions of
+    {1..n} into intervals, the only ones with no crossing, no nesting and no
+    covered singleton (the covered moment at q = t = 0)."""
+    return Poly.from_terms((comb(n - 1, k - 1), {"lambda": k}) for k in range(1, n + 1))
 
 
 def bell_numbers(n_max: int) -> list:

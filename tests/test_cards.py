@@ -26,6 +26,7 @@ from qtmoments.fock import (
 )
 from qtmoments.partitions import (
     SetPartition,
+    _histogram_moments,
     enumerate_partitions,
     moment_by_partitions,
     restricted_crossings,
@@ -88,6 +89,14 @@ def test_contributor_count_is_catalan():
     cat = catalan_numbers(10)
     for n in range(1, 11):
         assert contributor_count(n) == cat[n], n
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_contributor_count_rejects_a_size_below_one(n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        contributor_count(n)
+    with pytest.raises(ValueError, match="n must be positive"):
+        list(enumerate_contributors(n))
 
 
 def test_expansion_matches_recursive_oracle():
@@ -360,6 +369,24 @@ def test_one_card_walk_serves_both_conventions(monkeypatch):
         for gauge in (IDENTITY, TPOWER, IDENTITY):
             assert moment_by_cards(n, gauge) == _recursive_card_moment(n, gauge), (n, gauge)
     assert walks == [6, 7]
+
+
+def test_card_walk_counts_every_arrangement_once(monkeypatch):
+    histograms = []
+
+    def kept(histogram):
+        histograms.append(histogram)
+        return _histogram_moments(histogram)
+
+    monkeypatch.setattr(cards, "_histogram_moments", kept)
+    cards._card_moments.cache_clear()
+    try:
+        for n in range(1, 11):
+            cards._card_moments(n)
+    finally:
+        cards._card_moments.cache_clear()
+    assert [sum(h.values()) for h in histograms] == bell_numbers(10)[1:]
+    assert all(count > 0 for h in histograms for count in h.values())
 
 
 def test_partitions_cards_and_motzkin_agree_at_n10():

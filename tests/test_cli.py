@@ -409,6 +409,10 @@ def test_one_parser_serves_requests_in_any_order(capsys):
         ["cards", "--word", "CAC"],
         ["cards", "--word", "ASAC"],
         ["cards", "--n", "8", "--word", "AC"],
+        ["cards", "--n", "0"],
+        ["cards", "--n", "-3"],
+        ["partitions", "--n", "0"],
+        ["moments", "--n", "0"],
         ["charlier", "--n-max", "-1"],
         ["charlier", "--n-max", "3", "--q=1/2"],
         ["charlier", "--n-max", "3", "--output", "csv"],
@@ -435,6 +439,14 @@ def test_invalid_input_is_a_usage_error(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("error:") == 1
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["moments", "partitions", "cards"])
+def test_a_size_below_one_is_a_parser_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "0"])
+    assert exc.value.code == 2
+    assert "--n must be >= 1" in capsys.readouterr().err
 
 
 def test_invalid_letter_error_names_the_word(capsys):

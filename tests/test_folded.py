@@ -1,6 +1,7 @@
 """The q-folded symbolic routes: the ring's fold and its one decoder, each
 folded route against an unfolded oracle, the Poisson step over rational data,
-and the collapse of the moments at q = -t to a two-term recurrence."""
+the collapse of the moments at q = -t to a two-term recurrence, and the
+closed forms in lambda at q, t in {0, 1}."""
 
 from fractions import Fraction
 from functools import cache
@@ -31,8 +32,11 @@ from qtmoments.ring import LAMBDA, VARIABLES, Poly, Q, T
 from oracles import (
     bell_numbers,
     collapse_recurrence,
+    covered_chain,
     letterwise_moments,
+    narayana,
     recurrence_polys,
+    touchard,
     tridiagonal_moments,
     unpruned_jfraction_series,
 )
@@ -233,3 +237,39 @@ def test_moments_at_q_plus_t_do_not_collapse(mode):
     at_q_plus_t = _motzkin_at(mode, 1, 10)
     assert at_q_plus_t[:4] == _collapsed(mode, 3)
     assert all(m != c for m, c in zip(at_q_plus_t[4:], _collapsed(mode, 10)[4:]))
+
+
+# -- closed forms in lambda ------------------------------------------------------------
+
+#: (mode, q, t, the moment there as a polynomial in lambda alone)
+CLOSED_FORMS = [
+    ("strict", 1, 1, touchard),
+    ("strict", 0, 1, narayana),
+    ("covered", 0, 1, narayana),
+    ("covered", 0, 0, covered_chain),
+]
+closed_forms = pytest.mark.parametrize(
+    "mode, q, t, closed", CLOSED_FORMS,
+    ids=[f"{m}-q{q}t{t}-{f.__name__}" for m, q, t, f in CLOSED_FORMS])
+
+
+def _at(p, q: int, t: int) -> Poly:
+    return p.substitute("q", q).substitute("t", t)
+
+
+@closed_forms
+def test_brute_force_moments_have_the_closed_forms(mode, q, t, closed):
+    gauge, _ = MODES[mode]
+    for n in range(1, 11):
+        assert _at(moment_by_partitions(n, gauge), q, t) == closed(n), n
+        assert _at(moment_by_cards(n, gauge), q, t) == closed(n), n
+
+
+@closed_forms
+def test_motzkin_moments_have_the_closed_forms(mode, q, t, closed):
+    # substituting q and t is a ring homomorphism, so the Motzkin route on the
+    # substituted Jacobi data gives the substituted moments
+    j = MODES[mode][1]()
+    data = JacobiParams(name=j.name, alpha=lambda n: _at(j.alpha(n), q, t),
+                        omega=lambda n: _at(j.omega(n), q, t))
+    assert moments_by_motzkin(data, 25)[1:] == [closed(n) for n in range(1, 26)]
