@@ -33,8 +33,8 @@ Two walks visit every arrangement.  :func:`expand_arrangements` and the CLI
 listing take each word's line choices depth first and build every
 arrangement's cards and induced partition.  :func:`moment_by_cards` keeps only
 the weights: all arrangements of a word share their blocks and their q + t, so
-one pass over the word's letters lists one q-exponent per arrangement, and
-each is counted.
+the contributor DFS itself (:func:`_contributor_walk`) carries down each
+prefix one q-exponent per arrangement, and each is counted at the word's end.
 """
 
 from __future__ import annotations
@@ -77,26 +77,40 @@ class CardArrangement:
     partition: SetPartition
 
 
-def _contributor_letter_stream(n: int) -> Iterator[str]:
-    """DFS over application-order letter strings satisfying the level rules."""
+def _contributor_walk(n: int) -> Iterator[tuple]:
+    """DFS over application-order letter strings satisfying the level rules:
+    (letters, q_exps, blocks, t_top, t_shift) per contributor.
+
+    q_exps holds one q-exponent per arrangement of the letters so far: an A
+    or N letter at level i replaces each entry s by s, s+1, .., s+i-1, and
+    both children share that one list.  blocks counts the C and S letters,
+    t_top the i-1 each A or N letter adds to q + t, and t_shift the levels of
+    the S letters.
+    """
     # letters are pushed in reverse so they pop in the order C, A, N, S,
     # which fixes the deterministic enumeration order
-    todo = [("", 0)]
+    todo = [("", 0, [0], 0, 0, 0)]
     while todo:
-        acc, level = todo.pop()
+        acc, level, q_exps, blocks, t_top, t_shift = todo.pop()
         remaining = n - len(acc)
-        if not remaining:
-            if level == 0:
-                yield acc
+        if not remaining:  # the rules below leave no line open at the end
+            yield acc, q_exps, blocks, t_top, t_shift
             continue
-        if level <= remaining - 1:
-            todo.append((acc + "S", level))
-            if level:
-                todo.append((acc + "N", level))
         if level:
-            todo.append((acc + "A", level - 1))
-        if level + 1 <= remaining - 1:  # else it cannot come back down to 0 in time
-            todo.append((acc + "C", level + 1))
+            moved = [s + j for j in range(level) for s in q_exps] if level > 1 else q_exps
+        if level < remaining:
+            todo.append((acc + "S", level, q_exps, blocks + 1, t_top, t_shift + level))
+            if level:
+                todo.append((acc + "N", level, moved, blocks, t_top + level - 1, t_shift))
+        if level:
+            todo.append((acc + "A", level - 1, moved, blocks, t_top + level - 1, t_shift))
+        if level + 1 < remaining:  # else it cannot come back down to 0 in time
+            todo.append((acc + "C", level + 1, q_exps, blocks + 1, t_top, t_shift))
+
+
+def _contributor_letter_stream(n: int) -> Iterator[str]:
+    """The letters of each contributor, in :func:`_contributor_walk` order."""
+    return (walked[0] for walked in _contributor_walk(n))
 
 
 def enumerate_contributors(n: int) -> Iterator[OperatorWord]:
@@ -110,7 +124,8 @@ def enumerate_contributors(n: int) -> Iterator[OperatorWord]:
 
 
 def contributor_count(n: int) -> int:
-    """Number of contributors of length n (level-sequence count, no expansion)."""
+    """Number of contributors of length n, counted on the contributor walk
+    (no card is laid, but each word's q-exponent list is built)."""
     if n < 1:
         raise ValueError("n must be positive")
     return sum(1 for _ in _contributor_letter_stream(n))
@@ -210,37 +225,19 @@ def expand_arrangements(
 
 @cache
 def _card_moments(n: int) -> tuple:
-    """(strict, covered) moments from one pass over the letters of every
-    contributor of length n.
+    """(strict, covered) moments from one :func:`_contributor_walk` of the
+    contributors of length n.
 
     Every arrangement of every contributor is still counted one by one, with
     no grouping of contributors.  A choice j at level i adds j-1 to q and i-j
     to t, so all arrangements of a word share their blocks, q + t from the
     annihilation and intermediate cards (``t_top``) and singleton levels
-    (``t_shift``); only q differs.  The pass keeps one q-exponent per
-    arrangement of the letters read so far: an A or N letter at level i
-    replaces each entry s by s, s+1, .., s+i-1.  Each entry is then counted
-    into a list indexed by q, one list per (blocks, t_top, t_shift), and the
-    histogram is read off those lists once at the end.
+    (``t_shift``); only q differs, one walked entry per arrangement.  Each
+    entry is counted into a list indexed by q, one list per (blocks, t_top,
+    t_shift), and the histogram is read off those lists once at the end.
     """
     rows: dict = {}  # (blocks, t_top, t_shift) -> arrangements per q-exponent
-    choices = [range(i) for i in range(n)]
-    for app_letters in _contributor_letter_stream(n):
-        q_exps = [0]
-        blocks = n
-        level = t_top = t_shift = 0
-        for letter in app_letters:
-            if letter == "C":
-                level += 1
-            elif letter == "S":
-                t_shift += level
-            else:
-                if level > 1:
-                    q_exps = [s + j for s in q_exps for j in choices[level]]
-                t_top += level - 1
-                blocks -= 1  # one block per creation or singleton card
-                if letter == "A":
-                    level -= 1
+    for _, q_exps, blocks, t_top, t_shift in _contributor_walk(n):
         row = rows.get((blocks, t_top, t_shift))
         if row is None:
             row = rows[blocks, t_top, t_shift] = [0] * (t_top + 1)

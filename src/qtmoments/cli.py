@@ -22,8 +22,6 @@ from .cards import (
     NotContributor,
     _contributor_letter_stream,
     _expansion_states,
-    enumerate_contributors,
-    expand_arrangements,
     moment_by_cards,
 )
 from .cfrac import InsufficientDepth, cf_series, cf_spec, render_cf
@@ -51,7 +49,7 @@ from .orthopoly import (
     specialize,
     three_term_polys,
 )
-from .partitions import enumerate_partitions, moment_by_partitions, partition_record
+from .partitions import _statistics, enumerate_partitions, moment_by_partitions, partition_record
 from .ring import Poly
 
 SCHEMA = "qtmoments/1"
@@ -327,12 +325,9 @@ def _verify_cards(n_max: int):
     for n in range(1, min(n_max, 7) + 1):
         seen = []
         ok = True
-        for word in enumerate_contributors(n):
-            for arr in expand_arrangements(word, ScalarGauge.IDENTITY):
-                seen.append(arr.partition.rgs)
-                r = partition_record(arr.partition)
-                monomial = {"lambda": r["blocks"], "q": r["rc"], "t": r["rn_strict"]}
-                ok &= arr.weight == Poly.from_terms([(1, monomial)])
+        for _, _, owner, exps in _expansion_states(_contributor_letter_stream(n)):
+            seen.append(owner)
+            ok &= exps == _statistics(owner)[:3]  # (lambda, q, t) = (blocks, rc, rn)
         # Each arrangement induces a distinct partition, and every partition occurs.
         bijective = len(set(seen)) == len(seen) == sum(1 for _ in enumerate_partitions(n))
         yield _outcome(f"cards bijection n={n}", ok and bijective, "MISMATCH")

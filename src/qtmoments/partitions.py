@@ -24,16 +24,20 @@ IDENTITY is the scalar part lambda*1 (third moment
 lambda^3 + 3*lambda^2 + lambda); T_POWER_N is the scalar part lambda*t^N and
 reproduces the closed tables (third moment lambda^3 + (2+t)*lambda^2 + lambda).
 
-The listing and the moment sum carry the statistics down the rgs search
-(:func:`enumerate_partitions`, :func:`_weight_census`); a partition built by
-hand gets them from one left-to-right sweep (:func:`_statistics`).  One
-census serves both conventions, so each n is walked once per process.
+The listing (:func:`enumerate_partitions`) carries the statistics down the
+rgs search, closing each new arc against the arcs closed before it; a
+partition built by hand gets them from one left-to-right sweep
+(:func:`_statistics`).  The moment sum (:func:`_weight_census`) carries
+more: each open block holds what joining the next element to it would add,
+so a join scans no arcs.  One census serves both conventions, so each n is
+walked once per process.
 """
 
 from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterator, Sequence
@@ -162,7 +166,16 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
         blocks = len(last)
         if e == n:
             for b, a in enumerate(last):
-                crossed, nested, covered, _ = _join(a, arcs, singles)
+                crossed = nested = 0
+                for a2, c2 in arcs:
+                    if a2 > a:
+                        nested += 1
+                    elif a < c2:
+                        crossed += 1
+                i = bisect_right(singles, a)
+                covered = len(singles) - i
+                if i and singles[i - 1] == a:
+                    covered -= crossed
                 yield trusted(n, rgs + (b,), (blocks, rc + crossed, rn + nested, cov + covered))
             yield trusted(n, rgs + (blocks,), (blocks + 1, rc, rn, cov))
             continue
@@ -189,46 +202,49 @@ def _weight_census(n: int) -> dict:
     """Histogram {(blocks, crossings, strict nestings, covered-singleton pairs): count}
     over the partitions of {1..n}.
 
-    The search shares its lists and undoes each branch.  Element n's choices,
-    one per partition, are the hot loop: they inline :func:`_join` and are
-    counted where they are made, without a call per partition.
+    A path packs its statistics into one int key, in fields ``w`` bits wide:
+    covered singletons lowest, then nestings, crossings and blocks.  Every
+    total is below n*n < 2**w, and fields are only added, so an int whose
+    covered part is negative just borrows from the field above.  The open
+    blocks are kept in the order of their last elements, and each carries in
+    ``ds`` what joining the next element to it adds to the key.  Closing the
+    arc (a,e) from block i nests it inside every later arc from a block below
+    i and crosses every one from a block above i; a singleton above i is now
+    covered by the arc, which a later join of it takes back (``incs``, a new
+    arc's cost to each block: ``crs - 1`` for a singleton), and if block i was
+    a singleton, the blocks below it lose a covered singleton.  No closed arc
+    is scanned.  The node above the leaves counts element n's choices in
+    place, still one by one per partition.
     """
-    census: dict = {}
-    last: list = []  # last element of each block
-    arcs: list = []  # closed arcs
+    w = (n * n).bit_length()
+    nst, crs, blk = 1 << w, 1 << 2 * w, 1 << 3 * w
+    counts = Counter({blk: 1} if n == 1 else ())
 
-    def grow(e: int, rc: int, rn: int, cov: int, singles: tuple) -> None:
-        blocks = len(last)
-        if e == n:
-            key = (blocks + 1, rc, rn, cov)
-            census[key] = census.get(key, 0) + 1
-            for a in last:
-                crossed = nested = 0
-                for a2, c2 in arcs:
-                    if a2 > a:
-                        nested += 1
-                    elif a < c2:
-                        crossed += 1
-                i = bisect_right(singles, a)
-                covered = len(singles) - i
-                if i and singles[i - 1] == a:
-                    covered -= crossed
-                key = (blocks, rc + crossed, rn + nested, cov + covered)
-                census[key] = census.get(key, 0) + 1
+    def grow(e: int, key: int, ds: list, incs: list) -> None:
+        up = [d + c for d, c in zip(ds, incs)]  # each block after an arc from below it
+        if e == n - 1:
+            keys = []
+            for i, d in enumerate(ds):
+                k = key + d
+                lo = k + incs[i] + nst - crs
+                keys += [lo + x for x in ds[:i]]
+                keys += [k + u for u in up[i + 1:]]
+                keys += (k, k + blk)  # n joins e, or opens a block
+            k = key + blk  # e opens a block, a singleton above every other one
+            keys += [k + 1 + x for x in ds]
+            keys += (k, k + blk)
+            counts.update(keys)
             return
-        for b, a in enumerate(last):
-            crossed, nested, covered, rest = _join(a, arcs, singles)
-            arcs.append((a, e))
-            last[b] = e
-            grow(e + 1, rc + crossed, rn + nested, cov + covered, rest)
-            last[b] = a
-            arcs.pop()
-        last.append(e)
-        grow(e + 1, rc, rn, cov, singles + (e,))
-        last.pop()
+        for i, d in enumerate(ds):
+            lo = incs[i] + nst - crs
+            grow(e + 1, key + d, [lo + x for x in ds[:i]] + up[i + 1:] + [0],
+                 incs[:i] + incs[i + 1:] + [crs])
+        grow(e + 1, key + blk, [d + 1 for d in ds] + [0], incs + [crs - 1])
 
-    grow(1, 0, 0, 0, ())
-    return census
+    if n > 1:
+        grow(1, 0, [], [])
+    m = nst - 1
+    return {(k >> 3 * w, k >> 2 * w & m, k >> w & m, k & m): c for k, c in counts.items()}
 
 
 def _histogram_moments(histogram: dict) -> tuple:

@@ -1,5 +1,6 @@
 """Card arrangements: expansion, weights, induced partitions, bijection."""
 
+import hashlib
 import itertools
 import re
 from functools import reduce
@@ -12,6 +13,7 @@ import qtmoments.cards as cards
 from qtmoments.cards import (
     NotContributor,
     _contributor_letter_stream,
+    _contributor_walk,
     arrangement_record,
     contributor_count,
     enumerate_contributors,
@@ -36,6 +38,7 @@ from qtmoments.orthopoly import charlier_strict, charlier_t_gauge, moments_by_mo
 from qtmoments.ring import Poly
 
 from oracles import (
+    CENSUS_SHA256,
     bell_numbers,
     card_weight,
     catalan_numbers,
@@ -361,9 +364,9 @@ def test_one_card_walk_serves_both_conventions(monkeypatch):
 
     def counted(n):
         walks.append(n)
-        return _contributor_letter_stream(n)
+        return _contributor_walk(n)
 
-    monkeypatch.setattr(cards, "_contributor_letter_stream", counted)
+    monkeypatch.setattr(cards, "_contributor_walk", counted)
     cards._card_moments.cache_clear()
     for n in (6, 7):
         for gauge in (IDENTITY, TPOWER, IDENTITY):
@@ -387,6 +390,18 @@ def test_card_walk_counts_every_arrangement_once(monkeypatch):
         cards._card_moments.cache_clear()
     assert [sum(h.values()) for h in histograms] == bell_numbers(10)[1:]
     assert all(count > 0 for h in histograms for count in h.values())
+
+
+def test_card_walk_histogram_at_n11_matches_its_pinned_digest(monkeypatch):
+    histograms = []
+    monkeypatch.setattr(cards, "_histogram_moments", histograms.append)
+    cards._card_moments.cache_clear()
+    try:
+        cards._card_moments(11)
+    finally:
+        cards._card_moments.cache_clear()
+    digest = hashlib.sha256(repr(sorted(histograms[0].items())).encode()).hexdigest()
+    assert digest == CENSUS_SHA256[11]
 
 
 def test_partitions_cards_and_motzkin_agree_at_n10():

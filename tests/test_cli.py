@@ -1,6 +1,5 @@
 """CLI surface: subcommands, exit codes, output formats, determinism."""
 
-import dataclasses
 import json
 import os
 import re
@@ -12,6 +11,7 @@ import pytest
 import qtmoments
 from qtmoments import cli
 from qtmoments.cards import (
+    _expansion_states,
     arrangement_record,
     enumerate_contributors,
     expand_arrangements,
@@ -21,7 +21,7 @@ from qtmoments.cli import SCHEMA, SUITES, build_parser, main, rational
 from qtmoments.fock import OperatorWord, ScalarGauge, check_commutation
 from qtmoments.orthopoly import charlier_strict, moments_by_motzkin, poisson_limit_check
 from qtmoments.partitions import enumerate_partitions, partition_record
-from qtmoments.ring import Poly, Q
+from qtmoments.ring import Poly
 
 
 def run(capsys, *argv):
@@ -295,16 +295,14 @@ def _wrong_strict_cards(n, gauge):
     return value + 1 if (n, gauge) == (3, ScalarGauge.IDENTITY) else value
 
 
-def _reweighted_pairs(word, gauge):
-    arrangements = expand_arrangements(word, gauge)
-    if len(word.letters) != 2:
-        return arrangements
-    return [dataclasses.replace(arr, weight=arr.weight * Q) for arr in arrangements]
+def _reweighted_pairs(words, covered=False):
+    for text, cards, owner, (lam, q, t) in _expansion_states(words, covered):
+        yield text, cards, owner, (lam, q + 1 if len(text) == 2 else q, t)
 
 
-def _repeated_pairs(word, gauge):
-    arrangements = expand_arrangements(word, gauge)
-    return arrangements * 2 if len(word.letters) == 2 else arrangements
+def _repeated_pairs(words, covered=False):
+    for state in _expansion_states(words, covered):
+        yield from [state] * (2 if len(state[0]) == 2 else 1)
 
 
 def _not_converging(*args):
@@ -324,9 +322,9 @@ def _failing_commutation(depth):
 BROKEN_CHECKS = [
     ("moments", "moment_by_cards", _wrong_strict_cards,
      "moments strict n=3: MISMATCH ['cards']", "moments strict n=3"),
-    ("cards", "expand_arrangements", _reweighted_pairs,
+    ("cards", "_expansion_states", _reweighted_pairs,
      "cards bijection n=2: MISMATCH", "cards bijection n=2"),
-    ("cards", "expand_arrangements", _repeated_pairs,
+    ("cards", "_expansion_states", _repeated_pairs,
      "cards bijection n=2: MISMATCH", "cards bijection n=2"),
     ("orthopoly", "poisson_limit_check", _not_converging,
      "poisson-limit: FAILED", "poisson-limit"),

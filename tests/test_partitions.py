@@ -1,6 +1,7 @@
 """Partition enumeration, crossing/nesting statistics, and the moment sum."""
 
 import functools
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from qtmoments.partitions import (
 from qtmoments.ring import LAMBDA, Poly
 
 from oracles import (
+    CENSUS_SHA256,
     bell_numbers,
     catalan_numbers,
     partition_from_blocks,
@@ -248,6 +250,12 @@ def test_census_matches_brute_force():
 def test_census_matches_recursive_oracle():
     for n in range(1, 10):
         assert _weight_census(n) == recursive_weight_census(n), n
+
+
+@pytest.mark.parametrize("n", sorted(CENSUS_SHA256))
+def test_census_past_the_oracle_matches_its_pinned_digest(n):
+    digest = hashlib.sha256(repr(sorted(_weight_census(n).items())).encode()).hexdigest()
+    assert digest == CENSUS_SHA256[n]
 
 
 def test_enumerated_partitions_carry_their_statistics():
