@@ -42,6 +42,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 from typing import Iterable, Iterator
 
 from .fock import OperatorWord, ScalarGauge, _covered
@@ -118,17 +119,16 @@ def enumerate_contributors(n: int) -> Iterator[OperatorWord]:
     if n < 1:
         raise ValueError("n must be positive")
     if n > SOFT_LIMIT:
-        warnings.warn(f"enumerating contributors of length {n} (4^n search space)")
+        warnings.warn(f"enumerating the Catalan({n}) contributors of length {n}")
     for letters in _contributor_letter_stream(n):
         yield OperatorWord(letters[::-1])
 
 
 def contributor_count(n: int) -> int:
-    """Number of contributors of length n, counted on the contributor walk
-    (no card is laid, but each word's q-exponent list is built)."""
+    """Number of contributors of length n: the Catalan number C(2n, n) / (n + 1)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return sum(1 for _ in _contributor_letter_stream(n))
+    return comb(2 * n, n) // (n + 1)
 
 
 def _expansion_states(words: Iterable[str], covered: bool = False) -> Iterator[tuple]:

@@ -28,7 +28,6 @@ from .cfrac import InsufficientDepth, cf_series, cf_spec, render_cf
 from .fock import (
     OperatorWord,
     ScalarGauge,
-    TruncationOverflow,
     check_adjointness,
     check_commutation,
     check_gram_positivity,
@@ -73,7 +72,7 @@ _JSON = json.JSONEncoder(sort_keys=True)
 LISTING_CHUNK = 512
 
 #: Domain errors raised by a request's own arguments: reported as usage errors.
-USAGE_ERRORS = (ValueError, NotContributor, InsufficientDepth, TruncationOverflow)
+USAGE_ERRORS = (ValueError, NotContributor, InsufficientDepth)
 
 
 def rational(text: str) -> Fraction:

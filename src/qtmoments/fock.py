@@ -4,9 +4,9 @@ positivity checks.
 
 One-mode layer
 --------------
-Vectors are finite sums sum_k c_k f_k with Poly coefficients, where f_k is the
-level-k basis vector rescaled by lambda^(-k/2).  In this basis every operator
-entry is a lambda-polynomial and no square roots ever materialize:
+A vector sum_k c_k f_k is its coefficient list [c_0, c_1, ..], where f_k is
+the level-k basis vector rescaled by lambda^(-k/2).  In this basis every
+operator entry is a lambda-polynomial and no square roots ever materialize:
 
     Creation      f_k -> lambda * f_{k+1}
     Annihilation  f_k -> [k] * f_{k-1}        (f_0 -> 0)
@@ -15,7 +15,11 @@ entry is a lambda-polynomial and no square roots ever materialize:
                   f_k -> lambda t^k * f_k     (T_POWER_N gauge)
 
 The deformed Poisson operator is the sum of the four letters; its vacuum
-moments are the coefficient of f_0 after n applications.
+moments are the coefficient of f_0 after n applications.  ``_letter_step``
+(one letter) and ``_poisson_step`` (all four) map a list to one a level longer
+over any ring, with [k] and the scalars from ``_poisson_data``; words walk the
+first from the vacuum [1], moments the second.  A :class:`FockVector` has a top
+level, past which creation raises :class:`TruncationOverflow`.
 
 Words are text over C, A, N, S (creation, annihilation, number, scalar),
 written with the leftmost character applied last (operator product order),
@@ -91,7 +95,6 @@ __all__ = [
 ]
 
 LETTERS = "CANS"  # creation, annihilation, number, scalar
-_STEP = {"C": 1, "A": -1}  # level change of a letter; N and S keep the level
 
 
 class ScalarGauge(Enum):
@@ -121,14 +124,8 @@ class TruncationOverflow(Exception):
 @dataclass(frozen=True)
 class OperatorWord:
     """A product of operator letters, written as text over C, A, N, S;
-    ``letters[0]`` is applied last.
-
-    The level sequence runs in application order: ``levels[0] = 0`` is the
-    level before the first (rightmost) letter acts, ``levels[k]`` the level
-    after k letters.  A word is a contributor (nonzero vacuum expectation)
-    iff the levels never go negative, return to 0, and every Number letter
-    acts at level >= 1.
-    """
+    ``letters[0]`` is applied last.  A word is a contributor when its
+    :func:`vacuum_expectation_word` is nonzero."""
 
     letters: str
 
@@ -149,26 +146,6 @@ class OperatorWord:
     def application_order(self) -> str:
         """The letters in the order they act (rightmost first)."""
         return self.letters[::-1]
-
-    @property
-    def levels(self) -> tuple:
-        level = 0
-        out = [0]
-        for letter in self.application_order():
-            level += _STEP.get(letter, 0)
-            out.append(level)
-        return tuple(out)
-
-    @property
-    def is_contributor(self) -> bool:
-        level = 0
-        for letter in self.application_order():
-            if letter == "N" and level < 1:
-                return False
-            level += _STEP.get(letter, 0)
-            if level < 0:
-                return False
-        return level == 0
 
     def __str__(self) -> str:
         return self.to_string()
@@ -227,33 +204,12 @@ def apply_letter(
     letter: str, v: FockVector, gauge: ScalarGauge = ScalarGauge.IDENTITY
 ) -> FockVector:
     """Apply one operator letter (one of C, A, N, S) to a vector in the rescaled basis."""
-    covered = _covered(gauge)
+    data = _poisson_data(gauge, v.dim + 1)
     if letter not in ("C", "A", "N", "S"):  # not LETTERS: "" and "CA" are in "CANS"
         raise ValueError(f"not an operator letter: {letter!r}")
-    out = FockVector(v.dim)
-    if letter == "C":
-        if not v.coeffs[v.dim].is_zero:
-            raise TruncationOverflow(f"creation past level {v.dim}")
-        for k in range(v.dim):
-            c = v.coeffs[k]
-            if not c.is_zero:
-                out.coeffs[k + 1] = c * LAMBDA
-    elif letter == "A":
-        for k in range(1, v.dim + 1):
-            c = v.coeffs[k]
-            if not c.is_zero:
-                out.coeffs[k - 1] = c * qt_number(k)
-    elif letter == "N":
-        for k in range(1, v.dim + 1):
-            c = v.coeffs[k]
-            if not c.is_zero:
-                out.coeffs[k] = c * qt_number(k)
-    else:  # S
-        for k in range(v.dim + 1):
-            c = v.coeffs[k]
-            if not c.is_zero:
-                out.coeffs[k] = c * (LAMBDA * T**k if covered else LAMBDA)
-    return out
+    if letter == "C" and not v.coeffs[v.dim].is_zero:
+        raise TruncationOverflow(f"creation past level {v.dim}")
+    return FockVector(v.dim, _letter_step(letter, v.coeffs, LAMBDA, *data)[:-1])
 
 
 def apply_word(
@@ -267,9 +223,23 @@ def apply_word(
 
 
 def _poisson_data(gauge: ScalarGauge, top: int) -> tuple:
-    """[k] and the scalar letter's weight at each level k < top."""
-    scalars = [LAMBDA * T**k for k in range(top)] if _covered(gauge) else [LAMBDA] * top
+    """[k] and the scalar letter's weight (lambda, or lambda t^k) at each level k < top."""
+    scalars = [LAMBDA] * top
+    if _covered(gauge):
+        scalars = list(itertools.accumulate(scalars, lambda s, _: s * T))
     return [qt_number(k) for k in range(top)], scalars
+
+
+def _letter_step(letter: str, coeffs: list, lam, nums: Sequence, scalars: Sequence) -> list:
+    """One letter on sum_k coeffs[k] f_k, as coefficients of f_0 .. f_len(coeffs),
+    over any ring: creation weighs ``lam`` onto f_(k+1), annihilation nums[k] =
+    [k] onto f_(k-1), the number letter nums[k] and the scalar scalars[k] onto f_k."""
+    zero = nums[0]  # [0] = 0, in the data's own ring
+    if letter == "C":
+        return [zero] + [c * lam if c else zero for c in coeffs]
+    weights = scalars if letter == "S" else nums
+    out = [c * w if c else zero for c, w in zip(coeffs, weights)]
+    return out[1:] + [zero, zero] if letter == "A" else out + [zero]
 
 
 def _poisson_step(coeffs: list, lam, nums: Sequence, scalars: Sequence) -> list:
@@ -306,8 +276,13 @@ def vacuum_expectation_word(
     w: OperatorWord, gauge: ScalarGauge = ScalarGauge.IDENTITY
 ) -> Poly:
     """Coefficient of the vacuum in w applied to the vacuum; 0 for non-contributors."""
-    v = apply_word(w, FockVector.vacuum(len(w) + 1), gauge)
-    return v.coeffs[0]
+    data = _poisson_data(gauge, len(w) // 2 + 1)
+    coeffs = [Poly.one()]
+    # letters[left] acts with ``left`` letters still to come: a level above
+    # that can no longer reach the vacuum, so no kept level exceeds n/2
+    for left, letter in reversed(list(enumerate(w.letters))):
+        coeffs = _letter_step(letter, coeffs, LAMBDA, *data)[: left + 1]
+    return coeffs[0]
 
 
 def moment_by_operator(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:

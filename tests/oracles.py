@@ -9,14 +9,15 @@ combinatorial counts, full products under the moment functional for
 orthogonality, block-by-block determinants for leading minors, cofactor
 expansion for determinants, the sum over all permutations for the deformed
 inner product, the recursive card walk and a per-name card weight table,
-factor-by-factor text for canonical strings, and the four letters applied
-one by one for the Poisson step, unfolded polynomial arithmetic for the
-q-folded routes, a two-term recurrence for the moments at q = -t written
-down by hand, and the Touchard, Narayana and lambda (1 + lambda)^(n-1)
-polynomials from their counting formulas.  The weight census is the plain
-recursive walk that calls once per partition; past it, the n = 11 and
-n = 12 histograms are pinned by digest.  Tests freeze values from these,
-never from the implementation being checked.
+factor-by-factor text for canonical strings, the four letters applied
+one by one for the Poisson step, a running sum of level changes for a word's
+levels, unfolded polynomial arithmetic for the q-folded routes, a two-term
+recurrence for the moments at q = -t written down by hand, and the
+Touchard, Narayana and lambda (1 + lambda)^(n-1) polynomials from their
+counting formulas.  The weight census is the plain recursive walk that
+calls once per partition; past it, the n = 11 and n = 12 histograms are
+pinned by digest.  Tests freeze values from these, never from the
+implementation being checked.
 """
 
 from __future__ import annotations
@@ -83,6 +84,16 @@ def factorwise_canonical_str(p: Poly) -> str:
         else:
             pieces.append(("-" if coeff < 0 else "") + body)
     return "".join(pieces) or "0"
+
+
+def word_levels(word) -> tuple:
+    """The level before each letter of an operator word acts, then the level
+    after its last, in application order (rightmost letter first): each C
+    raises the level by one and each A lowers it by one."""
+    levels = [0]
+    for letter in reversed(word.to_string()):
+        levels.append(levels[-1] + (letter == "C") - (letter == "A"))
+    return tuple(levels)
 
 
 def letterwise_poisson(v: FockVector, gauge) -> FockVector:

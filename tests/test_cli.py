@@ -21,7 +21,8 @@ from qtmoments.cli import SCHEMA, SUITES, build_parser, main, rational
 from qtmoments.fock import OperatorWord, ScalarGauge, check_commutation
 from qtmoments.orthopoly import charlier_strict, moments_by_motzkin, poisson_limit_check
 from qtmoments.partitions import enumerate_partitions, partition_record
-from qtmoments.ring import Poly
+from qtmoments.qtnum import qt_factorial
+from qtmoments.ring import LAMBDA, Poly
 
 
 def run(capsys, *argv):
@@ -278,6 +279,14 @@ def test_word_command(capsys):
     code, out, _ = run(capsys, "word", "--word", "AC", "--output", "pretty")
     assert code == 0
     assert out.strip() == "lambda"
+
+
+@pytest.mark.parametrize("mode", ["strict", "covered"])
+def test_word_command_on_a_long_word(capsys, mode):
+    # 30 creations, then 30 annihilations: lambda^30 [30]!
+    code, out, _ = run(capsys, "word", "--word", "A" * 30 + "C" * 30, "--mode", mode)
+    assert code == 0
+    assert out == (LAMBDA**30 * qt_factorial(30)).canonical_str() + "\n"
 
 
 def test_verify_small(capsys):

@@ -1,8 +1,9 @@
 """The q-folded symbolic routes: the ring's fold and its one decoder, each
-folded route against an unfolded oracle, the Poisson step over rational data,
-the collapse of the moments at q = -t to a two-term recurrence, and the
-closed forms in lambda at q, t in {0, 1}."""
+folded route against an unfolded oracle, the Poisson and letter steps over
+rational data, the collapse of the moments at q = -t to a two-term
+recurrence, and the closed forms in lambda at q, t in {0, 1}."""
 
+import os
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -12,7 +13,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from qtmoments import ring
 from qtmoments.cards import moment_by_cards
-from qtmoments.fock import FockVector, ScalarGauge, _poisson_data, _poisson_step, moment_by_operator
+from qtmoments.fock import (
+    FockVector,
+    OperatorWord,
+    ScalarGauge,
+    _letter_step,
+    _poisson_data,
+    _poisson_step,
+    moment_by_operator,
+    vacuum_expectation_word,
+)
 from qtmoments.orthopoly import (
     JacobiParams,
     charlier_strict,
@@ -174,6 +184,28 @@ def test_poisson_step_over_fractions_gives_the_evaluated_moment(point, mode):
         assert coeffs[0] == moment_by_operator(n, gauge).eval(at)
     with pytest.raises(TypeError):
         FockVector(1, [0.5, 0])
+
+
+@pytest.mark.parametrize("point", RATIONAL_POINTS, ids=lambda p: ",".join(map(str, p)))
+@pytest.mark.parametrize("mode", MODES)
+def test_letter_step_over_fractions_gives_the_evaluated_word(point, mode, monkeypatch):
+    # the bench's contributor words, each walked letter by letter on rational data
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import workloads
+
+    gauge, _ = MODES[mode]
+    q, t, lam = point
+    at = {"q": q, "t": t, "lambda": lam}
+    words = [w for n in workloads.WORD_LENGTHS for w in workloads.contributor_words(n)]
+    nums, scalars = ([p.eval(at) for p in data]
+                     for data in _poisson_data(gauge, max(map(len, words))))
+    for word in words:
+        coeffs = [Fraction(1)]  # the vacuum
+        for letter in reversed(word):
+            coeffs = _letter_step(letter, coeffs, lam, nums, scalars)
+        assert all(isinstance(c, Fraction) for c in coeffs)
+        assert coeffs[0] == vacuum_expectation_word(OperatorWord(word), gauge).eval(at), word
 
 
 # -- the collapse at q = -t ------------------------------------------------------------
