@@ -28,14 +28,16 @@ e.g. "AASNCC" applies two creations first.
 Multi-mode layer
 ----------------
 For alphabet size d and level cap n, basis vectors are words over {0..d-1} of
-length <= n, and all arithmetic is over exact rationals.  The deformed inner
-product of two equal-length words u, v with one-particle Gram g is defined as
+length <= n.  All arithmetic is over ints, with one denominator per word
+length, divided out only in the rationals returned (:class:`_WordForm`).  The
+deformed inner product of two equal-length words u, v with one-particle Gram g
+is defined as
 
     sum over permutations sigma of  q^inv(sigma) t^(M - inv(sigma))
         * prod_k g[u_k][v_sigma(k)],      M = m(m-1)/2.
 
 One loop, ``_permutation_sum``, computes that definition: with symbolic q and t
-for :func:`qt_inner_product`, and with rationals for the words
+for :func:`qt_inner_product`, and with scaled ints for the words
 (:meth:`_WordForm.words`, :func:`word_inner_product`).
 
 Creation prepends a letter; annihilation of letter i removes slot k
@@ -48,7 +50,7 @@ block-diagonal by length.  :func:`multimode_gram` builds the length-m block
 from the length-(m-1) block by pairing the first letter of u with each slot of
 v, with the weights of ``lower``: m terms per entry instead of m!.  The
 leading minors then come from one elimination that skips zero entries, so the
-positivity check reaches d = 2, n = 6 (127 words) and d = 3, n = 4 (121 words).
+positivity check reaches d = 2, n = 7 (255 words) and d = 3, n = 5 (364 words).
 
 That recursion is the statement that annihilation is the adjoint of creation.
 :func:`check_adjointness` tests it on basis words against the definition: the
@@ -61,6 +63,7 @@ permutation weight breaks this check and the symbolic inner product alike.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -333,7 +336,7 @@ def _permutation_sum(rows: Sequence[Sequence], weights: list):
                 break
             prod *= x
         if prod:
-            # prod on the left: int + Fraction takes Fraction's slow reflected add
+            # prod on the left: int + Poly takes the slower reflected add
             sums[inv] = prod + sums[inv]
     return sum((w * s for w, s in zip(weights, sums) if s), weights[0] * 0)
 
@@ -369,10 +372,11 @@ class CheckReport:
     def passed(self) -> bool:
         return self.checked > 0 and not self.failures
 
-    def record(self, ok: bool, message: str) -> None:
+    def record(self, ok: bool, message) -> None:
+        """Count one check; ``message``, text or a callable giving it, is read on failure only."""
         self.checked += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(message() if callable(message) else message)
 
     def __str__(self) -> str:
         status = "ok" if self.passed else f"{len(self.failures)} failure(s)"
@@ -394,7 +398,7 @@ def check_commutation(depth: int) -> CheckReport:
     for k in range(depth):
         lhs = qt_number(k + 1) - Q * qt_number(k)
         rhs = T**k
-        report.record(lhs == rhs, f"level {k}: {lhs} != {rhs}")
+        report.record(lhs == rhs, lambda: f"level {k}: {lhs} != {rhs}")
     return report
 
 
@@ -415,20 +419,28 @@ def basis_words(d: int, n: int) -> list:
 
 
 class _WordForm:
-    """The multi-mode inner product and annihilation at one exact (gram, q, t):
-    the Gram matrix is converted to Fractions once, and the permutation weights
-    q^inv t^(M-inv) and slot weights q^k t^(m-1-k) are tabulated once per word
-    length, for a whole check."""
+    """The multi-mode inner product and annihilation at one exact (gram, q, t),
+    over ints: ``q``, ``t`` and ``g`` hold q D, t D and g G, for D and G the lcms
+    of the denominators of q, t and of the Gram.  A length-m permutation sum then
+    has the one denominator ``scale(m)`` = D^M G^m, M = m(m-1)/2, and a slot weight
+    of ``lower`` D^(m-1) G; both weights are tabulated once per word length."""
 
     def __init__(self, gram: Sequence[Sequence], q: Fraction, t: Fraction):
-        self.g = [[Fraction(x) for x in row] for row in gram]
-        self.q, self.t = Fraction(q), Fraction(t)
+        g, q, t = [[Fraction(x) for x in row] for row in gram], Fraction(q), Fraction(t)
+        self.dqt = math.lcm(q.denominator, t.denominator)
+        self.dg = math.lcm(*(x.denominator for row in g for x in row))
+        self.g = [[int(x * self.dg) for x in row] for row in g]
+        self.q, self.t = int(q * self.dqt), int(t * self.dqt)
         self.weights: dict = {}  # m -> [q^i t^(M-i) for i = 0..M]
         self.slot_weights: dict = {}  # m -> [q^k t^(m-1-k) for k = 0..m-1]
 
-    def words(self, u: Sequence[int], v: Sequence[int]) -> Fraction:
+    def scale(self, m: int) -> int:
+        """The one denominator of every length-m permutation sum."""
+        return self.dqt ** (m * (m - 1) // 2) * self.dg**m
+
+    def words(self, u: Sequence[int], v: Sequence[int]) -> int:
         if len(u) != len(v):
-            return Fraction(0)
+            return 0
         m = len(u)
         if m not in self.weights:
             self.weights[m] = _inversion_weights(m, self.q, self.t)
@@ -456,7 +468,8 @@ def word_inner_product(
     _check_gram_shape(d, gram)
     if not all(a in range(d) for a in (*u, *v)):
         raise ValueError(f"words {tuple(u)}, {tuple(v)} have a letter outside range({d})")
-    return _WordForm(gram, q, t).words(u, v)
+    form = _WordForm(gram, q, t)
+    return Fraction(form.words(u, v), form.scale(len(u)))
 
 
 def check_adjointness(
@@ -466,7 +479,8 @@ def check_adjointness(
 
     Both sides are permutation sums; the right one takes its annihilation
     weights from :meth:`_WordForm.lower`.  Past the level cap, (i, u) is longer
-    than every v, so both sides are 0.
+    than every v, so both sides are 0.  They are compared as ints over the one
+    denominator scale(len(v)), as M_m = M_(m-1) + (m-1).
     """
     _check_gram_shape(d, gram)
     report = CheckReport(name=f"adjointness(d={d}, n={n}, q={q}, t={t})")
@@ -477,11 +491,9 @@ def check_adjointness(
         for u in words:
             for v, low in zip(words, lowered):
                 lhs = form.words((i, *u), v)
-                rhs = sum((w * form.words(u, rest) for w, rest in low), Fraction(0))
-                report.record(
-                    lhs == rhs,
-                    f"letter {i}, u={u}, v={v}: {lhs} != {rhs}",
-                )
+                rhs = sum(w * form.words(u, rest) for w, rest in low)
+                report.record(lhs == rhs, lambda: "letter {}, u={}, v={}: {} != {}".format(
+                    i, u, v, *(Fraction(x, form.scale(len(v))) for x in (lhs, rhs))))
     return report
 
 
@@ -497,12 +509,13 @@ def multimode_gram(
 
         G_m[u][v] = sum_k q^k t^(m-1-k) g[u_0][v_k] G_{m-1}[u_1..u_{m-1}][v without v_k],
 
-    m terms per entry in place of the m! of the permutation sum.
+    m terms per entry in place of the m! of the permutation sum.  Block m is
+    built over ints and divided by its one denominator scale(m) at the end.
     """
     _check_gram_shape(d, gram)
     form = _WordForm(gram, q, t)
     zero = Fraction(0)
-    blocks = [[[Fraction(1)]]]
+    blocks = [[[1]]]
     shorter = [()]
     for m in range(1, n + 1):
         index = {w: i for i, w in enumerate(shorter)}
@@ -511,17 +524,16 @@ def multimode_gram(
         for a in range(d):
             cols = [[(w, index[rest]) for w, rest in form.lower(a, v)] for v in words]
             for below in blocks[-1]:
-                block.append(
-                    [sum((c * below[j] for c, j in col if below[j]), zero) for col in cols]
-                )
+                block.append([sum(c * below[j] for c, j in col if below[j]) for col in cols])
         blocks.append(block)
         shorter = words
     size = sum(len(block) for block in blocks)
     matrix = []
     offset = 0
-    for block in blocks:
-        pad = size - offset - len(block)
-        matrix.extend([zero] * offset + row + [zero] * pad for row in block)
+    for m, block in enumerate(blocks):
+        pad, scale = size - offset - len(block), form.scale(m)
+        rows = ([Fraction(x, scale) if x else zero for x in row] for row in block)
+        matrix.extend([zero] * offset + row + [zero] * pad for row in rows)
         offset += len(block)
     return matrix
 
@@ -568,7 +580,7 @@ def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list:
     exchange rows), so zero and negative minors stay exact.
     """
     n = len(matrix)
-    work = [[Fraction(x) for x in row[:n]] for row in matrix]
+    work = [[x if type(x) is Fraction else Fraction(x) for x in row[:n]] for row in matrix]
     minors: list = []
     det = Fraction(1)
     for k in range(n):
@@ -588,5 +600,5 @@ def check_gram_positivity(
     report = CheckReport(name=f"gram positivity(d={d}, n={n}, q={q}, t={t})")
     minors = leading_principal_minors(multimode_gram(d, n, gram, q, t))
     for k, minor in enumerate(minors, start=1):
-        report.record(minor > 0, f"leading minor {k} = {minor} not positive")
+        report.record(minor > 0, lambda: f"leading minor {k} = {minor} not positive")
     return report

@@ -283,7 +283,7 @@ def check_orthogonality(j: JacobiParams, n_max: int, moments: Sequence) -> Check
         for m in range(n_max + 1):
             value = values[min(n, m), max(n, m)]
             expected = norms[n] if n == m else zero
-            report.record(value == expected, f"L(P_{n} P_{m}) = {value}, expected {expected}")
+            report.record(value == expected, lambda: f"L(P_{n} P_{m}) = {value}, expected {expected}")
     return report
 
 
@@ -397,7 +397,7 @@ def poisson_limit_check(
         for k, (d1, d2) in enumerate(zip(devs1, devs2)):
             report.record(
                 d2 < d1 or d1 == d2 == 0,
-                f"order {k}: deviation {d2} at m={m2} is not below {d1} at m={m1}",
+                lambda: f"order {k}: deviation {d2} at m={m2} is not below {d1} at m={m1}",
             )
     return report
 

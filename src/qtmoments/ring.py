@@ -26,8 +26,8 @@ to bit W*j of its diagonal's int.  ``_undiagonals``, the one decoder, reads
 balanced W-bit digits back, exact for coefficients in [-2^(W-1), 2^(W-1)).
 ``_folded`` runs a route, or one product, folded at the one width rule
 W = bits(B) + 1, B the walk run on the data's L1 norms.  ``__mul__`` folds once
-both operands reach ``_PACKED_MIN`` terms, one holds a q and the smaller one's
-diagonals are dense (``_GAP_LIMIT``); folded operands hold no q, so never fold.
+both operands reach ``_PACKED_MIN`` terms, one holds a q and the diagonals of
+both are dense (``_GAP_LIMIT``); folded operands hold no q, so never fold.
 Every route and check already runs folded as a whole, so no workload request
 reaches that per-product fold: its traffic is the unfolded test oracles and
 callers' own products of large Polys.
@@ -78,7 +78,7 @@ _FOLD = (1 << _SHIFT["t"]) - (1 << _SHIFT["q"])
 #: ``__mul__`` folds once its operands reach (smaller, larger) terms; no workload
 #: request does, only the tests' unfolded oracles and callers' own products.
 _PACKED_MIN = (5, 100)
-#: Slots per term in the smaller operand's diagonals past which ``__mul__`` takes
+#: Slots per term in either operand's diagonals past which ``__mul__`` takes
 #: the schoolbook loop: those products keep under 1, and at 4 the two cost the same.
 _GAP_LIMIT = 4
 #: Text of each (lambda, t) and each (q, x) half key printed so far.
@@ -161,17 +161,18 @@ def _schoolbook_mul(a: dict, b: dict) -> dict:
 
 
 def _fold_pays(a: dict, b: dict) -> bool:
-    """Whether the product of ``a`` and the larger ``b`` should fold: one holds a
-    q, and ``a``'s (q+t)-diagonals span at most ``_GAP_LIMIT`` slots per term.
-    ``b`` is not judged: a pass over its terms would cost about what the fold does."""
+    """Whether the product of ``a`` and ``b`` should fold: one holds a q, and
+    the (q+t)-diagonals of each span at most ``_GAP_LIMIT`` slots per term.  On
+    a diagonal a higher q exponent means a smaller key, so over falling keys
+    the last exponent kept for a diagonal is its highest."""
     q = _SHIFT["q"]
-    top: dict = {}  # diagonal -> its highest q exponent
-    for key in a:
-        j = (key >> q) & _MASK
-        diag = key + j * _FOLD
-        top[diag] = max(j, top.get(diag, 0))
-    tops = sum(top.values())
-    return len(top) + tops <= _GAP_LIMIT * len(a) and (tops > 0 or any(k >> q & _MASK for k in b))
+    if not any(key >> q & _MASK for terms in (a, b) for key in terms):
+        return False
+    for terms in (a, b):
+        top = {key + (j := (key >> q) & _MASK) * _FOLD: j for key in sorted(terms, reverse=True)}
+        if len(top) + sum(top.values()) > _GAP_LIMIT * len(terms):
+            return False
+    return True
 
 
 def _undiagonals(diags: dict, width: int) -> dict:

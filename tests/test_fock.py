@@ -28,6 +28,7 @@ from qtmoments.fock import (
     _WordForm,
 )
 from qtmoments.cards import expand_arrangements, moment_by_cards
+from qtmoments.orthopoly import charlier_strict, check_orthogonality, moments_by_motzkin
 from qtmoments.partitions import SetPartition, moment_by_partitions, restricted_nestings
 from qtmoments.qtnum import qt_factorial, qt_number
 from qtmoments.ring import LAMBDA, Poly, Q, T
@@ -250,17 +251,59 @@ def test_word_inner_product_one_mode_reduces_to_factorial():
 
 def test_lower_weights_each_slot_of_a_word():
     # a non-symmetric Gram with a zero entry and q != t pin the slot order,
-    # the exponents q^k t^(m-1-k) and which Gram entry each slot takes
+    # the exponents q^k t^(m-1-k) and which Gram entry each slot takes; a weight
+    # on a length-3 word is an int over the form's scale(3) / scale(2)
     form = _WordForm([[2, 1], [0, 3]], Fraction(1, 3), Fraction(1, 2))
     v = (0, 1, 1)
-    assert form.lower(0, v) == [
+    unit = form.scale(3) // form.scale(2)
+    lowered = {i: form.lower(i, v) for i in (0, 1)}
+    assert all(type(w) is int for low in lowered.values() for w, _ in low)
+    as_rationals = {i: [(Fraction(w, unit), rest) for w, rest in low] for i, low in lowered.items()}
+    assert as_rationals[0] == [
         (Fraction(1, 2), (1, 1)),  # t^2 g[0][0]
         (Fraction(1, 6), (0, 1)),  # q t g[0][1]
         (Fraction(1, 9), (0, 1)),  # q^2 g[0][1]
     ]
     # g[1][0] = 0 drops slot 0
-    assert form.lower(1, v) == [(Fraction(1, 2), (0, 1)), (Fraction(1, 3), (0, 1))]
+    assert as_rationals[1] == [(Fraction(1, 2), (0, 1)), (Fraction(1, 3), (0, 1))]
     assert form.lower(0, ()) == []
+
+
+def _agrees_with_the_oracle(d, n, gram, q, t):
+    """Every word pair's inner product and Gram entry equal the n! sum, and
+    adjointness passes."""
+    words = basis_words(d, n)
+    matrix = multimode_gram(d, n, gram, q, t)
+    for u, row in zip(words, matrix):
+        for v, entry in zip(words, row):
+            expected = 0
+            if len(u) == len(v):
+                expected = permutation_inner_product([[gram[a][b] for b in v] for a in u], q, t)
+            assert word_inner_product(u, v, gram, q, t) == entry == expected, (u, v)
+    report = check_adjointness(d, n, gram, q, t)
+    assert report.passed and report.checked == d * len(words) ** 2, report.failures[:3]
+
+
+@pytest.mark.parametrize("q, t", [("1/3", "1/2"), ("-2/5", "3/4"), ("0", "2/7")])
+def test_gram_with_its_own_denominators_over_ints(q, t):
+    # the Gram's denominators (2, 3, 4) are not those of q and t, so the one
+    # denominator of a length-m word must carry both: D^M G^m
+    gram = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(0), Fraction(5, 4)]]
+    _agrees_with_the_oracle(2, 3, gram, Fraction(q), Fraction(t))
+
+
+_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.lists(st.lists(_rationals, min_size=2, max_size=2), min_size=2, max_size=2),
+    _rationals,
+    _rationals,
+)
+def test_random_rational_points_over_ints(n, gram, q, t):
+    _agrees_with_the_oracle(2, n, gram, q, t)
 
 
 def _lower_with_q_and_t_swapped(self, i, v):
@@ -276,6 +319,12 @@ def test_wrong_annihilation_weights_fail_both_multimode_routes(monkeypatch):
     identity, q, t = [[1, 0], [0, 1]], Fraction(1, 3), Fraction(1, 2)
     report = check_adjointness(2, 3, identity, q, t)
     assert report.checked == 450 and len(report.failures) == 20
+    # each side is shown as the rational it stands for: <01|01> = t, but the
+    # swapped slot-0 weight of lower(0, 01) is q
+    assert report.failures[:2] == [
+        "letter 0, u=(1,), v=(0, 1): 1/2 != 1/3",
+        "letter 0, u=(1,), v=(1, 0): 1/3 != 1/2",
+    ]
     words = basis_words(2, 3)
     matrix = multimode_gram(2, 3, identity, q, t)
     wrong = [
@@ -327,6 +376,29 @@ def test_a_check_that_checks_nothing_fails():
         assert report.checked == 0
         assert not report.passed
         assert str(report) == f"{report.name}: 0 checks, nothing checked"
+
+
+def _unformattable(self):
+    raise AssertionError("a passing check formatted a value")
+
+
+def test_passing_checks_format_no_failure_text(monkeypatch):
+    # a failure's text renders Polys and Fractions; a passing check must build
+    # none of it (integer q and t keep the report names free of Fraction text)
+    j = charlier_strict()
+    moments = moments_by_motzkin(j, 12)
+    gram = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(0), Fraction(5, 4)]]
+    monkeypatch.setattr(Poly, "canonical_str", _unformattable)
+    monkeypatch.setattr(Fraction, "__str__", _unformattable)
+    with pytest.raises(AssertionError, match="formatted a value"):
+        str(Fraction(1, 3))
+    reports = [
+        check_orthogonality(j, 6, moments),
+        check_adjointness(2, 3, gram, 0, 1),
+        check_gram_positivity(2, 3, [[1, 0], [0, 1]], 0, 1),
+        check_commutation(8),
+    ]
+    assert all(report.passed for report in reports)
 
 
 def test_multimode_gram_matches_symbolic_inner_product():
@@ -461,18 +533,27 @@ def test_word_letter_outside_the_gram_is_rejected(u, v):
         word_inner_product(u, v, [[1, 0], [0, 1]], Fraction(1, 3), Fraction(1, 2))
 
 
+_REACH_POINTS = {
+    "q1/3-t1/2": (Fraction(1, 3), Fraction(1, 2), 1),
+    "q-1/2-t3/4": (Fraction(-1, 2), Fraction(3, 4), 1),
+    "q9/10-t1": (Fraction(9, 10), Fraction(1), 1),
+    "zero-minor": (Fraction(-1), Fraction(1), 0),
+    "negative-minor": (Fraction(-2), Fraction(1), -1),
+}
+_REACH_SIZES = {"d2-n6": (2, 6, 127), "d3-n4": (3, 4, 121), "d2-n7": (2, 7, 255), "d3-n5": (3, 5, 364)}
+# every point at the two smaller sizes; at the larger ones one point inside and one
+# zero-minor control
+_REACH_CASES = [(size, point) for size in ("d2-n6", "d3-n4") for point in _REACH_POINTS]
+_REACH_CASES += [("d2-n7", "q1/3-t1/2"), ("d3-n5", "q1/3-t1/2"), ("d2-n7", "zero-minor")]
+
+
 @pytest.mark.parametrize(
-    "q, t, sign",
+    "d, n, words, q, t, sign",
     [
-        (Fraction(1, 3), Fraction(1, 2), 1),
-        (Fraction(-1, 2), Fraction(3, 4), 1),
-        (Fraction(9, 10), Fraction(1), 1),
-        (Fraction(-1), Fraction(1), 0),
-        (Fraction(-2), Fraction(1), -1),
+        pytest.param(*_REACH_SIZES[size], *_REACH_POINTS[point], id=f"{size}-{point}")
+        for size, point in _REACH_CASES
     ],
-    ids=["q1/3-t1/2", "q-1/2-t3/4", "q9/10-t1", "zero-minor", "negative-minor"],
 )
-@pytest.mark.parametrize("d, n, words", [(2, 6, 127), (3, 4, 121)], ids=["d2-n6", "d3-n4"])
 def test_gram_positivity_reach(d, n, words, q, t, sign):
     # all minors positive inside |q| < t <= 1; at t = 1 outside it, the first
     # failure is the minor that closes on the word 00, whose norm is 1 + q

@@ -439,6 +439,18 @@ def test_packed_mul_takes_the_schoolbook_loop_on_gapped_diagonals(
     assert product == schoolbook_mul(*as_exps)
 
 
+
+def test_a_gapped_larger_operand_takes_the_schoolbook_loop(fold_calls, schoolbook_calls):
+    # the smaller operand is one dense diagonal, [10]; each diagonal of the larger
+    # one is t^20000 +- q^20000, two terms 20000 slots apart in one folded int
+    a = qt_number(10)
+    b = sum(LAMBDA**i * (T**20000 + (-1) ** i * Q**20000) for i in range(50))
+    assert (len(a), len(b)) == (10, 100)
+    product = a * b
+    assert fold_calls == [] and schoolbook_calls == [(10, 100)]
+    as_exps = [[(c, dict(zip(VARIABLES, m))) for m, c in p.terms()] for p in (a, b)]
+    assert product == schoolbook_mul(*as_exps) == _fold_product(a, b)
+
 def test_packed_mul_degree_limit_with_dense_diagonals(monkeypatch, fold_calls, schoolbook_calls):
     # t near the top of its field, q low: each diagonal's int is gap-free, so it folds
     a = T**60000 * qt_number(5)
