@@ -538,59 +538,46 @@ def multimode_gram(
     return matrix
 
 
-def _eliminate_below(work: list, k: int) -> None:
-    """Clear column k below the nonzero pivot ``work[k][k]``; only the columns
-    where the pivot row is nonzero change."""
-    top = work[k]
-    pivot = top[k]
-    cols = [c for c in range(k + 1, len(work)) if top[c] != 0]
-    for row in work[k + 1:]:
-        if row[k] != 0:
-            factor = row[k] / pivot
-            for c in cols:
-                row[c] -= factor * top[c]
-
-
-def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination with row pivoting."""
-    n = len(matrix)
-    # Fraction(x) of a Fraction costs a full construction; share it instead
-    work = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if work[r][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            det = -det
-        det *= work[k][k]
-        _eliminate_below(work, k)
-    return det
-
-
 def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list:
     """Determinants of the leading k-by-k blocks, k = 1..n, from one elimination.
 
-    Elimination without row exchanges leaves every leading minor unchanged, so
-    the k-th minor is the product of the first k pivots.  Each pivot row
-    updates only the columns where it is nonzero, so on a block-diagonal
-    matrix the work stays inside each block.  From the first zero
-    pivot on, each remaining block goes to :func:`determinant` (which may
-    exchange rows), so zero and negative minors stay exact.
+    Column k is cleared by the first row not yet used that is nonzero there.
+    Its multiples go only to later rows, which leaves every leading minor
+    unchanged.  Minor k is then the product of the first k pivots, signed by
+    the inversions of their row order, when those rows are exactly 0..k-1,
+    and 0 otherwise.  A column that no unused row can clear makes every later
+    minor 0.  A pivot row updates only the columns where it is nonzero, and
+    only the rows nonzero in its column, so on a block-diagonal matrix the
+    work stays inside each block.
     """
     n = len(matrix)
+    # Fraction(x) of a Fraction costs a full construction; share it instead
     work = [[x if type(x) is Fraction else Fraction(x) for x in row[:n]] for row in matrix]
+    unused = list(range(n))
+    pivots: list = []
     minors: list = []
     det = Fraction(1)
     for k in range(n):
-        pivot = work[k][k]
-        if pivot == 0:
-            return minors + [determinant([r[:s] for r in matrix[:s]]) for s in range(k + 1, n + 1)]
-        det *= pivot
-        minors.append(det)
-        _eliminate_below(work, k)
+        r = next((r for r in unused if work[r][k] != 0), None)
+        if r is None:
+            return minors + [Fraction(0)] * (n - k)
+        unused.remove(r)
+        top = work[r]
+        det *= top[k] * (-1) ** sum(p > r for p in pivots)
+        pivots.append(r)
+        minors.append(det if max(pivots) == k else Fraction(0))
+        cols = [c for c in range(k + 1, n) if top[c] != 0]
+        for row in (work[i] for i in unused):
+            if row[k] != 0:
+                factor = row[k] / top[k]
+                for c in cols:
+                    row[c] -= factor * top[c]
     return minors
+
+
+def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant: the last of :func:`leading_principal_minors`, 1 when empty."""
+    return (leading_principal_minors(matrix) or [Fraction(1)])[-1]
 
 
 def check_gram_positivity(

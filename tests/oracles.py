@@ -6,18 +6,18 @@ Catalan numbers, explicit matrix powers for path-weighted moments, the
 Motzkin recursion over ``Fraction`` for rational Jacobi data, full-order
 series inversion for J-fractions, and exhaustive scans for small
 combinatorial counts, full products under the moment functional for
-orthogonality, block-by-block determinants for leading minors, cofactor
-expansion for determinants, the sum over all permutations for the deformed
-inner product, the recursive card walk and a per-name card weight table,
-factor-by-factor text for canonical strings, the four letters applied
-one by one for the Poisson step, a running sum of level changes for a word's
-levels, unfolded polynomial arithmetic for the q-folded routes, a two-term
-recurrence for the moments at q = -t written down by hand, and the
+orthogonality, block-by-block elimination with row exchanges for leading
+minors, cofactor expansion for determinants, the sum over all permutations
+for the deformed inner product, the recursive card walk and a per-name card
+weight table, factor-by-factor text for canonical strings, the four letters
+applied one by one for the Poisson step, a running sum of level changes for
+a word's levels, unfolded polynomial arithmetic for the q-folded routes, a
+two-term recurrence for the moments at q = -t written down by hand, and the
 Touchard, Narayana and lambda (1 + lambda)^(n-1) polynomials from their
-counting formulas.  The weight census is the plain recursive walk that
-calls once per partition; past it, the n = 11 and n = 12 histograms are
-pinned by digest.  Tests freeze values from these, never from the
-implementation being checked.
+counting formulas.  The weight census is the plain recursive walk that calls
+once per partition; past it, the n = 11 and n = 12 histograms are pinned by
+digest.  Tests freeze values from these, never from the implementation being
+checked.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 
-from qtmoments.fock import LETTERS, FockVector, ScalarGauge, apply_letter, determinant
+from qtmoments.fock import LETTERS, FockVector, ScalarGauge, apply_letter
 from qtmoments.partitions import SetPartition
 from qtmoments.ring import VARIABLES, Poly, Q, T, X
 
@@ -325,10 +325,36 @@ def laplace_determinant(matrix, cols=None):
                 for i, c in enumerate(cols) if row[c]), Fraction(0))
 
 
+def exchange_determinant(matrix) -> Fraction:
+    """det by fraction Gaussian elimination that swaps the first nonzero row
+    into each pivot slot; each pivot row updates only the rows and columns
+    where the matrix is nonzero, and Fraction entries are shared, not copied."""
+    n = len(matrix)
+    work = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if work[r][k] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            det = -det
+        top = work[k]
+        det *= top[k]
+        cols = [c for c in range(k + 1, n) if top[c] != 0]
+        for row in work[k + 1:]:
+            if row[k] != 0:
+                factor = row[k] / top[k]
+                for c in cols:
+                    row[c] -= factor * top[c]
+    return det
+
+
 def blockwise_leading_minors(matrix) -> list:
     """Leading principal minors, each k-by-k block eliminated on its own
-    (row exchanges allowed) by :func:`qtmoments.fock.determinant`."""
-    return [determinant([row[: k + 1] for row in matrix[: k + 1]]) for k in range(len(matrix))]
+    (row exchanges allowed) by :func:`exchange_determinant`."""
+    return [exchange_determinant([row[: k + 1] for row in matrix[: k + 1]])
+            for k in range(len(matrix))]
 
 
 def permutation_inner_product(gram, q=Q, t=T):

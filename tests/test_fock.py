@@ -19,6 +19,7 @@ from qtmoments.fock import (
     check_adjointness,
     check_commutation,
     check_gram_positivity,
+    determinant,
     leading_principal_minors,
     moment_by_operator,
     multimode_gram,
@@ -431,10 +432,16 @@ def _square(n: int):
 @example([[0, 1], [1, 0]])  # zero first pivot, then a negative minor
 @example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])  # zero pivot inside, minors 1, 0, -1
 @example([[1, 2], [2, 4]])  # singular: last minor 0
+@example([[0, 1, 0], [1, 0, 0], [0, 0, 1]])  # pivots out of row order: 0, -1, -1
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # rows 2, 1, 0 as pivots: 0, 0, -1
+@example([[0, 0], [0, 1]])  # a zero column: 0, 0
+@example([])  # no minors, determinant 1
 def test_one_pass_minors_match_blockwise_determinants(matrix):
-    assert leading_principal_minors(matrix) == blockwise_leading_minors(matrix)
-    # the two share one elimination step, so check the full determinant apart
-    assert blockwise_leading_minors(matrix)[-1] == laplace_determinant(matrix)
+    minors = leading_principal_minors(matrix)
+    assert minors == blockwise_leading_minors(matrix)
+    # the last minor is the determinant; cofactor expansion checks it apart
+    # from both eliminations
+    assert determinant(matrix) == laplace_determinant(matrix) == (minors[-1] if matrix else 1)
 
 
 @pytest.mark.parametrize(
@@ -544,7 +551,9 @@ _REACH_SIZES = {"d2-n6": (2, 6, 127), "d3-n4": (3, 4, 121), "d2-n7": (2, 7, 255)
 # every point at the two smaller sizes; at the larger ones one point inside and one
 # zero-minor control
 _REACH_CASES = [(size, point) for size in ("d2-n6", "d3-n4") for point in _REACH_POINTS]
-_REACH_CASES += [("d2-n7", "q1/3-t1/2"), ("d3-n5", "q1/3-t1/2"), ("d2-n7", "zero-minor")]
+_REACH_CASES += [
+    (size, point) for size in ("d2-n7", "d3-n5") for point in ("q1/3-t1/2", "zero-minor")
+]
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qtmoments import cli, orthopoly, ring
-from qtmoments.fock import ScalarGauge, leading_principal_minors, moment_by_operator
+from qtmoments.fock import (
+    ScalarGauge,
+    _poisson_data,
+    _poisson_step,
+    leading_principal_minors,
+    moment_by_operator,
+)
 from qtmoments.orthopoly import (
     InsufficientMoments,
     JacobiParams,
@@ -289,13 +295,18 @@ def _omega_hankel_products(j: JacobiParams, k_max: int) -> list:
     ids=["strict", "covered"],
 )
 def test_operator_hankel_minors_are_omega_products(preset, gauge):
-    # det[m_(i+j)]_(i,j <= k) = prod_(i <= k) omega_i^(k+1-i) (Viennot 1983); the
-    # operator route never reads alpha or omega, so this ties it to the omegas
-    moments = [moment_by_operator(n, gauge).eval(HANKEL_POINT) for n in range(25)]
-    minors = leading_principal_minors([moments[i : i + 13] for i in range(13)])
-    assert minors == _omega_hankel_products(preset(), 12)
-    broken = _omega_hankel_products(_charlier_broken_omega3(), 12)
-    assert [k for k in range(13) if minors[k] != broken[k]] == list(range(3, 13))
+    # det[m_(i+j)]_(i,j <= k) = prod_(i <= k) omega_i^(k+1-i) (Viennot 1983) for
+    # k <= 20; the operator step never reads alpha or omega, so this ties it to the
+    # omegas.  Moments 0..40 by the step over Fraction at the point.
+    nums, scalars = ([p.eval(HANKEL_POINT) for p in data] for data in _poisson_data(gauge, 40))
+    moments, coeffs = [Fraction(1)], [Fraction(1)]
+    for _ in range(40):
+        coeffs = _poisson_step(coeffs, HANKEL_POINT["lambda"], nums, scalars)
+        moments.append(coeffs[0])
+    minors = hankel_minors(moments, 20)
+    assert minors == _omega_hankel_products(preset(), 20)
+    broken = _omega_hankel_products(_charlier_broken_omega3(), 20)
+    assert [k for k in range(21) if minors[k] != broken[k]] == list(range(3, 21))
 
 
 def test_q_charlier_specialization_at_t_equal_one():
