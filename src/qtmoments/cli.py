@@ -6,6 +6,7 @@ stdout, diagnostics to stderr.  All JSON output carries a schema tag.  The
 ``partitions`` and ``cards`` listings write ``LISTING_CHUNK`` lines per call,
 each from one f-string with sorted keys: the bytes of ``json.dumps(record,
 sort_keys=True)`` for :func:`partition_record` and :func:`arrangement_record`.
+The symbolic ``charlier`` table streams one decoded P_k at a time, in text chunks.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .orthopoly import (
     moments_by_motzkin,
     poisson_limit_check,
     specialize,
-    three_term_polys,
+    _three_term_rows,
 )
 from .partitions import _statistics, enumerate_partitions, moment_by_partitions, partition_record
 from .ring import Poly
@@ -203,12 +204,17 @@ def cmd_charlier(args) -> int:
             for n, v in enumerate(moments):
                 print(f"{n},{args.q},{args.t},{args.lam},{v}")
         return 0
-    strings = [p.canonical_str() for p in three_term_polys(preset, args.n_max)]
-    if args.output == "json":
-        print(_JSON.encode({"schema": SCHEMA, "preset": args.preset, "polys": strings}))
-    else:
-        for k, s in enumerate(strings):
-            print(f"P_{k} = {s}")
+    # JSON escapes each character on its own, so chunk by chunk gives json.dumps's bytes.
+    rows = _three_term_rows(preset, args.n_max)
+    json_out, write = args.output == "json", sys.stdout.write
+    write('{"polys": [' if json_out else "")
+    for k in range(args.n_max + 1):
+        write((', "' if k else '"') if json_out else f"P_{k} = ")
+        for chunk in next(rows)._text_chunks():  # P_k is dropped with its last chunk
+            write(_JSON.encode(chunk)[1:-1] if json_out else chunk)
+        write('"' if json_out else "\n")
+    if json_out:
+        write("], " + _JSON.encode({"preset": args.preset, "schema": SCHEMA})[1:] + "\n")
     return 0
 
 

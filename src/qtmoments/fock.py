@@ -302,7 +302,7 @@ def moment_by_operator(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Pol
             coeffs = _poisson_step(coeffs, lam[0], nums, scalars)[: left + 1]
         return coeffs[:1]
 
-    return _folded(walk, [LAMBDA], *data)[0]
+    return next(_folded(walk, [LAMBDA], *data))
 
 
 # -- deformed inner product ----------------------------------------------------

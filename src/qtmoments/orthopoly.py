@@ -49,7 +49,7 @@ from functools import cache
 from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import mul
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .fock import CheckReport, ScalarGauge, _poisson_data, _poisson_step
 from .qtnum import qt_number
@@ -176,13 +176,18 @@ def _signed(j: JacobiParams, n_max: int, n_omega: int) -> tuple:
 def three_term_polys(j: JacobiParams, n_max: int) -> tuple:
     """Monic P_0..P_{n_max}, P_k of degree k in x, exactly from the recurrence
     P_{n+1} = x P_n + a_n P_n + w_n P_{n-1} on q-folded a_n = -alpha_n, w_n = -omega_n."""
+    return tuple(_three_term_rows(j, n_max))
+
+
+def _three_term_rows(j: JacobiParams, n_max: int) -> Iterator[Poly]:
+    """``three_term_polys`` as an iterator: the walk runs now, each P_k is decoded when reached."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
 
     def walk(x, a, w):
         return [u[0] for u in _recurrence(lambda u: [x[0] * u[0]], [1], a, w)]
 
-    return tuple(_folded(walk, [X], *_signed(j, n_max, n_max)))
+    return _folded(walk, [X], *_signed(j, n_max, n_max))
 
 
 def moments_by_motzkin(j: JacobiParams, n_max: int) -> list:
@@ -200,7 +205,7 @@ def moments_by_motzkin(j: JacobiParams, n_max: int) -> list:
     alpha = [j.alpha(h) for h in range(top + 1)]
     omega = [j.omega(h) for h in range(1, top + 1)]
     if not all(isinstance(v, (int, Fraction)) for v in alpha + omega):
-        return _folded(lambda a, w: _motzkin_walk(a, w, n_max), alpha, omega)
+        return list(_folded(lambda a, w: _motzkin_walk(a, w, n_max), alpha, omega))
     d = lcm(*(v.denominator for v in alpha + omega))
     alpha = [v.numerator * (d // v.denominator) for v in alpha]
     omega = [v.numerator * (d // v.denominator) * d for v in omega]
@@ -275,7 +280,7 @@ def check_orthogonality(j: JacobiParams, n_max: int, moments: Sequence) -> Check
         values = [sum(map(mul, rows[lo], mixed[hi])) for lo, hi in pairs]
         return values + list(accumulate(w[1:], mul, initial=1))
 
-    out = _folded(walk, moments[: top + 1], *_signed(j, n_max, n_max + 1))
+    out = list(_folded(walk, moments[: top + 1], *_signed(j, n_max, n_max + 1)))
     values = dict(zip(pairs, out))
     norms = [-v if n % 2 else v for n, v in enumerate(out[len(pairs):])]
     zero = Poly.zero()
@@ -301,7 +306,7 @@ def check_charlier_fock_identity(n_max: int) -> CheckReport:
         return [c for row in _recurrence(step, [1], a, w) for c in row]
 
     data = _poisson_data(ScalarGauge.IDENTITY, n_max)
-    flat = _folded(walk, [LAMBDA], *data, *_signed(charlier_strict(), n_max, n_max))
+    flat = list(_folded(walk, [LAMBDA], *data, *_signed(charlier_strict(), n_max, n_max)))
     report.record(flat[:1] == [1], "P_0 vacuum is the vacuum")
     for n in range(1, n_max + 1):
         row = flat[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]  # row n holds f_0 .. f_n
@@ -424,7 +429,7 @@ def jfraction_series_from_arrays(b: Sequence, lam: Sequence, order: int) -> list
     if len(lam) != len(b) - 1:
         raise ValueError("need exactly one lam entry per level below the surface")
     if any(isinstance(v, Poly) for v in (*b, *lam)):
-        return _folded(lambda b, lam: _jfraction_walk(b, lam, order), b, lam)
+        return list(_folded(lambda b, lam: _jfraction_walk(b, lam, order), b, lam))
     return _jfraction_walk(b, lam, order)
 
 

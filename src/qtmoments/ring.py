@@ -36,6 +36,7 @@ Printing looks up the text of a key's (lambda, t) half (bits 32-63) and of
 its (q, x) half (bits 0-31) in two tables filled on first sight, ``""`` for a
 zero half.  Each holds one entry per exponent pair printed, at most
 (d+1)(d+2)/2 up to total degree d: 511 and 287 after the eight bench tables.
+Text is made in chunks of ``_TEXT_CHUNK`` terms, which ``charlier`` streams.
 
 Rational values (exact parameter samples) are plain :class:`fractions.Fraction`
 objects; evaluation of a polynomial at rational points is exact.
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -81,6 +83,8 @@ _PACKED_MIN = (5, 100)
 #: Slots per term in either operand's diagonals past which ``__mul__`` takes
 #: the schoolbook loop: those products keep under 1, and at 4 the two cost the same.
 _GAP_LIMIT = 4
+#: Terms per piece of canonical text, so a long polynomial prints in bounded pieces.
+_TEXT_CHUNK = 1024
 #: Text of each (lambda, t) and each (q, x) half key printed so far.
 _HIGH_TEXT: dict = {}
 _LOW_TEXT: dict = {}
@@ -198,12 +202,13 @@ def _undiagonals(diags: dict, width: int) -> dict:
     return out
 
 
-def _folded(walk, *data: list) -> list:
+def _folded(walk, *data: list) -> Iterator["Poly"]:
     """The Polys ``walk(*data)`` returns, computed on q-folded data.
 
     ``walk`` uses + and * alone on lists of Polys or ints.  The L1 norm (sum
     of |coefficients|) is sub-additive and sub-multiplicative, so the largest
     output B of ``walk`` on the data's norms bounds every output coefficient.
+    Both walks run now; each output is decoded only when the iterator reaches it.
     """
     if not all(isinstance(d, (Poly, int)) for arg in data for d in arg):
         raise TypeError("a folded walk takes Poly or int data")
@@ -212,7 +217,7 @@ def _folded(walk, *data: list) -> list:
     width = max(norms).bit_length() + 1
     folded = walk(*([_wrap({k: v for k, v in _diagonals(terms(d), width).items() if v})
                      for d in arg] for arg in data))
-    return [_wrap(_undiagonals(terms(v), width)) for v in folded]
+    return (_wrap(_undiagonals(terms(v), width)) for v in folded)
 
 
 def _wrap(terms: dict) -> "Poly":
@@ -351,7 +356,7 @@ class Poly:
             [(ka, ca)] = a.items()
             return _wrap({ka + kb: ca * cb for kb, cb in b.items()})
         if len(a) >= _PACKED_MIN[0] and len(b) >= _PACKED_MIN[1] and _fold_pays(a, b):
-            return _folded(lambda x, y: [x[0] * y[0]], [self], [other])[0]
+            return next(_folded(lambda x, y: [x[0] * y[0]], [self], [other]))
         return _wrap(_schoolbook_mul(a, b))
 
     __rmul__ = __mul__
@@ -425,13 +430,14 @@ class Poly:
         for name, v in assignment.items():
             values[_shift_of(name)] = Fraction(v)
         terms = self._terms
-        # Bring every term over the common denominator prod d_i^(max e_i), so
-        # the sum runs over ints and one Fraction is built at the end.
+        # Bring every term over the common denominator prod d_i^top, top the total
+        # degree, so the sum runs over ints and one Fraction is built at the end.
+        top = max(terms, default=0) >> _DEG_SHIFT
+        present = reduce(int.__or__, terms, 0)  # which variables occur
         factors = []  # (shift, [num^e * den^(top - e) for e = 0..top])
         denominator = 1
         for name, shift in _NAMED_SHIFTS:
-            top = max(((k >> shift) & _MASK for k in terms), default=0)
-            if not top:
+            if not present >> shift & _MASK:
                 continue
             value = values.get(shift)
             if value is None:
@@ -450,27 +456,34 @@ class Poly:
 
     def canonical_str(self) -> str:
         """Deterministic, round-trippable text form (terms in canonical order)."""
+        return "".join(self._text_chunks())
+
+    def _text_chunks(self) -> Iterator[str]:
+        """``canonical_str`` in consecutive pieces of up to ``_TEXT_CHUNK`` terms."""
         terms = self._terms
-        if not terms:
-            return "0"
+        keys = sorted(terms, reverse=True)
+        if not keys:
+            yield "0"
         high_text, low_text = _HIGH_TEXT, _LOW_TEXT
-        pieces = []
-        for key in sorted(terms, reverse=True):
-            high, low = key >> _HALF & _HALF_MASK, key & _HALF_MASK
-            if high not in high_text:
-                high_text[high] = _half_text(high, VARIABLES[:2])
-            if low not in low_text:
-                low_text[low] = _half_text(low, VARIABLES[2:])
-            high, low = high_text[high], low_text[low]
-            mono = f"{high}*{low}" if high and low else high or low
-            coeff = terms[key]
-            sign, mag = (" - ", -coeff) if coeff < 0 else (" + ", coeff)
-            if mag != 1:
-                pieces.append(f"{sign}{mag}*{mono}" if mono else f"{sign}{mag}")
-            else:
-                pieces.append(sign + (mono or "1"))
-        pieces[0] = pieces[0][3:] if pieces[0][1] == "+" else "-" + pieces[0][3:]
-        return "".join(pieces)
+        for start in range(0, len(keys), _TEXT_CHUNK):
+            pieces = []
+            for key in keys[start : start + _TEXT_CHUNK]:
+                high, low = key >> _HALF & _HALF_MASK, key & _HALF_MASK
+                if high not in high_text:
+                    high_text[high] = _half_text(high, VARIABLES[:2])
+                if low not in low_text:
+                    low_text[low] = _half_text(low, VARIABLES[2:])
+                high, low = high_text[high], low_text[low]
+                mono = f"{high}*{low}" if high and low else high or low
+                coeff = terms[key]
+                sign, mag = (" - ", -coeff) if coeff < 0 else (" + ", coeff)
+                if mag != 1:
+                    pieces.append(f"{sign}{mag}*{mono}" if mono else f"{sign}{mag}")
+                else:
+                    pieces.append(sign + (mono or "1"))
+            if not start:  # the leading term carries no " + " and a bare "-"
+                pieces[0] = pieces[0][3:] if pieces[0][1] == "+" else "-" + pieces[0][3:]
+            yield "".join(pieces)
 
     def __str__(self) -> str:
         return self.canonical_str()

@@ -1,10 +1,12 @@
 """CLI surface: subcommands, exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -19,7 +21,12 @@ from qtmoments.cards import (
 )
 from qtmoments.cli import SCHEMA, SUITES, build_parser, main, rational
 from qtmoments.fock import OperatorWord, ScalarGauge, check_commutation
-from qtmoments.orthopoly import charlier_strict, moments_by_motzkin, poisson_limit_check
+from qtmoments.orthopoly import (
+    charlier_strict,
+    moments_by_motzkin,
+    poisson_limit_check,
+    three_term_polys,
+)
 from qtmoments.partitions import enumerate_partitions, partition_record
 from qtmoments.qtnum import qt_factorial
 from qtmoments.ring import LAMBDA, Poly
@@ -136,6 +143,49 @@ def test_charlier_table(capsys):
         "-lambda + x",
         "lambda^2 - 2*lambda*x + x^2 - x",
     ]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 6, 10])
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_streamed_charlier_table_is_json_dumps_of_the_polys(capsys, preset, n_max):
+    strings = [p.canonical_str() for p in three_term_polys(cli.PRESETS[preset](), n_max)]
+    argv = ["charlier", "--n-max", str(n_max), "--preset", preset, "--output"]
+    expected = json.dumps({"polys": strings, "preset": preset, "schema": SCHEMA}, sort_keys=True)
+    assert run(capsys, *argv, "json") == (0, expected + "\n", "")
+    pretty = "".join(f"P_{k} = {s}\n" for k, s in enumerate(strings))
+    assert run(capsys, *argv, "pretty") == (0, pretty, "")
+
+
+class _HashSink:
+    """Stands in for stdout: hashes the text and keeps none of it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_charlier_table_holds_one_decoded_poly_at_a_time(monkeypatch):
+    # Holding P_0..P_10 of tgauge decoded at once, with their text, peaks near 6 MB.
+    argv = ["charlier", "--n-max", "10", "--preset", "tgauge", "--output", "json"]
+    sink = _HashSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4_000_000, f"traced peak {peak / 1e6:.2f} MB"
+    strings = [p.canonical_str() for p in three_term_polys(cli.PRESETS["tgauge"](), 10)]
+    expected = json.dumps({"polys": strings, "preset": "tgauge", "schema": SCHEMA}, sort_keys=True)
+    assert sink.hash.hexdigest() == hashlib.sha256((expected + "\n").encode()).hexdigest()
 
 
 def test_charlier_rational_moment_table(capsys):

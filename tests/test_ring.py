@@ -232,6 +232,37 @@ def test_canonical_str_matches_factorwise_oracle(p):
     assert Poly.parse(text) == p
 
 
+def _chunk_poly(n_terms, constant, sign):
+    """``n_terms - 1`` monomials of degree 1..15 in canonical order, then a
+    constant: each chunk starts on a +-1 coefficient, the leading one of ``sign``."""
+    monos = sorted(
+        ((a, b, c, d) for a in range(16) for b in range(16 - a) for c in range(16 - a - b)
+         for d in range(16 - a - b - c) if a + b + c + d),
+        key=lambda e: (sum(e), *e), reverse=True,
+    )[: n_terms - 1]
+    size = ring._TEXT_CHUNK
+    coeffs = [sign * (-1) ** (i // size) if i % size == 0 else (-1) ** i * (i % 5 + 1)
+              for i in range(n_terms - 1)]
+    terms = [(c, dict(zip(VARIABLES, e))) for c, e in zip(coeffs, monos)]
+    return Poly.from_terms(terms + [(constant, {})])
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("n_terms, constant", [
+    (3876, 7),  # every monomial of degree <= 15: the last chunk ends on the constant
+    (3 * ring._TEXT_CHUNK + 1, -1),  # the constant -1 alone starts the fourth chunk
+])
+def test_canonical_text_chunks_join_across_boundaries(n_terms, constant, sign):
+    p = _chunk_poly(n_terms, constant, sign)
+    assert len(p) == n_terms
+    chunks = list(p._text_chunks())
+    assert len(chunks) == -(-n_terms // ring._TEXT_CHUNK) > 2
+    text = "".join(chunks)
+    assert text == p.canonical_str() == factorwise_canonical_str(p)
+    assert text.startswith("-lambda^15 - " if sign < 0 else "lambda^15 - ")
+    assert Poly.parse(text) == p
+
+
 @given(wide_polys, wide_polys, st.integers(-5, 5))
 @settings(max_examples=100, deadline=None)
 def test_sub_matches_negated_add(a, b, n):
