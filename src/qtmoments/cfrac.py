@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .orthopoly import JacobiParams, jfraction_series_from_arrays
+from .orthopoly import JacobiParams, _jacobi_arrays, jfraction_series_from_arrays
 
 __all__ = [
     "InsufficientDepth",
@@ -52,10 +52,8 @@ def cf_spec(j: JacobiParams, depth: int) -> ContinuedFractionSpec:
     """Truncate the J-fraction of the Jacobi data at the given depth (>= 1)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return ContinuedFractionSpec(
-        b=tuple(j.alpha(h) for h in range(depth + 1)),
-        lam=tuple(j.omega(h) for h in range(1, depth + 1)),
-    )
+    b, lam = _jacobi_arrays(j, depth)
+    return ContinuedFractionSpec(b=tuple(b), lam=tuple(lam))
 
 
 def cf_series(spec: ContinuedFractionSpec, order: int) -> list:

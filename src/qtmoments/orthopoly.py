@@ -36,9 +36,11 @@ charlier_t_gauge is its lambda*t^N sibling whose moments count covered
 singletons as nestings.  The binomial family takes rational parameters (its
 coefficients are not integral, so it lives outside the symbolic ring) and
 clamps omega_n to 0 once [n-1] >= m, after which the measure has finitely
-many atoms.  Taking m -> infinity with m p = lambda fixed recovers the
-Poisson family; poisson_limit_check verifies this symbolically (with the
-1/m denominators cleared) and numerically.
+many atoms.  With p = lambda epsilon, epsilon = 1/m, the unclamped data are
+polynomials in epsilon, and so are their moments; poisson_limit_check proves
+that the epsilon^0 part of every moment is the charlier_strict moment (the
+Poisson limit m -> infinity) and that the epsilon moments at 1/m are exactly
+the binomial moments at each sampled m.
 """
 
 from __future__ import annotations
@@ -154,6 +156,11 @@ def binomial(m: Fraction, p: Fraction, q: Fraction, t: Fraction) -> JacobiParams
     return JacobiParams(name=f"binomial(m={m}, p={p})", alpha=alpha, omega=omega)
 
 
+def _jacobi_arrays(j: JacobiParams, depth: int) -> tuple:
+    """The lists [alpha_0 .. alpha_depth] and [omega_1 .. omega_depth] of ``j``."""
+    return [j.alpha(h) for h in range(depth + 1)], [j.omega(h) for h in range(1, depth + 1)]
+
+
 def _recurrence(x: Callable, first: list, a: Sequence, w: Sequence) -> list:
     """Rows u_0 = ``first``, u_1, .. from u_(n+1) = x(u_n) + a_n u_n + w_n u_(n-1),
     u_(-1) = 0, one per pair (a_n, w_n).  Rows are lists of ring elements and ``x``
@@ -201,9 +208,7 @@ def moments_by_motzkin(j: JacobiParams, n_max: int) -> list:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     # A path of length n_max that ends at height 0 never climbs above n_max // 2.
-    top = n_max // 2
-    alpha = [j.alpha(h) for h in range(top + 1)]
-    omega = [j.omega(h) for h in range(1, top + 1)]
+    alpha, omega = _jacobi_arrays(j, n_max // 2)
     if not all(isinstance(v, (int, Fraction)) for v in alpha + omega):
         return list(_folded(lambda a, w: _motzkin_walk(a, w, n_max), alpha, omega))
     d = lcm(*(v.denominator for v in alpha + omega))
@@ -317,6 +322,14 @@ def check_charlier_fock_identity(n_max: int) -> CheckReport:
     return report
 
 
+#: Unclamped binomial data at p = lambda x, the ring variable x standing for 1/m.
+_BINOMIAL_EPSILON = JacobiParams(
+    name="binomial-epsilon",
+    alpha=lambda n: LAMBDA + (1 - 2 * LAMBDA * X) * qt_number(n),
+    omega=lambda n: LAMBDA * qt_number(n) * (1 - X * qt_number(n - 1)) * (1 - LAMBDA * X),
+)
+
+
 def poisson_limit_check(
     n_max: int,
     lam: Fraction,
@@ -324,29 +337,16 @@ def poisson_limit_check(
     q: Fraction = Fraction(1, 3),
     t: Fraction = Fraction(2, 3),
 ) -> CheckReport:
-    """Verify the binomial family converges to the Poisson family as m grows.
+    """Verify the binomial-to-Poisson limit as one exact identity in epsilon = 1/m.
 
-    Symbolic part: write lambda = a/b and p = lambda/m.  Clearing the 1/m
-    denominators,
-
-        (b m)   * alpha_n = a m + (b m - 2 a) [n]
-        (b m)^2 * omega_n = a [n] (m - [n-1]) (b m - a)
-
-    must have leading coefficients a + b [n]  (= b (lambda + [n])) in m and
-    a b [n]  (= b^2 lambda [n]) in m^2, with no higher m-terms: exactly the
-    statement that alpha_n -> lambda + [n] and omega_n -> lambda [n].  Each
-    cleared form is also cross-checked against :func:`binomial` at every
-    sampled m.  The ring variable x stands for m; no other polynomial of this
-    check contains x.
-
-    Numeric part: at the given rational (q, t, lambda) the absolute deviation
-    of each binomial moment from the Poisson moment must strictly decrease
-    along the distinct m_values, ascending, whenever it is nonzero.  Fewer
-    than two distinct values compare nothing and raise ValueError, as does
-    an m that is not an integer above lambda.
-
-    Both parts record into one :class:`CheckReport` named "poisson-limit",
-    one check per cleared form, per sample and per consecutive pair of m.
+    With p = lambda epsilon and x for epsilon, the binomial data are alpha_n =
+    lambda + (1 - 2 lambda x) [n] and omega_n = lambda [n] (1 - x [n-1]) (1 - lambda x),
+    whose Motzkin moments 0..n_max are polynomials in x, lambda, q and t.  Their
+    x^0 parts, the limit m -> infinity, must be the charlier_strict moments for
+    every lambda, q and t; at x = 1/m, lambda = lam and (q, t) they must be the
+    moments of binomial(m, lam/m, q, t) for each sampled m.  ValueError: lam <= 0,
+    an m not an integer above lam, fewer than two distinct m, or an m that
+    binomial clamps where the walk reads ([k-1] >= m, 1 <= k <= n_max // 2).
     """
     lam = Fraction(lam)
     if lam <= 0:
@@ -356,54 +356,19 @@ def poisson_limit_check(
     m_values = sorted({int(mv) for mv in m_values})
     if len(m_values) < 2:
         raise ValueError("need at least two distinct m values to compare")
-    a, b = lam.numerator, lam.denominator
+    point = {"q": Fraction(q), "t": Fraction(t), "lambda": lam}
+    if any(qt_number(k).eval(point) >= m_values[0] for k in range(n_max // 2)):
+        raise ValueError(f"the clamp of m={m_values[0]} acts where an order-{n_max} walk reads")
 
     report = CheckReport(name="poisson-limit")
-    alpha_scaled = {}
-    omega_scaled = {}
-    for n in range(n_max + 1):
-        num = qt_number(n)
-        scaled_a = a * X + (b * X - 2 * a) * num
-        alpha_scaled[n] = scaled_a
-        report.record(
-            scaled_a.coefficient_of("x", 1) == a + b * num and scaled_a.degree("x") <= 1,
-            f"alpha_{n}: leading m-term is not lambda + [{n}]",
-        )
-        if n >= 1:
-            scaled_w = a * num * (X - qt_number(n - 1)) * (b * X - a)
-            omega_scaled[n] = scaled_w
-            report.record(
-                scaled_w.coefficient_of("x", 2) == a * b * num
-                and scaled_w.degree("x") <= 2,
-                f"omega_{n}: leading m^2-term is not lambda [{n}]",
-            )
-
-    poisson = specialize(charlier_strict(), {"q": q, "t": t, "lambda": lam})
-    poisson_moments = moments_by_motzkin(poisson, n_max)
-    deviations = []  # (m, |binomial moment - Poisson moment| per order)
-    for mv in m_values:
-        p = lam / mv
-        binom = binomial(Fraction(mv), p, q, t)
-        for n in range(n_max + 1):
-            lhs = alpha_scaled[n].eval({"x": mv, "q": q, "t": t}) / (b * mv)
-            report.record(
-                lhs == binom.alpha(n),
-                f"alpha_{n} cleared form mismatch at m={mv}",
-            )
-            if n >= 1:
-                lhs = omega_scaled[n].eval({"x": mv, "q": q, "t": t}) / (b * mv) ** 2
-                report.record(
-                    lhs == binom.omega(n),
-                    f"omega_{n} cleared form mismatch at m={mv}",
-                )
-        binom_moments = moments_by_motzkin(binom, n_max)
-        deviations.append((mv, [abs(bm - pm) for bm, pm in zip(binom_moments, poisson_moments)]))
-    for (m1, devs1), (m2, devs2) in zip(deviations, deviations[1:]):
-        for k, (d1, d2) in enumerate(zip(devs1, devs2)):
-            report.record(
-                d2 < d1 or d1 == d2 == 0,
-                lambda: f"order {k}: deviation {d2} at m={m2} is not below {d1} at m={m1}",
-            )
+    moments = moments_by_motzkin(_BINOMIAL_EPSILON, n_max)
+    for k, (mk, pk) in enumerate(zip(moments, moments_by_motzkin(charlier_strict(), n_max))):
+        report.record(mk.coefficient_of("x", 0) == pk, f"order {k}: epsilon^0 part is not Poisson")
+    for m in map(Fraction, m_values):
+        at_m = {**point, "x": 1 / m}
+        binom = moments_by_motzkin(binomial(m, lam / m, q, t), n_max)
+        for k, (mk, bk) in enumerate(zip(moments, binom)):
+            report.record(mk.eval(at_m) == bk, f"order {k}: epsilon moment at m={m} is not binomial")
     return report
 
 
@@ -454,7 +419,4 @@ def jfraction_series(j: JacobiParams, order: int) -> list:
     """Moment series from the J-fraction of the Jacobi data (default depth)."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    depth = default_jfraction_depth(order)
-    b = [j.alpha(h) for h in range(depth + 1)]
-    lam = [j.omega(h) for h in range(1, depth + 1)]
-    return jfraction_series_from_arrays(b, lam, order)
+    return jfraction_series_from_arrays(*_jacobi_arrays(j, default_jfraction_depth(order)), order)

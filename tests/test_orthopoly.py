@@ -386,6 +386,7 @@ def test_poisson_limit_check():
     report = poisson_limit_check(6, lam, [10, 100, 1000], q, t)
     assert report.name == "poisson-limit"
     assert report.passed, report.failures[:3]
+    assert report.checked == 7 + 3 * 7  # the epsilon^0 part, then each m, per order
     # deviations visibly shrink about linearly in 1/m
     point = {"q": q, "t": t, "lambda": lam}
     poisson = moments_by_motzkin(specialize(charlier_strict(), point), 6)
@@ -404,7 +405,54 @@ def test_poisson_limit_fails_when_deviation_grows(monkeypatch):
     monkeypatch.setattr(orthopoly, "binomial", drifting)
     report = poisson_limit_check(4, Fraction(1), [10, 100, 1000])
     assert not report.passed
-    assert any("deviation" in message for message in report.failures)
+    assert any("is not binomial" in message for message in report.failures)
+
+
+def test_poisson_limit_holds_to_order_12():
+    report = poisson_limit_check(12, Fraction(1), [10, 100, 1000])
+    assert report.passed, report.failures[:3]
+    assert report.checked == 4 * 13
+
+
+def _epsilon_data(alpha, omega):
+    return JacobiParams("substituted-epsilon", lambda n: alpha(qt_number(n)),
+                        lambda n: omega(qt_number(n), qt_number(n - 1)))
+
+
+_ALPHA = lambda num: LAMBDA + (1 - 2 * LAMBDA * X) * num
+_OMEGA = lambda num, prev: LAMBDA * num * (1 - X * prev) * (1 - LAMBDA * X)
+
+#: The epsilon data, whole and broken: (lambda, alpha of [n], omega of [n] and
+#: [n-1], failures of 28).  At lambda = 1 the last omega equals the true one,
+#: so it runs at lambda = 3/2.
+EPSILON_DATA = {
+    "unbroken": (Fraction(3, 2), _ALPHA, _OMEGA, 0),
+    "lambda-dropped-from-alpha": (Fraction(1), lambda num: (1 - 2 * LAMBDA * X) * num, _OMEGA, 24),
+    "alpha-epsilon-term-halved": (
+        Fraction(1), lambda num: LAMBDA + (1 - LAMBDA * X) * num, _OMEGA, 12),
+    "omega-epsilon-term-without-lambda": (
+        Fraction(3, 2), _ALPHA, lambda num, prev: LAMBDA * num * (1 - X * prev) * (1 - X), 15),
+}
+
+
+@pytest.mark.parametrize("lam, alpha, omega, failures", EPSILON_DATA.values(), ids=EPSILON_DATA)
+def test_poisson_limit_on_substituted_epsilon_data(monkeypatch, lam, alpha, omega, failures):
+    monkeypatch.setattr(orthopoly, "_BINOMIAL_EPSILON", _epsilon_data(alpha, omega))
+    report = poisson_limit_check(6, lam, [10, 100, 1000])
+    assert report.checked == 28
+    assert len(report.failures) == failures
+
+
+def test_poisson_limit_rejects_a_clamp_the_walk_reads():
+    # At q = 2, t = 1 the clamp of m = 2 sets omega_3 and omega_4 to 0 ([2] = 3
+    # and [3] = 7 reach 2), and a walk to order 8 reads omega_1..omega_4, so the
+    # unclamped epsilon data would differ from the binomial moments at orders 6 to 8.
+    with pytest.raises(ValueError, match="clamp"):
+        poisson_limit_check(8, 1, [2, 100], 2, 1)
+    epsilon = moments_by_motzkin(orthopoly._BINOMIAL_EPSILON, 8)
+    clamped = moments_by_motzkin(binomial(2, Fraction(1, 2), 2, 1), 8)
+    point = {"x": Fraction(1, 2), "lambda": 1, "q": 2, "t": 1}
+    assert [k for k in range(9) if epsilon[k].eval(point) != clamped[k]] == [6, 7, 8]
 
 
 def test_poisson_limit_rational_lambda():
