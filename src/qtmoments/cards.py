@@ -40,12 +40,11 @@ prefix one q-exponent per arrangement, and each is counted at the word's end.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 from typing import Iterable, Iterator
 
-from .fock import OperatorWord, ScalarGauge, _covered
+from .fock import OperatorWord, ScalarGauge, _covered, _Record
 from .partitions import SetPartition, _histogram_moments
 from .ring import Poly
 
@@ -66,16 +65,18 @@ class NotContributor(Exception):
     """The word has zero vacuum expectation, so it has no card arrangements."""
 
 
-@dataclass(frozen=True)
-class CardArrangement:
+class CardArrangement(_Record):
     """One admissible card choice for a contributor: its card names in
     application order, its weight (the product of its card weights) and the
     induced partition."""
 
-    word: OperatorWord
-    cards: tuple
-    weight: Poly
-    partition: SetPartition
+    __slots__ = _fields = ("word", "cards", "weight", "partition")
+
+    def __init__(self, word: OperatorWord, cards: tuple, weight: Poly, partition: SetPartition):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "cards", cards)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "partition", partition)
 
 
 def _contributor_walk(n: int) -> Iterator[tuple]:

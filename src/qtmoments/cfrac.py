@@ -15,8 +15,7 @@ level that can still reach z^order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .fock import _Record
 from .orthopoly import JacobiParams, _jacobi_arrays, jfraction_series_from_arrays
 
 __all__ = [
@@ -32,16 +31,16 @@ class InsufficientDepth(Exception):
     """The requested series order can see below the truncation depth."""
 
 
-@dataclass(frozen=True)
-class ContinuedFractionSpec:
+class ContinuedFractionSpec(_Record):
     """Truncated J-fraction data: b holds b_0..b_depth, lam holds lam_1..lam_depth."""
 
-    b: tuple
-    lam: tuple
+    __slots__ = _fields = ("b", "lam")
 
-    def __post_init__(self):
-        if len(self.b) != len(self.lam) + 1:
+    def __init__(self, b: tuple, lam: tuple):
+        if len(b) != len(lam) + 1:
             raise ValueError("need exactly one more b entry than lam entries")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "lam", lam)
 
     @property
     def depth(self) -> int:

@@ -204,14 +204,14 @@ def cmd_charlier(args) -> int:
             for n, v in enumerate(moments):
                 print(f"{n},{args.q},{args.t},{args.lam},{v}")
         return 0
-    # JSON escapes each character on its own, so chunk by chunk gives json.dumps's bytes.
+    # Canonical text is digits, " *+-^" and variable names, which JSON writes as they are.
     rows = _three_term_rows(preset, args.n_max)
     json_out, write = args.output == "json", sys.stdout.write
     write('{"polys": [' if json_out else "")
     for k in range(args.n_max + 1):
         write((', "' if k else '"') if json_out else f"P_{k} = ")
         for chunk in next(rows)._text_chunks():  # P_k is dropped with its last chunk
-            write(_JSON.encode(chunk)[1:-1] if json_out else chunk)
+            write(chunk)
         write('"' if json_out else "\n")
     if json_out:
         write("], " + _JSON.encode({"preset": args.preset, "schema": SCHEMA})[1:] + "\n")

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -124,17 +123,46 @@ class TruncationOverflow(Exception):
     """Creation applied at the top truncation level with a nonzero coefficient."""
 
 
-@dataclass(frozen=True)
-class OperatorWord:
+class _Record:
+    """A frozen record compared, hashed and printed by the values of the
+    fields that ``_fields`` names.  ``__init__`` sets them through
+    ``object.__setattr__``; any later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OperatorWord(_Record):
     """A product of operator letters, written as text over C, A, N, S;
     ``letters[0]`` is applied last.  A word is a contributor when its
     :func:`vacuum_expectation_word` is nonzero."""
 
-    letters: str
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self):
-        if not isinstance(self.letters, str) or not set(self.letters).issubset(LETTERS):
-            raise ValueError(f"not a word over {LETTERS}: {self.letters!r}")
+    def __init__(self, letters: str):
+        if not isinstance(letters, str) or not set(letters).issubset(LETTERS):
+            raise ValueError(f"not a word over {LETTERS}: {letters!r}")
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def from_string(cls, text: str) -> "OperatorWord":
@@ -360,13 +388,18 @@ def qt_inner_product(gram: Sequence[Sequence]) -> Poly:
 # -- check reports --------------------------------------------------------------
 
 
-@dataclass
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of an exact verification: what was checked and what failed."""
 
-    name: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = _fields = ("name", "checked", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, checked: int = 0, failures: list | None = None):
+        self.name = name
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

@@ -45,7 +45,6 @@ the binomial moments at each sampled m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, repeat
@@ -53,7 +52,7 @@ from math import lcm
 from operator import mul
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .fock import CheckReport, ScalarGauge, _poisson_data, _poisson_step
+from .fock import CheckReport, ScalarGauge, _poisson_data, _poisson_step, _Record
 from .qtnum import qt_number
 from .ring import LAMBDA, Poly, T, X, _folded
 
@@ -77,17 +76,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(_Record):
     """Recurrence data: alpha(n) for n >= 0 and omega(n) for n >= 1.
 
     Symbolic presets return Poly and rationally specialized ones Fraction;
     three_term_polys and check_orthogonality run folded, on Poly or int data only.
     """
 
-    name: str
-    alpha: Callable
-    omega: Callable
+    __slots__ = _fields = ("name", "alpha", "omega")
+
+    def __init__(self, name: str, alpha: Callable, omega: Callable):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "omega", omega)
 
 
 def charlier_strict() -> JacobiParams:

@@ -38,11 +38,10 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterator, Sequence
 
-from .fock import ScalarGauge, _covered
+from .fock import ScalarGauge, _covered, _Record
 from .ring import Poly
 
 __all__ = [
@@ -58,26 +57,26 @@ __all__ = [
 SOFT_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(_Record):
     """A partition of {1..n} in restricted-growth-string form."""
 
-    n: int
-    rgs: tuple
+    # no __slots__: the fields and the cached statistics live in __dict__
+    _fields = ("n", "rgs")
 
-    def __post_init__(self):
-        if self.n < 1 or len(self.rgs) != self.n:
+    def __init__(self, n: int, rgs: tuple):
+        if n < 1 or len(rgs) != n:
             raise ValueError("rgs length must equal n >= 1")
         top = -1
-        for v in self.rgs:
+        for v in rgs:
             if v < 0 or v > top + 1:
-                raise ValueError(f"not a restricted growth string: {self.rgs}")
+                raise ValueError(f"not a restricted growth string: {rgs}")
             top = max(top, v)
+        self.__dict__.update(n=n, rgs=rgs)
 
     @classmethod
     def _trusted(cls, n: int, rgs: tuple, statistics: tuple | None = None) -> "SetPartition":
         """A partition from a growth string this library generated itself,
-        built without the checks of ``__post_init__``, with its
+        built without the checks of ``__init__``, with its
         :attr:`statistics` if the caller already knows them."""
         p = object.__new__(cls)
         fields = p.__dict__

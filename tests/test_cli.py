@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qtmoments
 from qtmoments import cli
@@ -29,7 +30,7 @@ from qtmoments.orthopoly import (
 )
 from qtmoments.partitions import enumerate_partitions, partition_record
 from qtmoments.qtnum import qt_factorial
-from qtmoments.ring import LAMBDA, Poly
+from qtmoments.ring import LAMBDA, VARIABLES, Poly
 
 
 def run(capsys, *argv):
@@ -154,6 +155,30 @@ def test_streamed_charlier_table_is_json_dumps_of_the_polys(capsys, preset, n_ma
     assert run(capsys, *argv, "json") == (0, expected + "\n", "")
     pretty = "".join(f"P_{k} = {s}\n" for k, s in enumerate(strings))
     assert run(capsys, *argv, "pretty") == (0, pretty, "")
+
+
+def _assert_needs_no_json_escaping(text):
+    assert set(text) <= set(" *+-^0123456789").union(*VARIABLES), text
+    assert json.dumps(text)[1:-1] == text
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_charlier_text_needs_no_json_escaping(preset):
+    # cmd_charlier writes the text chunks of each P_k into its JSON string unescaped
+    for p in three_term_polys(cli.PRESETS[preset](), 10):
+        for text in (p.canonical_str(), *p._text_chunks()):
+            _assert_needs_no_json_escaping(text)
+
+
+@given(st.lists(st.tuples(st.integers(-(10**12), 10**12), st.fixed_dictionaries(
+    {}, optional={v: st.integers(0, 30) for v in VARIABLES}))).map(Poly.from_terms))
+@settings(max_examples=100, deadline=None)
+@example(Poly.zero())
+@example(Poly.constant(-7))
+@example(-LAMBDA)
+def test_canonical_text_needs_no_json_escaping(p):
+    for text in (p.canonical_str(), *p._text_chunks()):
+        _assert_needs_no_json_escaping(text)
 
 
 class _HashSink:

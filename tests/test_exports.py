@@ -8,6 +8,8 @@ it at test time.
 import importlib.util
 import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -41,3 +43,16 @@ def test_the_bench_table_builder_imports(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which every CLI
+    # call would pay for before any algebra starts
+    src = os.path.dirname(os.path.dirname(qtmoments.__file__))
+    code = ("import sys; before = set(sys.modules); import qtmoments.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+    added = set(proc.stdout.split())
+    assert "qtmoments.cli" in added
+    assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
