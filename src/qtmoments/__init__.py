@@ -32,9 +32,7 @@ from .fock import (
     OperatorWord,
     ScalarGauge,
     TruncationOverflow,
-    apply_letter,
     apply_poisson,
-    apply_word,
     check_adjointness,
     check_commutation,
     check_gram_positivity,

@@ -264,7 +264,7 @@ def moment_by_cards(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:
 def arrangement_record(arr: CardArrangement) -> dict:
     """The JSON-line record used by the CLI dump (cards in application order)."""
     return {
-        "word": arr.word.to_string(),
+        "word": arr.word.letters,
         "cards": list(arr.cards),
         "weight": arr.weight.canonical_str(),
         "partition": arr.partition.blocks(),

@@ -367,7 +367,7 @@ def cmd_word(args) -> int:
     word = OperatorWord.from_string(args.word)
     value = vacuum_expectation_word(word, gauge)
     if args.output == "json":
-        print(_JSON.encode({"schema": SCHEMA, "word": word.to_string(),
+        print(_JSON.encode({"schema": SCHEMA, "word": word.letters,
                             "poly": value.to_json_dict(), "canonical": value.canonical_str()}))
     else:
         print(value.canonical_str())

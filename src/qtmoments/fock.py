@@ -17,9 +17,11 @@ operator entry is a lambda-polynomial and no square roots ever materialize:
 The deformed Poisson operator is the sum of the four letters; its vacuum
 moments are the coefficient of f_0 after n applications.  ``_letter_step``
 (one letter) and ``_poisson_step`` (all four) map a list to one a level longer
-over any ring, with [k] and the scalars from ``_poisson_data``; words walk the
-first from the vacuum [1], moments the second.  A :class:`FockVector` has a top
-level, past which creation raises :class:`TruncationOverflow`.
+over any ring, with [k] and the scalars from ``_poisson_data``.  The layer has
+three entry points: :func:`vacuum_expectation_word` walks a word with the first
+from the vacuum [1], :func:`moment_by_operator` walks n steps of the second, and
+:func:`apply_poisson` takes one step on a :class:`FockVector`, whose top level
+creation cannot leave (:class:`TruncationOverflow`).
 
 Words are text over C, A, N, S (creation, annihilation, number, scalar),
 written with the leftmost character applied last (operator product order),
@@ -71,7 +73,7 @@ from operator import getitem
 from typing import Sequence
 
 from .qtnum import qt_number
-from .ring import LAMBDA, Poly, Q, T, _folded
+from .ring import LAMBDA, Poly, Q, T, _folded, _rational
 
 __all__ = [
     "LETTERS",
@@ -79,8 +81,6 @@ __all__ = [
     "OperatorWord",
     "FockVector",
     "TruncationOverflow",
-    "apply_letter",
-    "apply_word",
     "apply_poisson",
     "vacuum_expectation_word",
     "moment_by_operator",
@@ -168,9 +168,6 @@ class OperatorWord(_Record):
     def from_string(cls, text: str) -> "OperatorWord":
         return cls(text.strip().upper())
 
-    def to_string(self) -> str:
-        return self.letters
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -179,7 +176,7 @@ class OperatorWord(_Record):
         return self.letters[::-1]
 
     def __str__(self) -> str:
-        return self.to_string()
+        return self.letters
 
 
 class FockVector:
@@ -210,9 +207,6 @@ class FockVector:
         v.coeffs[k] = Poly.one()
         return v
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockVector):
             return NotImplemented
@@ -225,32 +219,6 @@ class FockVector:
 
     def scaled(self, factor) -> "FockVector":
         return FockVector(self.dim, [c * factor for c in self.coeffs])
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"f{k}: {c}" for k, c in enumerate(self.coeffs) if not c.is_zero)
-        return f"FockVector({body or '0'})"
-
-
-def apply_letter(
-    letter: str, v: FockVector, gauge: ScalarGauge = ScalarGauge.IDENTITY
-) -> FockVector:
-    """Apply one operator letter (one of C, A, N, S) to a vector in the rescaled basis."""
-    data = _poisson_data(gauge, v.dim + 1)
-    if letter not in ("C", "A", "N", "S"):  # not LETTERS: "" and "CA" are in "CANS"
-        raise ValueError(f"not an operator letter: {letter!r}")
-    if letter == "C" and not v.coeffs[v.dim].is_zero:
-        raise TruncationOverflow(f"creation past level {v.dim}")
-    return FockVector(v.dim, _letter_step(letter, v.coeffs, LAMBDA, *data)[:-1])
-
-
-def apply_word(
-    w: OperatorWord, v: FockVector, gauge: ScalarGauge = ScalarGauge.IDENTITY
-) -> FockVector:
-    """Apply a word, rightmost letter first."""
-    _covered(gauge)  # the empty word applies no letter that would check it
-    for letter in w.application_order():
-        v = apply_letter(letter, v, gauge)
-    return v
 
 
 def _poisson_data(gauge: ScalarGauge, top: int) -> tuple:
@@ -459,7 +427,7 @@ class _WordForm:
     of ``lower`` D^(m-1) G; both weights are tabulated once per word length."""
 
     def __init__(self, gram: Sequence[Sequence], q: Fraction, t: Fraction):
-        g, q, t = [[Fraction(x) for x in row] for row in gram], Fraction(q), Fraction(t)
+        g, q, t = [[_rational(x) for x in row] for row in gram], _rational(q), _rational(t)
         self.dqt = math.lcm(q.denominator, t.denominator)
         self.dg = math.lcm(*(x.denominator for row in g for x in row))
         self.g = [[int(x * self.dg) for x in row] for row in g]
@@ -584,8 +552,7 @@ def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list:
     work stays inside each block.
     """
     n = len(matrix)
-    # Fraction(x) of a Fraction costs a full construction; share it instead
-    work = [[x if type(x) is Fraction else Fraction(x) for x in row[:n]] for row in matrix]
+    work = [[_rational(x) for x in row[:n]] for row in matrix]  # a Fraction is shared
     unused = list(range(n))
     pivots: list = []
     minors: list = []

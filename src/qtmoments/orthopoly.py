@@ -54,7 +54,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .fock import CheckReport, ScalarGauge, _poisson_data, _poisson_step, _Record
 from .qtnum import qt_number
-from .ring import LAMBDA, Poly, T, X, _folded
+from .ring import LAMBDA, Poly, T, X, _folded, _rational
 
 __all__ = [
     "JacobiParams",
@@ -127,7 +127,7 @@ def specialize(j: JacobiParams, point: Mapping[str, Fraction | int]) -> JacobiPa
     point, and no polynomial product is formed on the way;
     :func:`moments_by_motzkin` runs such data over integers.
     """
-    point = {name: Fraction(v) for name, v in point.items()}
+    point = {name: _rational(v) for name, v in point.items()}
     label = ", ".join(f"{name}={v}" for name, v in point.items())
     return JacobiParams(
         name=f"{j.name}({label})",
@@ -143,8 +143,8 @@ def binomial(m: Fraction, p: Fraction, q: Fraction, t: Fraction) -> JacobiParams
     from that index on the recurrence truncates and the moments are those of
     a finitely supported measure.
     """
-    m, p, q, t = Fraction(m), Fraction(p), Fraction(q), Fraction(t)
-    num = specialize(ejsmont(), {"q": q, "t": t}).alpha  # k -> [k] at (q, t)
+    m, p, q, t = map(_rational, (m, p, q, t))
+    num = cache(lambda k: qt_number(k).eval({"q": q, "t": t}))  # k -> [k] at (q, t)
 
     def alpha(n: int) -> Fraction:
         return m * p + (1 - 2 * p) * num(n)
@@ -349,15 +349,15 @@ def poisson_limit_check(
     an m not an integer above lam, fewer than two distinct m, or an m that
     binomial clamps where the walk reads ([k-1] >= m, 1 <= k <= n_max // 2).
     """
-    lam = Fraction(lam)
+    lam, q, t = _rational(lam), _rational(q), _rational(t)
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    if any(Fraction(mv) <= lam or Fraction(mv).denominator != 1 for mv in m_values):
+    if any(_rational(mv) <= lam or _rational(mv).denominator != 1 for mv in m_values):
         raise ValueError("every m must be an integer above lambda")
     m_values = sorted({int(mv) for mv in m_values})
     if len(m_values) < 2:
         raise ValueError("need at least two distinct m values to compare")
-    point = {"q": Fraction(q), "t": Fraction(t), "lambda": lam}
+    point = {"q": q, "t": t, "lambda": lam}
     if any(qt_number(k).eval(point) >= m_values[0] for k in range(n_max // 2)):
         raise ValueError(f"the clamp of m={m_values[0]} acts where an order-{n_max} walk reads")
 

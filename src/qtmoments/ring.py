@@ -109,6 +109,14 @@ def _shift_of(name: str) -> int:
     return shift
 
 
+def _rational(value) -> Fraction:
+    """``value`` as a Fraction.  Only int and Fraction are exact: Fraction(0.1)
+    would silently read the float's binary expansion, so any other type raises."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"not an exact rational (int or Fraction): {value!r}")
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def _pack_exps(exps: Mapping[str, int]) -> int:
     """Packed key of a {variable: exponent} mapping."""
     key = deg = 0
@@ -428,7 +436,7 @@ class Poly:
         """Exact rational value at a point covering every variable of the polynomial."""
         values = {}
         for name, v in assignment.items():
-            values[_shift_of(name)] = Fraction(v)
+            values[_shift_of(name)] = _rational(v)
         terms = self._terms
         # Bring every term over the common denominator prod d_i^top, top the total
         # degree, so the sum runs over ints and one Fraction is built at the end.

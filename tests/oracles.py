@@ -9,8 +9,9 @@ combinatorial counts, full products under the moment functional for
 orthogonality, block-by-block elimination with row exchanges for leading
 minors, cofactor expansion for determinants, the sum over all permutations
 for the deformed inner product, the recursive card walk and a per-name card
-weight table, factor-by-factor text for canonical strings, the four letters
-applied one by one for the Poisson step, a running sum of level changes for
+weight table, factor-by-factor text for canonical strings, the four letters'
+basis rules written out on coefficient lists, each applied on its own, for
+the Poisson step and for words, a running sum of level changes for
 a word's levels, unfolded polynomial arithmetic for the q-folded routes, a
 two-term recurrence for the moments at q = -t written down by hand, and the
 Touchard, Narayana and lambda (1 + lambda)^(n-1) polynomials from their
@@ -28,9 +29,9 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 
-from qtmoments.fock import LETTERS, FockVector, ScalarGauge, apply_letter
+from qtmoments.fock import LETTERS, ScalarGauge, TruncationOverflow
 from qtmoments.partitions import SetPartition
-from qtmoments.ring import VARIABLES, Poly, Q, T, X
+from qtmoments.ring import LAMBDA, VARIABLES, Poly, Q, T, X
 
 
 def graded_lex_terms(p: Poly) -> list:
@@ -91,28 +92,64 @@ def word_levels(word) -> tuple:
     after its last, in application order (rightmost letter first): each C
     raises the level by one and each A lowers it by one."""
     levels = [0]
-    for letter in reversed(word.to_string()):
+    for letter in reversed(word.letters):
         levels.append(levels[-1] + (letter == "C") - (letter == "A"))
     return tuple(levels)
 
 
-def letterwise_poisson(v: FockVector, gauge) -> FockVector:
-    """The Poisson step as the sum of the four letters, each applied on its own."""
-    out = FockVector(v.dim)
-    for letter in LETTERS:
-        out = out + apply_letter(letter, v, gauge)
+def _bracket(k: int) -> Poly:
+    """[k] = q^(k-1) + q^(k-2) t + .. + t^(k-1), term by term."""
+    return sum((Q**i * T ** (k - 1 - i) for i in range(k)), Poly.zero())
+
+
+def letterwise_image(letter: str, coeffs: list, gauge) -> list:
+    """One letter on sum_k coeffs[k] f_k, in the same truncated space, by the
+    basis rules of :mod:`qtmoments.fock` written out: C f_k = lambda f_(k+1),
+    A f_k = [k] f_(k-1), N f_k = [k] f_k, and S f_k = lambda f_k, or lambda t^k
+    f_k under T_POWER_N.  Creation from a nonzero top level raises
+    TruncationOverflow."""
+    out = [Poly.zero()] * len(coeffs)
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        if letter == "C":
+            if k + 1 == len(coeffs):
+                raise TruncationOverflow(f"creation past level {k}")
+            out[k + 1] += LAMBDA * c
+        elif letter == "A":
+            if k:  # f_0 -> 0
+                out[k - 1] += _bracket(k) * c
+        elif letter == "N":
+            out[k] += _bracket(k) * c
+        else:
+            out[k] += LAMBDA * T**k * c if gauge is ScalarGauge.T_POWER_N else LAMBDA * c
     return out
+
+
+def letterwise_poisson(coeffs: list, gauge) -> list:
+    """The Poisson step as the sum of the four letters, each applied on its own."""
+    images = [letterwise_image(letter, coeffs, gauge) for letter in LETTERS]
+    return [sum(column, Poly.zero()) for column in zip(*images)]
 
 
 def letterwise_moments(n_max: int, gauge) -> list:
     """Vacuum moments 0..n_max: n_max letterwise Poisson steps on the whole
     truncated space, with no level dropped, reading f_0 after each."""
-    v = FockVector.vacuum(n_max + 1)
-    out = [v.coeffs[0]]
+    coeffs = [Poly.one()] + [Poly.zero()] * (n_max + 1)
+    out = [coeffs[0]]
     for _ in range(n_max):
-        v = letterwise_poisson(v, gauge)
-        out.append(v.coeffs[0])
+        coeffs = letterwise_poisson(coeffs, gauge)
+        out.append(coeffs[0])
     return out
+
+
+def letterwise_word(word, gauge) -> Poly:
+    """The vacuum coefficient of ``word`` applied to the vacuum, letter by
+    letter (rightmost first) on a space no word of its length overflows."""
+    coeffs = [Poly.one()] + [Poly.zero()] * len(word)
+    for letter in reversed(word.letters):
+        coeffs = letterwise_image(letter, coeffs, gauge)
+    return coeffs[0]
 
 
 def recurrence_polys(j, n_max: int) -> tuple:

@@ -58,12 +58,12 @@ def _brute_force_contributors(n: int) -> list:
     for letters in map("".join, itertools.product(LETTERS, repeat=n)):
         w = OperatorWord(letters)
         if not vacuum_expectation_word(w).is_zero:
-            out.append(w.to_string())
+            out.append(w.letters)
     return sorted(out)
 
 
 def test_single_letter_contributors():
-    words = [w.to_string() for w in enumerate_contributors(1)]
+    words = [w.letters for w in enumerate_contributors(1)]
     assert words == ["S"]
     assert _brute_force_contributors(1) == ["S"]
 
@@ -72,14 +72,14 @@ def test_two_letter_contributors_brute_force():
     # exhaustive scan over all 16 words: only SS and the
     # annihilation-after-creation word survive
     assert _brute_force_contributors(2) == ["AC", "SS"]
-    assert sorted(w.to_string() for w in enumerate_contributors(2)) == ["AC", "SS"]
+    assert sorted(w.letters for w in enumerate_contributors(2)) == ["AC", "SS"]
     assert contributor_count(2) == 2
 
 
 def test_contributor_enumeration_matches_brute_force():
     for n in range(1, 7):
         expected = _brute_force_contributors(n)
-        got = sorted(w.to_string() for w in enumerate_contributors(n))
+        got = sorted(w.letters for w in enumerate_contributors(n))
         assert got == expected
         assert contributor_count(n) == len(expected)
 
@@ -110,7 +110,7 @@ def test_expansion_matches_recursive_oracle():
             states = list(recursive_expansion_states(word))
             for gauge in (IDENTITY, TPOWER):
                 arrs = expand_arrangements(word, gauge)
-                assert len(arrs) == len(states), word.to_string()
+                assert len(arrs) == len(states), word.letters
                 for arr, (cards, owner, q_exp, t_exp, single_lv) in zip(arrs, states):
                     lam = sum(1 for name in cards if name[0] in "CS")
                     t_total = t_exp + (single_lv if gauge is TPOWER else 0)
@@ -119,7 +119,7 @@ def test_expansion_matches_recursive_oracle():
                     assert arr.partition == SetPartition(n, owner)
                     assert arr.weight == Poly.from_terms(
                         [(1, {"lambda": lam, "q": q_exp, "t": t_total})]
-                    ), word.to_string()
+                    ), word.letters
 
 
 def test_empty_word_has_no_arrangements():
@@ -128,8 +128,8 @@ def test_empty_word_has_no_arrangements():
 
 
 def test_enumeration_is_deterministic():
-    first = [w.to_string() for w in enumerate_contributors(6)]
-    second = [w.to_string() for w in enumerate_contributors(6)]
+    first = [w.letters for w in enumerate_contributors(6)]
+    second = [w.letters for w in enumerate_contributors(6)]
     assert first == second
     assert len(first) == len(set(first))
 
@@ -220,7 +220,7 @@ def test_weight_equals_partition_statistics():
                         "q": restricted_crossings(p),
                         "t": restricted_nestings(p, gauge),
                     })])
-                    assert arr.weight == expected, (word.to_string(), str(p))
+                    assert arr.weight == expected, (word.letters, str(p))
 
 
 def _card_product(arr, gauge) -> Poly:
@@ -233,9 +233,9 @@ def test_arrangement_weights_sum_to_vacuum_expectation():
             for gauge in (IDENTITY, TPOWER):
                 total = Poly.zero()
                 for arr in expand_arrangements(word, gauge):
-                    assert _card_product(arr, gauge) == arr.weight, word.to_string()
+                    assert _card_product(arr, gauge) == arr.weight, word.letters
                     total = total + arr.weight
-                assert total == vacuum_expectation_word(word, gauge), word.to_string()
+                assert total == vacuum_expectation_word(word, gauge), word.letters
 
 
 @st.composite
@@ -307,7 +307,7 @@ def test_card_names_follow_the_walk():
                     for name, head, level in zip(arr.cards, heads, levels):
                         assert type(name) is str and pattern.fullmatch(name), name
                         head_got, _, j = name.partition("_")
-                        assert head_got == head, (word.to_string(), arr.cards)
+                        assert head_got == head, (word.letters, arr.cards)
                         assert not j or 1 <= int(j) <= level, name
                         checked += 1
     assert checked == 2 * sum(n * bell for n, bell in enumerate(bell_numbers(8)))

@@ -12,9 +12,7 @@ from qtmoments.fock import (
     OperatorWord,
     ScalarGauge,
     TruncationOverflow,
-    apply_letter,
     apply_poisson,
-    apply_word,
     basis_words,
     check_adjointness,
     check_commutation,
@@ -26,6 +24,8 @@ from qtmoments.fock import (
     qt_inner_product,
     vacuum_expectation_word,
     word_inner_product,
+    _letter_step,
+    _poisson_data,
     _WordForm,
 )
 from qtmoments.cards import expand_arrangements, moment_by_cards
@@ -39,6 +39,7 @@ from oracles import (
     inversion_sum,
     laplace_determinant,
     letterwise_poisson,
+    letterwise_word,
     permutation_inner_product,
     word_levels,
 )
@@ -47,13 +48,21 @@ IDENTITY = ScalarGauge.IDENTITY
 TPOWER = ScalarGauge.T_POWER_N
 
 
+def _letter(letter, coeffs, gauge=IDENTITY):
+    """``_letter_step`` on a coefficient list, with the symbolic data of ``gauge``."""
+    return _letter_step(letter, coeffs, LAMBDA, *_poisson_data(gauge, len(coeffs)))
+
+
+_F2 = [Poly.zero()] * 2 + [Poly.one()] + [Poly.zero()] * 2  # f_2, levels 0..4
+_VACUUM = [Poly.one()] + [Poly.zero()] * 3
+
+
 def test_letter_actions():
-    v = FockVector.basis(4, 2)
-    assert apply_letter("N", v).coeffs[2] == T + Q
-    assert apply_letter("C", v).coeffs[3] == LAMBDA
-    assert apply_letter("A", v).coeffs[1] == T + Q
-    assert apply_letter("S", v).coeffs[2] == LAMBDA
-    assert apply_letter("S", v, TPOWER).coeffs[2] == LAMBDA * T**2
+    assert _letter("N", _F2)[2] == T + Q
+    assert _letter("C", _F2)[3] == LAMBDA
+    assert _letter("A", _F2)[1] == T + Q
+    assert _letter("S", _F2)[2] == LAMBDA
+    assert _letter("S", _F2, TPOWER)[2] == LAMBDA * T**2
 
 
 @pytest.mark.parametrize(
@@ -66,20 +75,14 @@ def test_letter_actions():
         ("S", TPOWER, "f2: lambda*t^2"),
     ],
 )
-def test_apply_letter_acts_by_its_character(letter, gauge, expected):
-    assert repr(apply_letter(letter, FockVector.basis(4, 2), gauge)) == f"FockVector({expected})"
-
-
-@pytest.mark.parametrize("bad", ["X", "", "CA", "c", None], ids=repr)
-def test_apply_letter_rejects_anything_but_one_letter(bad):
-    with pytest.raises(ValueError, match="not an operator letter"):
-        apply_letter(bad, FockVector.basis(4, 2))
+def test_letter_step_acts_by_its_character(letter, gauge, expected):
+    # the one nonzero level of the image, and nothing else
+    out = _letter(letter, _F2, gauge)
+    assert ", ".join(f"f{k}: {c}" for k, c in enumerate(out) if c) == expected
 
 
 _CONVENTION_TAKERS = {
-    "apply_letter": lambda g: apply_letter("S", FockVector.basis(2, 1), g),
     "apply_poisson": lambda g: apply_poisson(FockVector.vacuum(2), g),
-    "apply_word-empty": lambda g: apply_word(OperatorWord(""), FockVector.vacuum(1), g),
     "vacuum_expectation_word": lambda g: vacuum_expectation_word(OperatorWord("ASC"), g),
     "vacuum_expectation_word-empty": lambda g: vacuum_expectation_word(OperatorWord(""), g),
     "moment_by_operator": lambda g: moment_by_operator(3, g),
@@ -107,21 +110,17 @@ def test_word_rejects_text_outside_the_alphabet(bad):
 
 
 def test_annihilation_kills_vacuum():
-    v = FockVector.vacuum(3)
-    assert apply_letter("A", v).is_zero()
+    assert not any(_letter("A", _VACUUM))
 
 
 def test_creation_then_annihilation_gives_lambda():
-    v = FockVector.vacuum(2)
-    v = apply_letter("C", v)
-    v = apply_letter("A", v)
-    assert v.coeffs[0] == LAMBDA
+    assert _letter("A", _letter("C", _VACUUM))[0] == LAMBDA
 
 
 def test_truncation_overflow():
     v = FockVector.basis(2, 2)
     with pytest.raises(TruncationOverflow):
-        apply_letter("C", v)
+        apply_poisson(v)
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5], ids=repr)
@@ -135,7 +134,7 @@ def test_fock_vector_rejects_a_coefficient_outside_the_ring(bad):
 
 def test_word_parsing_and_levels():
     w = OperatorWord.from_string("AASNCC")
-    assert w.to_string() == "AASNCC"
+    assert str(w) == w.letters == "AASNCC"
     assert word_levels(w) == (0, 1, 2, 2, 2, 1, 0)
     assert not vacuum_expectation_word(w).is_zero
 
@@ -201,12 +200,10 @@ def test_number_letter_expands_to_creation_annihilation():
         for w in enumerate_contributors(n):
             if "N" not in w.letters:
                 continue
-            expanded = OperatorWord.from_string(
-                w.to_string().replace("N", "CA")
-            )
+            expanded = OperatorWord(w.letters.replace("N", "CA"))
             lhs = vacuum_expectation_word(w).substitute("lambda", 1)
             rhs = vacuum_expectation_word(expanded).substitute("lambda", 1)
-            assert lhs == rhs, w.to_string()
+            assert lhs == rhs, w.letters
 
 
 def test_inner_product_single_entry():
@@ -602,17 +599,39 @@ def _fock_vectors(draw):
 @given(_fock_vectors(), st.sampled_from([IDENTITY, TPOWER]))
 def test_poisson_step_matches_letterwise_sum(v, gauge):
     if v.coeffs[v.dim].is_zero:
-        assert apply_poisson(v, gauge) == letterwise_poisson(v, gauge)
+        assert apply_poisson(v, gauge).coeffs == letterwise_poisson(v.coeffs, gauge)
         return
-    for step in (apply_poisson, letterwise_poisson):
-        with pytest.raises(TruncationOverflow):
-            step(v, gauge)
+    with pytest.raises(TruncationOverflow):
+        apply_poisson(v, gauge)
+    with pytest.raises(TruncationOverflow):
+        letterwise_poisson(v.coeffs, gauge)
 
 
-def test_apply_word_matches_letterwise():
-    w = OperatorWord.from_string("ANC")
-    v = FockVector.vacuum(4)
-    step = apply_letter("C", v)
-    step = apply_letter("N", step)
-    step = apply_letter("A", step)
-    assert apply_word(w, v) == step
+@st.composite
+def _words(draw):
+    """Words over CANS of length <= 10: uniform letters, or half the time a walk
+    kept to contributors (no level below 0, N above the vacuum, back at 0)."""
+    n = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        return OperatorWord(draw(st.text("CANS", min_size=n, max_size=n)))
+    acting, level = [], 0
+    for left in range(n, 0, -1):  # ``left`` letters to go, this one included
+        allowed = {"C": level + 1 < left, "A": level > 0, "N": 0 < level < left, "S": level < left}
+        letter = draw(st.sampled_from([c for c, ok in allowed.items() if ok]))
+        level += (letter == "C") - (letter == "A")
+        acting.append(letter)
+    return OperatorWord("".join(reversed(acting)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_words(), st.sampled_from([IDENTITY, TPOWER]))
+@example(OperatorWord("ASC"), TPOWER)  # the scalar letter above the vacuum
+def test_word_expectation_matches_letterwise_oracle(w, gauge):
+    expected = letterwise_word(w, gauge)
+    assert vacuum_expectation_word(w, gauge) == expected
+    # nonzero exactly for contributors: no level below 0, back at 0, no N at level 0
+    levels = word_levels(w)
+    contributor = min(levels) == levels[-1] == 0 and all(
+        level for letter, level in zip(w.application_order(), levels) if letter == "N"
+    )
+    assert bool(expected) == contributor

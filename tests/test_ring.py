@@ -6,6 +6,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qtmoments import ring
+from qtmoments.fock import (
+    _WordForm,
+    check_adjointness,
+    check_gram_positivity,
+    leading_principal_minors,
+    multimode_gram,
+    word_inner_product,
+)
+from qtmoments.orthopoly import binomial, charlier_strict, poisson_limit_check, specialize
 from qtmoments.qtnum import qt_number
 from qtmoments.ring import (
     LAMBDA,
@@ -82,6 +91,41 @@ def test_eval_simple():
 def test_eval_missing_variable():
     with pytest.raises(MissingVariable):
         (T + Q).eval({"t": 1})
+
+
+_HALF = Fraction(1, 2)
+
+#: Each exact-rational entry point, called with v in one argument, and its
+#: values at v = 1 and v = 1/2, worked out by hand.
+_RATIONAL_TAKERS = {
+    "Poly.eval": (lambda v: (Q * Q).eval({"q": v}), 1, Fraction(1, 4)),
+    # scale(2) = D^1 G^2, with G the Gram's denominator
+    "_WordForm": (lambda v: _WordForm([[v]], 1, 1).scale(2), 1, 4),
+    # <00|00> = [2] = q + t
+    "word_inner_product": (lambda v: word_inner_product((0, 0), (0, 0), [[1]], v, 1), 2, 1 + _HALF),
+    "check_adjointness": (lambda v: check_adjointness(1, 2, [[v]], Fraction(1, 3), 1).passed, True, True),
+    # the norm of 00 at q = 0, t = 1 is g^2
+    "multimode_gram": (lambda v: multimode_gram(1, 2, [[v]], 0, 1)[-1][-1], 1, Fraction(1, 4)),
+    "check_gram_positivity": (lambda v: check_gram_positivity(1, 2, [[1]], v, 1).passed, True, True),
+    "leading_principal_minors": (lambda v: leading_principal_minors([[v, 1], [1, 1]]), [1, 0], [_HALF, -_HALF]),
+    # alpha_2 = lambda + q + t
+    "specialize": (lambda v: specialize(charlier_strict(), {"q": v, "t": 1, "lambda": 1}).alpha(2), 3, 2 + _HALF),
+    # alpha_1 = m p + (1 - 2p) [1] = 8p + 1 at m = 10
+    "binomial": (lambda v: binomial(10, v, _HALF, _HALF).alpha(1), 9, 5),
+    "poisson_limit_check-lambda": (lambda v: poisson_limit_check(4, v, [10, 100]).passed, True, True),
+    "poisson_limit_check-q": (lambda v: poisson_limit_check(4, 1, [10, 100], q=v).passed, True, True),
+    "poisson_limit_check-m": (lambda v: poisson_limit_check(4, 1, [10, 200 * v]).passed, True, True),
+}
+
+
+@pytest.mark.parametrize("taker", _RATIONAL_TAKERS)
+def test_rational_entry_points_take_int_and_fraction_only(taker):
+    # Fraction(0.5) would read the float's binary expansion; only exact values pass
+    call, at_one, at_half = _RATIONAL_TAKERS[taker]
+    with pytest.raises(TypeError, match="not an exact rational"):
+        call(0.5)
+    assert call(1) == call(Fraction(1)) == at_one
+    assert call(_HALF) == at_half
 
 
 @given(polys, polys, points)
