@@ -56,6 +56,16 @@ MUTANTS = [
            "tests/test_fock.py"),
     Mutant("card-shifts-one-short", "cards.py", "_contributor_walk",
            "for j in range(level)", "for j in range(level - 1)", "tests/test_cards.py"),
+    Mutant("listing-rn-swapped", "cli.py", "cmd_partitions",
+           '"rn_covered": {r["rn_covered"]}, "rn_strict": {r["rn_strict"]}',
+           '"rn_covered": {r["rn_strict"]}, "rn_strict": {r["rn_covered"]}', "tests/test_cli.py"),
+    # the ring's fold is exact either way; only its own gap tests see the cost rule
+    Mutant("fold-pays-without-gap-test", "ring.py", "_fold_pays",
+           "if len(top) + sum(top.values()) > _GAP_LIMIT * len(terms):", "if False:",
+           "tests/test_ring.py"),
+    # a command parser's leftover arguments would be dropped, not the tree's error
+    Mutant("dispatch-drops-leftover-arguments", "cli.py", "_parse_args",
+           "if extras:", "if False:", "tests/test_cli.py"),
 ]
 
 

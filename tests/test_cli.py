@@ -460,56 +460,146 @@ MIXED_REQUESTS = [
 ]
 
 
+def _outcome(capsys, argv):
+    """The exit code, stdout and stderr of one ``main`` call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def _serve(capsys, requests) -> dict:
-    outputs = {}
-    for argv in requests:
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-        outputs[" ".join(argv)] = (code, capsys.readouterr().out)
-    return outputs
+    return {" ".join(argv): _outcome(capsys, argv) for argv in requests}
 
 
 def test_one_parser_serves_requests_in_any_order(capsys):
     forward = _serve(capsys, MIXED_REQUESTS)
     shuffled = _serve(capsys, [MIXED_REQUESTS[i] for i in (2, 0, 5, 1, 4, 3)])
     assert forward == shuffled
-    codes = [code for code, _ in forward.values()]
+    codes = [code for code, _, _ in forward.values()]
     assert codes == [2, 0, 0, 0, 0, 0]
-    assert all(out for code, out in forward.values() if code == 0)
+    assert all(out for code, out, _ in forward.values() if code == 0)
     assert build_parser() is build_parser()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["cards", "--word", "XYZ"],
-        ["cards", "--word", ""],
-        ["cards", "--word", " "],
-        ["cards", "--word", "CA"],
-        ["cards", "--word", "CAC"],
-        ["cards", "--word", "ASAC"],
-        ["cards", "--n", "8", "--word", "AC"],
-        ["cards", "--n", "0"],
-        ["cards", "--n", "-3"],
-        ["partitions", "--n", "0"],
-        ["moments", "--n", "0"],
-        ["charlier", "--n-max", "-1"],
-        ["charlier", "--n-max", "3", "--q=1/2"],
-        ["charlier", "--n-max", "3", "--output", "csv"],
-        ["cfrac", "--order", "4", "--depth", "0"],
-        ["cfrac", "--order", "4", "--depth", "1"],
-        ["cfrac", "--order", "-1"],
-        ["verify", "--n-max", "0"],
-        ["moments", "--n", "3", "--gauge", "tpowern"],
-        ["cards", "--word", "CA", "--output", "csv"],
-        ["word", "--word", "AC", "--output", "csv"],
-        ["word", "--word", "CX"],
-        ["word", "--word", "A C"],
-    ],
-    ids=" ".join,
-)
+#: Requests the model or a cross-argument check rejects: each is a usage error.
+INVALID_ARGVS = [
+    ["cards", "--word", "XYZ"],
+    ["cards", "--word", ""],
+    ["cards", "--word", " "],
+    ["cards", "--word", "CA"],
+    ["cards", "--word", "CAC"],
+    ["cards", "--word", "ASAC"],
+    ["cards", "--n", "8", "--word", "AC"],
+    ["cards", "--n", "0"],
+    ["cards", "--n", "-3"],
+    ["partitions", "--n", "0"],
+    ["moments", "--n", "0"],
+    ["charlier", "--n-max", "-1"],
+    ["charlier", "--n-max", "3", "--q=1/2"],
+    ["charlier", "--n-max", "3", "--output", "csv"],
+    ["cfrac", "--order", "4", "--depth", "0"],
+    ["cfrac", "--order", "4", "--depth", "1"],
+    ["cfrac", "--order", "-1"],
+    ["verify", "--n-max", "0"],
+    ["moments", "--n", "3", "--gauge", "tpowern"],
+    ["cards", "--word", "CA", "--output", "csv"],
+    ["word", "--word", "AC", "--output", "csv"],
+    ["word", "--word", "CX"],
+    ["word", "--word", "A C"],
+]
+
+
+def _subparsers():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_command_parser_is_the_trees_subparser(name):
+    own, tree = cli._command_parser(name), _subparsers()[name]
+    assert own is cli._command_parser(name)
+    assert own.format_usage() == tree.format_usage()
+    assert own.format_help() == tree.format_help()
+    assert list(_subparsers()) == list(cli.COMMANDS)
+
+
+#: One argv of each bench request shape, and the spellings argparse accepts.
+VALID_ARGVS = [
+    ["moments", "--n", "7", "--method", "operator", "--q=1/3", "--t=2/3", "--lambda=1",
+     "--mode", "covered", "--output", "json"],
+    ["moments", "--n", "6", "--method", "motzkin", "--q=-1/4", "--t=2/3", "--lambda=3/2",
+     "--output", "csv"],
+    ["moments", "--n", "14", "--method", "motzkin", "--output", "json"],
+    ["moments", "--n=3"],
+    ["moments", "--n", "3", "--q", "1/2", "--t", "1", "--lambda", "2"],
+    ["moments", "--n", "3", "--mod", "covered"],
+    ["charlier", "--n-max", "6", "--preset", "tgauge", "--q=1/3", "--t=2/3", "--lambda=1",
+     "--output", "csv"],
+    ["charlier", "--n-max", "10", "--preset", "strict", "--output", "json"],
+    ["binomial", "--n-max", "12", "--m", "7/2", "--p", "2/5", "--q=-1/2", "--t=3/4",
+     "--output", "json"],
+    ["word", "--word", "CNA", "--mode", "covered", "--output", "json"],
+    ["cards", "--word", "AASNCC", "--output", "pretty"],
+    ["cards", "--n", "8", "--mode", "covered", "--output", "json"],
+    ["cfrac", "--order", "10", "--preset", "tgauge", "--output", "json"],
+    ["partitions", "--n", "9"],
+    ["verify", "--suite", "all", "--n-max", "8"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def test_command_parser_reads_what_the_tree_reads(argv):
+    assert cli._parse_args(argv) == build_parser().parse_args(argv)
+
+
+#: Arguments that argparse or main rejects, or that ask for help.
+REJECTED_ARGVS = [
+    ["moments", "--n", "3", "--bogus"],
+    ["moments", "--n", "3", "extra"],
+    ["moments", "--n", "x"],
+    ["moments", "--n", "3", "--mode", "sideways"],
+    ["moments", "--method", "motzkin"],
+    ["moments", "--n", "3", "--q", "-1/2", "--t", "1", "--lambda", "1"],
+    ["cards", "--output", "json"],
+    ["nonsense", "--n", "3"],
+    [],
+    ["-h"],
+    ["moments", "-h"],
+    ["verify", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED_ARGVS + INVALID_ARGVS,
+                         ids=lambda argv: " ".join(argv) or "no arguments")
+def test_command_parser_fails_as_the_tree_fails(capsys, monkeypatch, argv):
+    own = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: build_parser().parse_args(argv))
+    tree = _outcome(capsys, argv)
+    assert own == tree
+    assert own[0] == (0 if "-h" in argv or "--help" in argv else 2)
+
+
+def test_a_request_builds_only_its_own_commands_parser():
+    src = os.path.dirname(os.path.dirname(qtmoments.__file__))
+    code = ("import contextlib, io\n"
+            "from qtmoments import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['word', '--word', 'CNA', '--output', 'json']) == 0\n"
+            "built = cli._command_parser.cache_info().currsize\n"
+            "cli._command_parser('word')\n"
+            "print(cli.build_parser.cache_info().currsize, built,\n"
+            "      cli._command_parser.cache_info().hits)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.stderr == ""
+    # no tree; one command parser, and it is word's
+    assert proc.stdout.split() == ["0", "1", "1"]
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGVS, ids=" ".join)
 def test_invalid_input_is_a_usage_error(argv):
     src = os.path.dirname(os.path.dirname(qtmoments.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -537,12 +627,17 @@ def test_invalid_letter_error_names_the_word(capsys):
     assert err.startswith("error: ValueError: ") and "'XYZ'" in err
 
 
+def _clear_memos():
+    cli._moment.cache_clear()
+    cli._moment_text.cache_clear()
+
+
 @pytest.fixture
 def fresh_memo():
-    """An empty point-query moment memo before and after the test."""
-    cli._moment.cache_clear()
+    """Empty point-query moment and text memos before and after the test."""
+    _clear_memos()
     yield
-    cli._moment.cache_clear()
+    _clear_memos()
 
 
 POINT_A = ["--q=1/3", "--t=2/3", "--lambda=1"]
@@ -574,15 +669,31 @@ def test_symbolic_request_leaves_the_memo_empty(capsys, fresh_memo):
     assert cli._moment.cache_info().currsize == 5
 
 
-@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize("output", ["json", "csv", "pretty"])
 def test_memoised_request_prints_what_a_fresh_one_prints(capsys, fresh_memo, output):
     argv = ["moments", "--n", "5", "--mode", "covered", "--output", output]
     run(capsys, *argv, *POINT_A)
     memoised = run(capsys, *argv, *POINT_B)
-    assert cli._moment.cache_info().hits == 5
-    cli._moment.cache_clear()
+    assert cli._moment.cache_info().misses == 5  # the second request computed none
+    _clear_memos()
     assert run(capsys, *argv, *POINT_B) == memoised
     assert memoised[0] == 0 and memoised[1]
+
+
+def test_point_requests_render_each_moment_once(capsys, monkeypatch, fresh_memo):
+    rendered = []
+    real = Poly.canonical_str
+    monkeypatch.setattr(Poly, "canonical_str", lambda p: rendered.append(p) or real(p))
+    argv = ["moments", "--n", "5", "--mode", "covered"]
+    outputs = [run(capsys, *argv, *point, "--output", output)
+               for output in ("json", "pretty") for point in (POINT_A, POINT_B)]
+    assert [code for code, _, _ in outputs] == [0] * 4
+    assert rendered == [cli._moment(name, "covered", 5) for name in cli._routes("covered", 5)]
+    # a csv point request prints no text; a symbolic request renders afresh
+    assert run(capsys, *argv, *POINT_A, "--output", "csv")[0] == 0
+    assert len(rendered) == 5
+    assert run(capsys, *argv, "--output", "json")[0] == 0
+    assert len(rendered) == 10
 
 
 def test_point_request_still_compares_every_route(capsys, monkeypatch, fresh_memo):
