@@ -7,11 +7,7 @@ stdout, diagnostics to stderr.  All JSON output carries a schema tag.  The
 each from one f-string with sorted keys: the bytes of ``json.dumps(record,
 sort_keys=True)`` for :func:`partition_record` and :func:`arrangement_record`.
 The symbolic ``charlier`` table streams one decoded P_k at a time, in text chunks.
-
-Each command is defined once (``COMMANDS``, :func:`_declare`) and parses a request
-with its own parser, built on first use; the tree of :func:`build_parser` is built
-only for top-level help, an unknown command and usage errors.  A point ``moments``
-request keeps each symbolic moment and its text for the life of the process.
+A request naming a command is parsed by its subparser alone, not the whole tree.
 """
 
 from __future__ import annotations
@@ -130,34 +126,43 @@ def _moment_text(method: str, mode: str, n: int) -> str:
 
 
 def cmd_moments(args) -> int:
-    """Print the n-th moment by the chosen routes and whether they agree.  A
-    point request reads each symbolic moment and its text through the
-    :func:`_moment` and :func:`_moment_text` memos, so a process computes and
-    renders each once; a symbolic request computes it afresh."""
-    point, mode, n = args.point, args.mode, args.n
-    results = {name: route(n) if point is None else _moment(name, mode, n)
-               for name, route in _routes(mode, n).items() if args.method in ("all", name)}
+    """Print the n-th moment by the chosen routes and whether they agree.  A point
+    request reads each moment and its text from :func:`_moment` and :func:`_moment_text`,
+    so a process computes and renders each once; a symbolic request computes afresh."""
+    point = args.point
+    results = {name: route(args.n) if point is None else _moment(name, args.mode, args.n)
+               for name, route in _routes(args.mode, args.n).items()
+               if args.method in ("all", name)}
     values = list(results.values())
     agree = all(v == values[0] for v in values)
 
     def text(name):
-        return results[name].canonical_str() if point is None else _moment_text(name, mode, n)
+        return _moment_text(name, args.mode, args.n) if point else results[name].canonical_str()
 
     if args.output == "json":
-        record = {"schema": SCHEMA, "n": n, "mode": mode, "gauge": MODES[mode][0].value,
-                  "methods": {name: text(name) for name in results}, "agree": agree}
+        record = {
+            "schema": SCHEMA,
+            "n": args.n,
+            "mode": args.mode,
+            "gauge": MODES[args.mode][0].value,
+            "methods": {name: text(name) for name in results},
+            "agree": agree,
+        }
         if point is not None:
             record["value"] = {name: str(p.eval(point)) for name, p in results.items()}
         print(_JSON.encode(record))
     elif args.output == "csv":
         if point is None:
             print("method,n,moment")
-            for name in results:
-                print(f"{name},{n},{text(name)}")
+            for name, poly in results.items():
+                print(f"{name},{args.n},{poly.canonical_str()}")
         else:
             print("method,n,q,t,lambda,moment")
             for name, poly in results.items():
-                print(f"{name},{n},{point['q']},{point['t']},{point['lambda']},{poly.eval(point)}")
+                print(
+                    f"{name},{args.n},{point['q']},{point['t']},{point['lambda']},"
+                    f"{poly.eval(point)}"
+                )
     else:
         for name in results:
             print(f"{name}: {text(name)}")
@@ -194,9 +199,16 @@ def cmd_charlier(args) -> int:
         # Over exact fractions at the point: no symbolic moment is formed.
         moments = moments_by_motzkin(specialize(preset, args.point), args.n_max)
         if args.output == "json":
-            print(_JSON.encode({"schema": SCHEMA, "preset": args.preset, "moments": [
-                {"n": n, "q": str(args.q), "t": str(args.t), "lambda": str(args.lam),
-                 "moment": str(v)} for n, v in enumerate(moments)]}))
+            print(_JSON.encode(
+                {
+                    "schema": SCHEMA,
+                    "preset": args.preset,
+                    "moments": [
+                        {"n": n, "q": str(args.q), "t": str(args.t),
+                         "lambda": str(args.lam), "moment": str(v)}
+                        for n, v in enumerate(moments)
+                    ],
+                }))
         else:
             print("n,q,t,lambda,moment")
             for n, v in enumerate(moments):
@@ -266,9 +278,15 @@ def cmd_binomial(args) -> int:
     params = binomial(args.m, args.p, args.q, args.t)
     moments = moments_by_motzkin(params, args.n_max)
     if args.output == "json":
-        print(_JSON.encode({"schema": SCHEMA, "m": str(args.m), "p": str(args.p),
-                            "q": str(args.q), "t": str(args.t),
-                            "moments": [str(v) for v in moments]}))
+        print(_JSON.encode(
+            {
+                "schema": SCHEMA,
+                "m": str(args.m),
+                "p": str(args.p),
+                "q": str(args.q),
+                "t": str(args.t),
+                "moments": [str(v) for v in moments],
+            }))
     else:
         print("n,q,t,m,p,moment")
         for k, v in enumerate(moments):
@@ -366,129 +384,121 @@ def cmd_word(args) -> int:
     return 0
 
 
-#: Every command's one-line help and handler; :func:`_declare` adds its arguments.
-COMMANDS = {
-    "moments": ("moment polynomial by one or all methods", cmd_moments),
-    "partitions": ("list partitions with their statistics", cmd_partitions),
-    "charlier": ("orthogonal polynomial table, or a rational moment table when "
-                 "--q/--t/--lambda are given", cmd_charlier),
-    "cards": ("dump card arrangements", cmd_cards),
-    "cfrac": ("continued-fraction series and rendering", cmd_cfrac),
-    "binomial": ("rational binomial moments", cmd_binomial),
-    "word": ("vacuum expectation of one operator word", cmd_word),
-    "verify": ("run the cross-check matrix", cmd_verify),
-}
-
-
-def _declare(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Declare command ``name``'s arguments and handler on ``p``: the one
-    definition that the tree and the command's own parser are both built from."""
-
-    def add_common(outputs=("json", "pretty")):
-        p.add_argument("--mode", choices=sorted(MODES), default="strict",
-                       help="nesting convention: strict (scalar lambda) or covered "
-                            "(scalar lambda*t^N)")
-        p.add_argument("--output", choices=outputs, default="pretty")
-
-    def add_point():
-        for flag, dest in (("--q", "q"), ("--t", "t"), ("--lambda", "lam")):
-            p.add_argument(flag, dest=dest, type=rational, default=None)
-
-    match name:
-        case "moments":
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--method", choices=[*_routes("strict", 0), "all"], default="all")
-            add_point()
-            add_common(("json", "csv", "pretty"))
-        case "partitions":
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--output", choices=["json", "pretty"], default="json")
-        case "charlier":
-            p.add_argument("--n-max", type=int, required=True)
-            p.add_argument("--preset", choices=sorted(PRESETS), default="strict")
-            add_point()
-            p.add_argument("--output", choices=["json", "csv", "pretty"], default="pretty")
-        case "cards":
-            source = p.add_mutually_exclusive_group(required=True)
-            source.add_argument("--n", type=int, default=None)
-            source.add_argument("--word", type=str, default=None,
-                                help="one operator word over C,A,N,S (leftmost applied last)")
-            add_common()
-        case "cfrac":
-            p.add_argument("--order", type=int, required=True)
-            p.add_argument("--preset", choices=sorted(PRESETS), default="strict")
-            p.add_argument("--depth", type=int, default=None)
-            p.add_argument("--output", choices=["json", "pretty"], default="pretty")
-        case "binomial":
-            p.add_argument("--n-max", type=int, required=True)
-            p.add_argument("--m", type=rational, required=True)
-            p.add_argument("--p", type=rational, required=True)
-            p.add_argument("--q", type=rational, default=Fraction(1, 3))
-            p.add_argument("--t", type=rational, default=Fraction(2, 3))
-            p.add_argument("--output", choices=["json", "csv", "pretty"], default="pretty")
-        case "word":
-            p.add_argument("--word", type=str, required=True)
-            add_common()
-        case "verify":
-            p.add_argument("--suite", choices=["all", *SUITES], default="all")
-            p.add_argument("--n-max", type=int, default=8,
-                           help="largest n to check; moments use it as given, cards stop at 7, "
-                                "orthogonality and the Poisson limit at 6, charlier-fock at 8, "
-                                "and the fock suite ignores it")
-    p.set_defaults(func=COMMANDS[name][1])
-    return p
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The whole tree: the top-level parser and a subparser per command, built
-    on first use and then shared for the life of the process.  ``main`` needs it
-    only for top-level help, an unknown or missing command, and usage errors."""
+    """The argument parser, built on first use and then shared for the life of
+    the process: every ``main`` call parses with the same tree, which holds no
+    per-request state.  ``commands`` maps each command to its subparser."""
     parser = argparse.ArgumentParser(
         prog="qtmoments",
         description="Exact cross-verified moments of a two-parameter deformed Poisson model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _) in COMMANDS.items():
-        _declare(name, sub.add_parser(name, help=text))
+
+    def add_common(p, outputs=("json", "pretty")):
+        p.add_argument("--mode", choices=sorted(MODES), default="strict",
+                       help="nesting convention: strict (scalar lambda) or covered "
+                            "(scalar lambda*t^N)")
+        p.add_argument("--output", choices=outputs, default="pretty")
+
+    p = sub.add_parser("moments", help="moment polynomial by one or all methods")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--method", choices=[*_routes("strict", 0), "all"], default="all")
+    p.add_argument("--q", type=rational, default=None)
+    p.add_argument("--t", type=rational, default=None)
+    p.add_argument("--lambda", dest="lam", type=rational, default=None)
+    add_common(p, ("json", "csv", "pretty"))
+    p.set_defaults(func=cmd_moments)
+
+    p = sub.add_parser("partitions", help="list partitions with their statistics")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--output", choices=["json", "pretty"], default="json")
+    p.set_defaults(func=cmd_partitions)
+
+    p = sub.add_parser(
+        "charlier",
+        help="orthogonal polynomial table, or a rational moment table when "
+             "--q/--t/--lambda are given",
+    )
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--preset", choices=sorted(PRESETS), default="strict")
+    p.add_argument("--q", type=rational, default=None)
+    p.add_argument("--t", type=rational, default=None)
+    p.add_argument("--lambda", dest="lam", type=rational, default=None)
+    p.add_argument("--output", choices=["json", "csv", "pretty"], default="pretty")
+    p.set_defaults(func=cmd_charlier)
+
+    p = sub.add_parser("cards", help="dump card arrangements")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=int, default=None)
+    source.add_argument("--word", type=str, default=None,
+                        help="one operator word over C,A,N,S (leftmost applied last)")
+    add_common(p)
+    p.set_defaults(func=cmd_cards)
+
+    p = sub.add_parser("cfrac", help="continued-fraction series and rendering")
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--preset", choices=sorted(PRESETS), default="strict")
+    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--output", choices=["json", "pretty"], default="pretty")
+    p.set_defaults(func=cmd_cfrac)
+
+    p = sub.add_parser("binomial", help="rational binomial moments")
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--m", type=rational, required=True)
+    p.add_argument("--p", type=rational, required=True)
+    p.add_argument("--q", type=rational, default=Fraction(1, 3))
+    p.add_argument("--t", type=rational, default=Fraction(2, 3))
+    p.add_argument("--output", choices=["json", "csv", "pretty"], default="pretty")
+    p.set_defaults(func=cmd_binomial)
+
+    p = sub.add_parser("word", help="vacuum expectation of one operator word")
+    p.add_argument("--word", type=str, required=True)
+    add_common(p)
+    p.set_defaults(func=cmd_word)
+
+    p = sub.add_parser("verify", help="run the cross-check matrix")
+    p.add_argument("--suite", choices=["all", *SUITES], default="all")
+    p.add_argument(
+        "--n-max", type=int, default=8,
+        help="largest n to check; moments use it as given, cards stop at 7, "
+        "orthogonality and the Poisson limit at 6, charlier-fock at 8, "
+        "and the fock suite ignores it",
+    )
+    p.set_defaults(func=cmd_verify)
+
+    parser.commands = sub.choices
     return parser
 
 
-@cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """Command ``name``'s parser alone, as the tree's subparser for it, built
-    on first use: a request parses without building the other commands."""
-    return _declare(name, argparse.ArgumentParser(prog=f"qtmoments {name}"))
-
-
-def _parse_args(argv: list) -> argparse.Namespace:
-    """The tree's ``parse_args(argv)``, read by the named command's own parser
-    when ``argv`` starts with a command; leftover arguments are the tree's error."""
-    if not argv or argv[0] not in COMMANDS:
-        return build_parser().parse_args(argv)
-    args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+def _parse_args(parser, argv: list) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, without the top-level parse when ``argv`` names a command."""
+    if not argv or argv[0] not in parser.commands:
+        return parser.parse_args(argv)
+    args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
     if extras:
-        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
 
 
 def main(argv=None) -> int:
-    """Run one request.  A request that names a command is parsed by that
-    command's own parser; anything else, and every usage error, by the tree,
-    so the messages are the tree's.  Each parser is built once per process."""
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    """Run one request; the parser is built once per process and reused.  Every
+    message and exit code is the tree's, though a command's subparser reads it."""
+    parser = build_parser()
+    args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
+
     if args.command in ("moments", "charlier"):
         given = {"q": args.q, "t": args.t, "lambda": args.lam}
         if any(v is not None for v in given.values()) and None in given.values():
-            build_parser().error("give all of --q, --t, --lambda or none")
+            parser.error("give all of --q, --t, --lambda or none")
         args.point = None if args.q is None else given
         if args.command == "charlier" and args.point is None and args.output == "csv":
-            build_parser().error("charlier --output csv needs --q, --t and --lambda")
+            parser.error("charlier --output csv needs --q, --t and --lambda")
     if args.command in ("moments", "partitions", "cards") and args.n is not None and args.n < 1:
-        build_parser().error("--n must be >= 1")
+        parser.error("--n must be >= 1")
     if args.command == "verify" and args.n_max < 1:
-        build_parser().error("--n-max must be >= 1")
+        parser.error("--n-max must be >= 1")
 
     try:
         code = args.func(args)

@@ -63,7 +63,7 @@ MUTANTS = [
     Mutant("fold-pays-without-gap-test", "ring.py", "_fold_pays",
            "if len(top) + sum(top.values()) > _GAP_LIMIT * len(terms):", "if False:",
            "tests/test_ring.py"),
-    # a command parser's leftover arguments would be dropped, not the tree's error
+    # a subparser's leftover arguments would be dropped, not the tree's error
     Mutant("dispatch-drops-leftover-arguments", "cli.py", "_parse_args",
            "if extras:", "if False:", "tests/test_cli.py"),
 ]

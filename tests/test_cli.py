@@ -442,8 +442,7 @@ def test_verify_all_is_every_suite_in_table_order(capsys):
 
 
 def test_verify_suite_choices_come_from_the_table():
-    subcommands = build_parser()._subparsers._group_actions[0].choices
-    suite = next(a for a in subcommands["verify"]._actions if a.dest == "suite")
+    suite = next(a for a in build_parser().commands["verify"]._actions if a.dest == "suite")
     assert suite.choices == ["all", *SUITES]
 
 
@@ -512,19 +511,6 @@ INVALID_ARGVS = [
 ]
 
 
-def _subparsers():
-    return build_parser()._subparsers._group_actions[0].choices
-
-
-@pytest.mark.parametrize("name", cli.COMMANDS)
-def test_command_parser_is_the_trees_subparser(name):
-    own, tree = cli._command_parser(name), _subparsers()[name]
-    assert own is cli._command_parser(name)
-    assert own.format_usage() == tree.format_usage()
-    assert own.format_help() == tree.format_help()
-    assert list(_subparsers()) == list(cli.COMMANDS)
-
-
 #: One argv of each bench request shape, and the spellings argparse accepts.
 VALID_ARGVS = [
     ["moments", "--n", "7", "--method", "operator", "--q=1/3", "--t=2/3", "--lambda=1",
@@ -551,14 +537,17 @@ VALID_ARGVS = [
 
 
 @pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
-def test_command_parser_reads_what_the_tree_reads(argv):
-    assert cli._parse_args(argv) == build_parser().parse_args(argv)
+def test_subparser_reads_what_the_tree_reads(argv):
+    parser = build_parser()
+    assert cli._parse_args(parser, argv) == parser.parse_args(argv)
 
 
 #: Arguments that argparse or main rejects, or that ask for help.
 REJECTED_ARGVS = [
     ["moments", "--n", "3", "--bogus"],
     ["moments", "--n", "3", "extra"],
+    ["moments", "--n", "3", "--"],
+    ["moments", "--", "--n", "3"],
     ["moments", "--n", "x"],
     ["moments", "--n", "3", "--mode", "sideways"],
     ["moments", "--method", "motzkin"],
@@ -574,29 +563,12 @@ REJECTED_ARGVS = [
 
 @pytest.mark.parametrize("argv", REJECTED_ARGVS + INVALID_ARGVS,
                          ids=lambda argv: " ".join(argv) or "no arguments")
-def test_command_parser_fails_as_the_tree_fails(capsys, monkeypatch, argv):
+def test_subparser_fails_as_the_tree_fails(capsys, monkeypatch, argv):
     own = _outcome(capsys, argv)
-    monkeypatch.setattr(cli, "_parse_args", lambda argv: build_parser().parse_args(argv))
+    monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
     tree = _outcome(capsys, argv)
     assert own == tree
     assert own[0] == (0 if "-h" in argv or "--help" in argv else 2)
-
-
-def test_a_request_builds_only_its_own_commands_parser():
-    src = os.path.dirname(os.path.dirname(qtmoments.__file__))
-    code = ("import contextlib, io\n"
-            "from qtmoments import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(['word', '--word', 'CNA', '--output', 'json']) == 0\n"
-            "built = cli._command_parser.cache_info().currsize\n"
-            "cli._command_parser('word')\n"
-            "print(cli.build_parser.cache_info().currsize, built,\n"
-            "      cli._command_parser.cache_info().hits)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    assert proc.stderr == ""
-    # no tree; one command parser, and it is word's
-    assert proc.stdout.split() == ["0", "1", "1"]
 
 
 @pytest.mark.parametrize("argv", INVALID_ARGVS, ids=" ".join)
