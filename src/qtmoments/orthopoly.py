@@ -192,8 +192,8 @@ def _three_term_rows(j: JacobiParams, n_max: int) -> Iterator[Poly]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
 
-    def walk(x, a, w):
-        return [u[0] for u in _recurrence(lambda u: [x[0] * u[0]], [1], a, w)]
+    def walk(x, a, w):  # one product per row, (x + a_n) P_n; the shift adds 0
+        return [u[0] for u in _recurrence(lambda u: [0], [1], [x[0] + a_n for a_n in a], w)]
 
     return _folded(walk, [X], *_signed(j, n_max, n_max))
 

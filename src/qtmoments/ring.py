@@ -32,11 +32,13 @@ Every route and check already runs folded as a whole, so no workload request
 reaches that per-product fold: its traffic is the unfolded test oracles and
 callers' own products of large Polys.
 
-Printing looks up the text of a key's (lambda, t) half (bits 32-63) and of
-its (q, x) half (bits 0-31) in two tables filled on first sight, ``""`` for a
-zero half.  Each holds one entry per exponent pair printed, at most
-(d+1)(d+2)/2 up to total degree d: 511 and 287 after the eight bench tables.
-Text is made in chunks of ``_TEXT_CHUNK`` terms, which ``charlier`` streams.
+Printing reads a key's (lambda, t) half (bits 32-63) and (q, x) half (bits 0-31)
+from two ``dict`` tables whose ``__missing__`` stores a half's text on first
+sight, each factor led by ``"*"``, ``""`` for a zero half: at most (d+1)(d+2)/2
+entries up to total degree d, 511 and 287 after the eight bench tables.  A term
+is one f-string of its signed coefficient and two halves; a +-1 coefficient
+drops its ``1*``, a constant prints its digits.  ``charlier`` streams the text
+in chunks of ``_TEXT_CHUNK`` terms, each built by one list comprehension.
 
 Rational values (exact parameter samples) are plain :class:`fractions.Fraction`
 objects; evaluation of a polynomial at rational points is exact.
@@ -85,9 +87,22 @@ _PACKED_MIN = (5, 100)
 _GAP_LIMIT = 4
 #: Terms per piece of canonical text, so a long polynomial prints in bounded pieces.
 _TEXT_CHUNK = 1024
+
+
+class _HalfText(dict):
+    """Each half key's text so far, every factor led by "*"; "" for a zero half."""
+
+    def __init__(self, names: tuple):
+        self.names = names
+
+    def __missing__(self, half: int) -> str:
+        pairs = zip(self.names, (half >> _BITS, half & _MASK))
+        text = self[half] = "".join(f"*{n}" if e == 1 else f"*{n}^{e}" for n, e in pairs if e)
+        return text
+
+
 #: Text of each (lambda, t) and each (q, x) half key printed so far.
-_HIGH_TEXT: dict = {}
-_LOW_TEXT: dict = {}
+_HIGH_TEXT, _LOW_TEXT = _HalfText(VARIABLES[:2]), _HalfText(VARIABLES[2:])
 
 #: A monomial is an exponent vector aligned with ``VARIABLES``.
 Monomial = tuple
@@ -141,12 +156,6 @@ def _key_to_exps(key: int) -> dict:
         if e:
             out[name] = e
     return out
-
-
-def _half_text(half: int, names: tuple) -> str:
-    """``*``-joined factors of one half key, e.g. "lambda^2*t"; "" if both are 0."""
-    pairs = zip(names, (half >> _BITS, half & _MASK))
-    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in pairs if e)
 
 
 def _diagonals(terms: dict, width: int) -> dict:
@@ -472,23 +481,14 @@ class Poly:
         keys = sorted(terms, reverse=True)
         if not keys:
             yield "0"
-        high_text, low_text = _HIGH_TEXT, _LOW_TEXT
+        high, low = _HIGH_TEXT, _LOW_TEXT
         for start in range(0, len(keys), _TEXT_CHUNK):
-            pieces = []
-            for key in keys[start : start + _TEXT_CHUNK]:
-                high, low = key >> _HALF & _HALF_MASK, key & _HALF_MASK
-                if high not in high_text:
-                    high_text[high] = _half_text(high, VARIABLES[:2])
-                if low not in low_text:
-                    low_text[low] = _half_text(low, VARIABLES[2:])
-                high, low = high_text[high], low_text[low]
-                mono = f"{high}*{low}" if high and low else high or low
-                coeff = terms[key]
-                sign, mag = (" - ", -coeff) if coeff < 0 else (" + ", coeff)
-                if mag != 1:
-                    pieces.append(f"{sign}{mag}*{mono}" if mono else f"{sign}{mag}")
-                else:
-                    pieces.append(sign + (mono or "1"))
+            pieces = [  # a +-1 coefficient drops its "1*", a constant prints its digits
+                f" + {c}{hi}{lo}" if c > 1 else f" - {-c}{hi}{lo}" if c < -1
+                else (" + " if c > 0 else " - ") + (f"{hi}{lo}"[1:] or "1")
+                for key in keys[start : start + _TEXT_CHUNK] for c in [terms[key]]
+                for hi in [high[key >> _HALF & _HALF_MASK]] for lo in [low[key & _HALF_MASK]]
+            ]
             if not start:  # the leading term carries no " + " and a bare "-"
                 pieces[0] = pieces[0][3:] if pieces[0][1] == "+" else "-" + pieces[0][3:]
             yield "".join(pieces)

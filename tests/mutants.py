@@ -66,6 +66,17 @@ MUTANTS = [
     # a subparser's leftover arguments would be dropped, not the tree's error
     Mutant("dispatch-drops-leftover-arguments", "cli.py", "_parse_args",
            "if extras:", "if False:", "tests/test_cli.py"),
+    # every chunk after the first would lose the " + " or " - " that joins it
+    Mutant("leading-sign-fix-on-every-chunk", "ring.py", "Poly._text_chunks",
+           "if not start:", "if True:", "tests/test_ring.py"),
+    Mutant("unit-coefficient-keeps-its-one", "ring.py", "Poly._text_chunks",
+           'if c > 1 else f" - {-c}{hi}{lo}" if c < -1',
+           'if c > 0 else f" - {-c}{hi}{lo}" if c < 0', "tests/test_ring.py"),
+    Mutant("qt-number-two-is-t-plus-2q", "qtnum.py", "qt_number",
+           '(1, {"t": n - k, "q": k - 1})', '(1 + (n == k == 2), {"t": n - k, "q": k - 1})',
+           "tests/test_qtnum.py"),
+    Mutant("recurrence-drops-w-term", "orthopoly.py", "_recurrence",
+           " + w_n * v", "", "tests/test_orthopoly.py"),
 ]
 
 
