@@ -28,6 +28,7 @@ from .cards import (
 )
 from .cfrac import InsufficientDepth, cf_series, cf_spec, render_cf
 from .fock import (
+    CheckReport,
     OperatorWord,
     ScalarGauge,
     check_adjointness,
@@ -294,77 +295,76 @@ def cmd_binomial(args) -> int:
     return 0
 
 
-def _outcome(name: str, passed: bool, failed: str) -> tuple:
-    return name, passed, f"{name}: {'ok' if passed else failed}"
-
-
-def _reported(report) -> tuple:
-    return report.name, report.passed, str(report)
-
-
-def _verify_moments(n_max: int):
+def _check_moments(n_max: int):
+    """Per convention and n, each other route against the partition sum."""
     for mode in MODES:
-        routes = _routes(mode, n_max)
+        (_, partitions), *others = _routes(mode, n_max).items()
         for n in range(1, n_max + 1):
-            values = {name: route(n) for name, route in routes.items()}
-            bad = [name for name, v in values.items() if v != values["partitions"]]
-            yield _outcome(f"moments {mode} n={n}", not bad, f"MISMATCH {bad}")
+            report, expected = CheckReport(f"moments {mode} n={n}"), partitions(n)
+            for name, route in others:
+                report.record(route(n) == expected, name)
+            yield report
 
 
-def _verify_fock(n_max: int):
+def _check_fock(n_max: int):
     identity = [[1, 0], [0, 1]]
-    yield _reported(check_commutation(12))
+    yield check_commutation(12)
     for q, t in [(Fraction(1, 3), Fraction(1, 2)), (Fraction(-1, 4), Fraction(2, 3))]:
-        yield _reported(check_adjointness(2, 3, identity, q, t))
+        yield check_adjointness(2, 3, identity, q, t)
     for q, t in [
         (Fraction(1, 3), Fraction(1, 2)),
         (Fraction(-1, 4), Fraction(1, 2)),
         (Fraction(0), Fraction(1)),
         (Fraction(9, 10), Fraction(1)),
     ]:
-        yield _reported(check_gram_positivity(2, 4, identity, q, t))
+        yield check_gram_positivity(2, 4, identity, q, t)
 
 
-def _verify_orthopoly(n_max: int):
+def _check_orthopoly(n_max: int):
     n_ortho = min(n_max, 6)
     for _, preset_fn in MODES.values():
         preset = preset_fn()
-        moments = moments_by_motzkin(preset, 2 * n_ortho)
-        yield _reported(check_orthogonality(preset, n_ortho, moments))
-    yield _reported(check_charlier_fock_identity(min(n_max, 8)))
-    limit = poisson_limit_check(min(n_max, 6), Fraction(1), [10, 100, 1000])
-    yield _outcome("poisson-limit", limit.passed, "FAILED")
+        yield check_orthogonality(preset, n_ortho, moments_by_motzkin(preset, 2 * n_ortho))
+    yield check_charlier_fock_identity(min(n_max, 8))
 
 
-def _verify_cards(n_max: int):
+def _check_poisson_limit(n_max: int):
+    yield poisson_limit_check(min(n_max, 6), Fraction(1), [10, 100, 1000])
+
+
+def _check_cards(n_max: int):
+    """Each arrangement induces a distinct partition, with its (lambda, q, t) =
+    (blocks, rc, rn), and every partition occurs."""
     for n in range(1, min(n_max, 7) + 1):
-        seen = []
-        ok = True
-        for _, _, owner, exps in _expansion_states(_contributor_letter_stream(n)):
-            seen.append(owner)
-            ok &= exps == _statistics(owner)[:3]  # (lambda, q, t) = (blocks, rc, rn)
-        # Each arrangement induces a distinct partition, and every partition occurs.
-        bijective = len(set(seen)) == len(seen) == sum(1 for _ in enumerate_partitions(n))
-        yield _outcome(f"cards bijection n={n}", ok and bijective, "MISMATCH")
+        report, seen = CheckReport(f"cards bijection n={n}"), set()
+        for text, _, owner, exps in _expansion_states(_contributor_letter_stream(n)):
+            report.record(exps == _statistics(owner)[:3] and owner not in seen, text)
+            seen.add(owner)
+        report.record(len(seen) == sum(1 for _ in enumerate_partitions(n)), "count")
+        yield report
 
 
-#: ``verify``'s suites, in ``--suite all`` order: each maps ``--n-max`` to the
-#: ``(name, passed, line)`` of every check it runs.
-SUITES = {
-    "moments": _verify_moments,
-    "fock": _verify_fock,
-    "orthopoly": _verify_orthopoly,
-    "cards": _verify_cards,
-}
+#: ``verify``'s checks in ``--suite all`` order: (suite, check, failed).  ``check(n_max)``
+#: yields CheckReports, each printed as ``str(report)`` if ``failed`` is None, else as
+#: ``name: ok`` or as ``name: `` and ``failed`` filled from the report's failures.
+CHECKS = [
+    ("moments", _check_moments, "MISMATCH {}"),
+    ("fock", _check_fock, None),
+    ("orthopoly", _check_orthopoly, None),
+    ("orthopoly", _check_poisson_limit, "FAILED"),
+    ("cards", _check_cards, "MISMATCH"),
+]
+SUITES = list(dict.fromkeys(suite for suite, _, _ in CHECKS))
 
 
 def cmd_verify(args) -> int:
     failures = []
-    for suite in SUITES if args.suite == "all" else [args.suite]:
-        for name, passed, line in SUITES[suite](args.n_max):
-            print(line)
-            if not passed:
-                failures.append(name)
+    for suite, check, failed in CHECKS:
+        for report in check(args.n_max) if args.suite in ("all", suite) else ():
+            print(report if failed is None else
+                  f"{report.name}: {'ok' if report.passed else failed.format(report.failures)}")
+            if not report.passed:
+                failures.append(report.name)
     if failures:
         print(f"verification failed: {failures}", file=sys.stderr)
         return 1

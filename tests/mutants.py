@@ -77,6 +77,18 @@ MUTANTS = [
            "tests/test_qtnum.py"),
     Mutant("recurrence-drops-w-term", "orthopoly.py", "_recurrence",
            " + w_n * v", "", "tests/test_orthopoly.py"),
+    Mutant("commutation-always-holds", "fock.py", "check_commutation",
+           "report.record(lhs == rhs,", "report.record(True,", "tests/test_fock.py"),
+    # verify's gate: each comparison, the failure test and the short line's status
+    Mutant("moment-routes-always-agree", "cli.py", "_check_moments",
+           "report.record(route(n) == expected,", "report.record(True,", "tests/test_cli.py"),
+    Mutant("card-bijection-always-holds", "cli.py", "_check_cards",
+           "report.record(exps == _statistics(owner)[:3] and owner not in seen,",
+           "report.record(True,", "tests/test_cli.py"),
+    Mutant("verify-ignores-failures", "cli.py", "cmd_verify",
+           "if not report.passed:", "if False:", "tests/test_cli.py"),
+    Mutant("short-line-always-ok", "cli.py", "cmd_verify",
+           "'ok' if report.passed else", "'ok' if True else", "tests/test_cli.py"),
 ]
 
 

@@ -37,7 +37,7 @@ from qtmoments import (
     restricted_nestings,
     three_term_polys,
 )
-from qtmoments.cli import SUITES
+from qtmoments.cli import CHECKS
 
 STRICT = ScalarGauge.IDENTITY
 COVERED = ScalarGauge.T_POWER_N
@@ -59,10 +59,11 @@ def covered_moments():
 
 
 def test_criterion_01_five_way_agreement():
-    # verify's moments suite: one outcome per convention and n, each comparing
+    # verify's moments row: one report per convention and n, each comparing
     # the operator, card, Motzkin and J-fraction routes with the partition sum.
-    outcomes = list(SUITES["moments"](10))
-    ok = len(outcomes) == 20 and all(passed for _, passed, _ in outcomes)
+    (check,) = [check for suite, check, _ in CHECKS if suite == "moments"]
+    reports = list(check(10))
+    ok = len(reports) == 20 and all(r.passed and r.checked == 4 for r in reports)
     report(1, ok, "five moment routes agree exactly for n <= 10, both modes")
 
 

@@ -21,7 +21,7 @@ from qtmoments.cards import (
     moment_by_cards,
 )
 from qtmoments.cli import SCHEMA, SUITES, build_parser, main, rational
-from qtmoments.fock import OperatorWord, ScalarGauge, check_commutation
+from qtmoments.fock import CheckReport, OperatorWord, ScalarGauge, check_commutation
 from qtmoments.orthopoly import (
     charlier_strict,
     moments_by_motzkin,
@@ -436,6 +436,27 @@ def test_verify_failure_exits_one(capsys, monkeypatch, suite, target, replacemen
     assert expected.count(line) == 1
     assert out.splitlines() == expected
     assert err == f"verification failed: [{name!r}]\n"
+
+
+def _checks_nothing(n_max):
+    yield CheckReport("nothing")
+
+
+@pytest.mark.parametrize("row", range(len(cli.CHECKS)))
+def test_verify_fails_a_check_that_checks_nothing(capsys, monkeypatch, row):
+    suite, check, failed = cli.CHECKS[row]
+    _, passing, _ = _verify(capsys, suite)
+    checks = [*cli.CHECKS]
+    checks[row] = suite, _checks_nothing, failed
+    monkeypatch.setattr(cli, "CHECKS", checks)
+    code, out, err = _verify(capsys, suite)
+    assert code == 1
+    # The row's lines give way to the empty report's one line; no other line changes.
+    lines, names = passing.splitlines()[:-1], [report.name for report in check(3)]
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"{names[0]}:"))
+    line = "nothing: 0 checks, nothing checked" if failed is None else f"nothing: {failed.format([])}"
+    assert out.splitlines() == lines[:start] + [line] + lines[start + len(names):]
+    assert err == "verification failed: ['nothing']\n"
 
 
 def test_verify_all_is_every_suite_in_table_order(capsys):

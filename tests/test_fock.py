@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qtmoments import fock
 from qtmoments.fock import (
     FockVector,
     LETTERS,
@@ -236,6 +237,15 @@ def test_symbolic_inner_product_matches_permutation_sum(gram):
 
 def test_commutation_symbolic_and_rational():
     assert check_commutation(12).passed
+
+
+def test_commutation_fails_where_a_qt_number_is_wrong(monkeypatch):
+    # [3] + q*t breaks [k+1] - q [k] = t^k at k = 2 and k = 3 only
+    wrong = qt_number(3) + Q * T
+    monkeypatch.setattr(fock, "qt_number", lambda n: wrong if n == 3 else qt_number(n))
+    report = check_commutation(12)
+    assert report.checked == 12
+    assert [failure.split(":")[0] for failure in report.failures] == ["level 2", "level 3"]
 
 
 def test_word_inner_product_one_mode_reduces_to_factorial():
