@@ -34,12 +34,14 @@ listing take each word's line choices depth first and build every
 arrangement's cards and induced partition.  :func:`moment_by_cards` keeps only
 the weights: all arrangements of a word share their blocks and their q + t, so
 the contributor DFS itself (:func:`_contributor_walk`) carries down each
-prefix one q-exponent per arrangement, and each is counted at the word's end.
+prefix one q-exponent byte per arrangement, and ``bytes.count`` counts them for
+all words that share their other exponents at once.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from functools import cache
 from math import comb
 from typing import Iterable, Iterator
@@ -83,23 +85,27 @@ def _contributor_walk(n: int) -> Iterator[tuple]:
     """DFS over application-order letter strings satisfying the level rules:
     (letters, q_exps, blocks, t_top, t_shift) per contributor.
 
-    q_exps holds one q-exponent per arrangement of the letters so far: an A
-    or N letter at level i replaces each entry s by s, s+1, .., s+i-1, and
-    both children share that one list.  blocks counts the C and S letters,
-    t_top the i-1 each A or N letter adds to q + t, and t_shift the levels of
-    the S letters.
+    q_exps holds one q-exponent byte per arrangement of the letters so far:
+    an A or N letter at level i joins i copies, the j-th raised by j, and both
+    children share that one string.  blocks counts the C and S letters, t_top
+    the i-1 each A or N letter adds to q + t, and t_shift the levels of the S
+    letters.  t_top bounds every byte; a reader checks it, as bytes wrap at 256.
     """
+    # levels stay at most n // 2, so j < n // 2; table j adds j modulo 256
+    shift = [bytes(range(j, 256)) + bytes(range(j)) for j in range(n // 2)]
     # letters are pushed in reverse so they pop in the order C, A, N, S,
     # which fixes the deterministic enumeration order
-    todo = [("", 0, [0], 0, 0, 0)]
+    todo = [("", 0, b"\0", 0, 0, 0)]
     while todo:
         acc, level, q_exps, blocks, t_top, t_shift = todo.pop()
         remaining = n - len(acc)
         if not remaining:  # the rules below leave no line open at the end
             yield acc, q_exps, blocks, t_top, t_shift
             continue
-        if level:
-            moved = [s + j for j in range(level) for s in q_exps] if level > 1 else q_exps
+        if level > 1:
+            moved = b"".join([q_exps.translate(shift[j]) for j in range(level)])
+        elif level:
+            moved = q_exps
         if level < remaining:
             todo.append((acc + "S", level, q_exps, blocks + 1, t_top, t_shift + level))
             if level:
@@ -233,20 +239,20 @@ def _card_moments(n: int) -> tuple:
     no grouping of contributors.  A choice j at level i adds j-1 to q and i-j
     to t, so all arrangements of a word share their blocks, q + t from the
     annihilation and intermediate cards (``t_top``) and singleton levels
-    (``t_shift``); only q differs, one walked entry per arrangement.  Each
-    entry is counted into a list indexed by q, one list per (blocks, t_top,
-    t_shift), and the histogram is read off those lists once at the end.
+    (``t_shift``); only q differs, one walked byte per arrangement.  One
+    ``bytes.count`` per q-exponent on each row's joined strings counts them; a
+    t_top past 255 (first at n = 41) raises rather than count wrapped bytes.
     """
-    rows: dict = {}  # (blocks, t_top, t_shift) -> arrangements per q-exponent
+    rows = defaultdict(list)  # (blocks, t_top, t_shift) -> the q_exps of its words
     for _, q_exps, blocks, t_top, t_shift in _contributor_walk(n):
-        row = rows.get((blocks, t_top, t_shift))
-        if row is None:
-            row = rows[blocks, t_top, t_shift] = [0] * (t_top + 1)
-        for q_exp in q_exps:
-            row[q_exp] += 1
+        rows[blocks, t_top, t_shift].append(q_exps)
+    top = max(t_top for _, t_top, _ in rows)
+    if top > 255:
+        raise OverflowError(f"q-exponents up to {top} at n={n} do not fit a byte")
     return _histogram_moments({(blocks, q_exp, t_top - q_exp, t_shift): count
-                               for (blocks, t_top, t_shift), row in rows.items()
-                               for q_exp, count in enumerate(row) if count})
+                               for (blocks, t_top, t_shift), words in rows.items()
+                               for q_exp, count in enumerate(map(b"".join(words).count,
+                                                                 range(t_top + 1))) if count})
 
 
 def moment_by_cards(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:

@@ -51,7 +51,7 @@ from .orthopoly import (
     specialize,
     _three_term_rows,
 )
-from .partitions import _statistics, enumerate_partitions, moment_by_partitions, partition_record
+from .partitions import enumerate_partitions, moment_by_partitions, partition_record
 from .ring import Poly
 
 SCHEMA = "qtmoments/1"
@@ -333,14 +333,15 @@ def _check_poisson_limit(n_max: int):
 
 
 def _check_cards(n_max: int):
-    """Each arrangement induces a distinct partition, with its (lambda, q, t) =
-    (blocks, rc, rn), and every partition occurs."""
+    """Each arrangement induces a distinct partition of {1..n}, with the (lambda,
+    q, t) = (blocks, rc, rn) the partition search gives it, and every one occurs."""
     for n in range(1, min(n_max, 7) + 1):
         report, seen = CheckReport(f"cards bijection n={n}"), set()
+        expected = {p.rgs: p.statistics[:3] for p in enumerate_partitions(n)}
         for text, _, owner, exps in _expansion_states(_contributor_letter_stream(n)):
-            report.record(exps == _statistics(owner)[:3] and owner not in seen, text)
+            report.record(exps == expected.get(owner) and owner not in seen, text)
             seen.add(owner)
-        report.record(len(seen) == sum(1 for _ in enumerate_partitions(n)), "count")
+        report.record(len(seen) == len(expected), "count")
         yield report
 
 

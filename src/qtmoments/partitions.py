@@ -42,7 +42,7 @@ from functools import cache, cached_property
 from typing import Iterator, Sequence
 
 from .fock import ScalarGauge, _covered, _Record
-from .ring import Poly
+from .ring import Poly, _monomial_key, _wrap
 
 __all__ = [
     "SetPartition",
@@ -248,14 +248,15 @@ def _weight_census(n: int) -> dict:
 
 def _histogram_moments(histogram: dict) -> tuple:
     """(strict, covered) moments from {(blocks, q-exponent, strict t-exponent,
-    covered-singleton t-exponent): count}; only the covered one adds the last."""
-    items = histogram.items()
-    return (
-        Poly.from_terms(
-            (count, {"lambda": b, "q": qe, "t": te}) for (b, qe, te, _), count in items),
-        Poly.from_terms(
-            (count, {"lambda": b, "q": qe, "t": te + cov}) for (b, qe, te, cov), count in items),
-    )
+    covered-singleton t-exponent): count > 0}; only the covered one adds the last."""
+    strict: dict = {}
+    covered: dict = {}
+    for (b, qe, te, cov), count in histogram.items():
+        key = _monomial_key(b, te, qe)
+        strict[key] = strict.get(key, 0) + count
+        key = _monomial_key(b, te + cov, qe)
+        covered[key] = covered.get(key, 0) + count
+    return _wrap(strict), _wrap(covered)
 
 
 @cache

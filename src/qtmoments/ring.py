@@ -145,6 +145,12 @@ def _pack_exps(exps: Mapping[str, int]) -> int:
     return key | deg << _DEG_SHIFT
 
 
+def _monomial_key(lam: int, t: int, q: int) -> int:
+    """Packed key of lambda^lam t^t q^q, for non-negative exponents."""
+    _check_degree(deg := lam + t + q)
+    return (((deg << _BITS | lam) << _BITS | t) << _BITS | q) << _BITS
+
+
 def _unpack(key: int) -> Monomial:
     return tuple((key >> shift) & _MASK for _, shift in _NAMED_SHIFTS)
 

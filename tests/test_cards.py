@@ -29,6 +29,7 @@ from qtmoments.fock import (
 from qtmoments.partitions import (
     SetPartition,
     _histogram_moments,
+    _weight_census,
     enumerate_partitions,
     moment_by_partitions,
     restricted_crossings,
@@ -392,6 +393,20 @@ def test_card_walk_counts_every_arrangement_once(monkeypatch):
         cards._card_moments.cache_clear()
     assert [sum(h.values()) for h in histograms] == bell_numbers(10)[1:]
     assert all(count > 0 for h in histograms for count in h.values())
+    # the joint histogram, not only its two projected moments, is the census's
+    for n, histogram in enumerate(histograms, 1):
+        assert histogram == _weight_census(n), n
+
+
+def test_card_walk_refuses_a_q_exponent_past_a_byte(monkeypatch):
+    # t_top bounds a word's q-exponents, one byte each; from 256 they would wrap
+    monkeypatch.setattr(cards, "_contributor_walk", lambda n: iter([("CA", b"\0", 1, 256, 0)]))
+    cards._card_moments.cache_clear()
+    try:
+        with pytest.raises(OverflowError, match="256"):
+            cards._card_moments(2)
+    finally:
+        cards._card_moments.cache_clear()
 
 
 def test_card_walk_histogram_at_n11_matches_its_pinned_digest(monkeypatch):

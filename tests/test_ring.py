@@ -346,6 +346,19 @@ def test_eval_matches_sympy(p, point):
     assert p.eval(point) == Fraction(int(value.p), int(value.q))
 
 
+@given(st.integers(0, 30000), st.integers(0, 30000), st.integers(0, 30000))
+@example(2**16 - 1, 0, 0)
+@example(0, 0, 2**16 - 1)
+@example(40000, 25535, 0)
+@example(40000, 25535, 1)
+def test_monomial_key_is_the_packed_key_or_overflows(lam, t, q):
+    if lam + t + q < 2**16:
+        assert ring._monomial_key(lam, t, q) == ring._pack_exps({"lambda": lam, "t": t, "q": q})
+    else:
+        with pytest.raises(OverflowError):
+            ring._monomial_key(lam, t, q)
+
+
 def test_packed_degree_limit():
     with pytest.raises(OverflowError):
         Poly.variable("lambda", 40000) * Poly.variable("t", 30000)
