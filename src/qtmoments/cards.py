@@ -43,7 +43,6 @@ from __future__ import annotations
 import warnings
 from collections import defaultdict
 from functools import cache
-from math import comb
 from typing import Iterable, Iterator
 
 from .fock import OperatorWord, ScalarGauge, _covered, _Record
@@ -54,7 +53,6 @@ __all__ = [
     "NotContributor",
     "CardArrangement",
     "enumerate_contributors",
-    "contributor_count",
     "expand_arrangements",
     "moment_by_cards",
     "arrangement_record",
@@ -76,7 +74,7 @@ class CardArrangement(_Record):
 
     def __init__(self, word: OperatorWord, cards: tuple, weight: Poly, partition: SetPartition):
         object.__setattr__(self, "word", word)
-        object.__setattr__(self, "cards", cards)
+        object.__setattr__(self, "cards", tuple(cards))
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "partition", partition)
 
@@ -129,13 +127,6 @@ def enumerate_contributors(n: int) -> Iterator[OperatorWord]:
         warnings.warn(f"enumerating the Catalan({n}) contributors of length {n}")
     for letters in _contributor_letter_stream(n):
         yield OperatorWord(letters[::-1])
-
-
-def contributor_count(n: int) -> int:
-    """Number of contributors of length n: the Catalan number C(2n, n) / (n + 1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return comb(2 * n, n) // (n + 1)
 
 
 def _expansion_states(words: Iterable[str], covered: bool = False) -> Iterator[tuple]:

@@ -39,8 +39,8 @@ class ContinuedFractionSpec(_Record):
     def __init__(self, b: tuple, lam: tuple):
         if len(b) != len(lam) + 1:
             raise ValueError("need exactly one more b entry than lam entries")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "b", tuple(b))
+        object.__setattr__(self, "lam", tuple(lam))
 
     @property
     def depth(self) -> int:
@@ -52,7 +52,7 @@ def cf_spec(j: JacobiParams, depth: int) -> ContinuedFractionSpec:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     b, lam = _jacobi_arrays(j, depth)
-    return ContinuedFractionSpec(b=tuple(b), lam=tuple(lam))
+    return ContinuedFractionSpec(b, lam)
 
 
 def cf_series(spec: ContinuedFractionSpec, order: int) -> list:

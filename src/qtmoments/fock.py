@@ -38,9 +38,9 @@ is defined as
     sum over permutations sigma of  q^inv(sigma) t^(M - inv(sigma))
         * prod_k g[u_k][v_sigma(k)],      M = m(m-1)/2.
 
-One loop, ``_permutation_sum``, computes that definition: with symbolic q and t
-for :func:`qt_inner_product`, and with scaled ints for the words
-(:meth:`_WordForm.words`, :func:`word_inner_product`).
+One loop, ``_permutation_sum``, computes that definition over ints, with q, t
+and g scaled to common denominators (:meth:`_WordForm.words`,
+:func:`word_inner_product`).
 
 Creation prepends a letter; annihilation of letter i removes slot k
 (0-based) of a length-m word v with weight q^k t^(m-1-k) g[i][v_k].  That one
@@ -59,7 +59,7 @@ That recursion is the statement that annihilation is the adjoint of creation.
 permutation sum of (i, u) against v must equal the sum over ``lower(i, v)`` of
 weight times the permutation sum of u against the shortened word.  So a wrong
 weight in ``lower`` breaks both the Gram recursion and this check, and a wrong
-permutation weight breaks this check and the symbolic inner product alike.
+permutation weight breaks this check and :func:`word_inner_product` alike.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ __all__ = [
     "apply_poisson",
     "vacuum_expectation_word",
     "moment_by_operator",
-    "qt_inner_product",
     "CheckReport",
     "check_commutation",
     "basis_words",
@@ -319,7 +318,7 @@ def _inversion_weights(n: int, q, t) -> list:
     return [q**i * t ** (top - i) for i in range(top + 1)]
 
 
-def _permutation_sum(rows: Sequence[Sequence], weights: list):
+def _permutation_sum(rows: Sequence[Sequence[int]], weights: list) -> int:
     """sum over sigma of weights[inv(sigma)] * prod_k rows[k][sigma(k)], adding the
     products per inversion count and stopping each at its first zero factor."""
     n = len(rows)
@@ -332,25 +331,8 @@ def _permutation_sum(rows: Sequence[Sequence], weights: list):
                 break
             prod *= x
         if prod:
-            # prod on the left: int + Poly takes the slower reflected add
-            sums[inv] = prod + sums[inv]
-    return sum((w * s for w, s in zip(weights, sums) if s), weights[0] * 0)
-
-
-def qt_inner_product(gram: Sequence[Sequence]) -> Poly:
-    """The deformed inner product, symbolically in q and t.
-
-    ``gram[i][j]`` is the scalar product of the i-th left vector with the j-th
-    right vector (integers or polynomials).  The result is
-
-        sum over sigma of q^inv(sigma) t^(M-inv(sigma)) prod_k gram[k][sigma(k)]
-
-    with M = n(n-1)/2, so t-exponents are never negative.
-    """
-    n = len(gram)
-    if any(len(row) != n for row in gram):
-        raise ValueError("gram must be square")
-    return _permutation_sum(gram, _inversion_weights(n, Q, T))
+            sums[inv] += prod
+    return sum(w * s for w, s in zip(weights, sums) if s)
 
 
 # -- check reports --------------------------------------------------------------

@@ -47,8 +47,6 @@ from .ring import Poly, _monomial_key, _wrap
 __all__ = [
     "SetPartition",
     "enumerate_partitions",
-    "restricted_crossings",
-    "restricted_nestings",
     "moment_by_partitions",
     "partition_record",
 ]
@@ -63,7 +61,8 @@ class SetPartition(_Record):
     # no __slots__: the fields and the cached statistics live in __dict__
     _fields = ("n", "rgs")
 
-    def __init__(self, n: int, rgs: tuple):
+    def __init__(self, n: int, rgs: Sequence[int]):
+        rgs = tuple(rgs)
         if n < 1 or len(rgs) != n:
             raise ValueError("rgs length must equal n >= 1")
         top = -1
@@ -184,17 +183,6 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
             crossed, nested, covered, rest = _join(a, arcs, singles)
             stack.append((rgs + (b,), last[:b] + (e,) + last[b + 1:], arcs + ((a, e),),
                           rest, rc + crossed, rn + nested, cov + covered))
-
-
-def restricted_crossings(p: SetPartition) -> int:
-    """Number of crossing arc pairs (a < b < c < d with arcs (a,c) and (b,d))."""
-    return p.statistics[1]
-
-
-def restricted_nestings(p: SetPartition, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> int:
-    """Number of nesting arc pairs; under T_POWER_N also the covered singletons."""
-    _, _, rn, cov = p.statistics
-    return rn + cov if _covered(gauge) else rn
 
 
 def _weight_census(n: int) -> dict:

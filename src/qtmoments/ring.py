@@ -49,11 +49,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "VARIABLES",
-    "Monomial",
     "Poly",
     "MissingVariable",
     "LAMBDA",
@@ -104,10 +104,6 @@ class _HalfText(dict):
 #: Text of each (lambda, t) and each (q, x) half key printed so far.
 _HIGH_TEXT, _LOW_TEXT = _HalfText(VARIABLES[:2]), _HalfText(VARIABLES[2:])
 
-#: A monomial is an exponent vector aligned with ``VARIABLES``.
-Monomial = tuple
-
-
 class MissingVariable(KeyError):
     """Raised when evaluating a polynomial with an incomplete assignment."""
 
@@ -151,7 +147,7 @@ def _monomial_key(lam: int, t: int, q: int) -> int:
     return (((deg << _BITS | lam) << _BITS | t) << _BITS | q) << _BITS
 
 
-def _unpack(key: int) -> Monomial:
+def _unpack(key: int) -> tuple:
     return tuple((key >> shift) & _MASK for _, shift in _NAMED_SHIFTS)
 
 
@@ -275,7 +271,7 @@ class Poly:
 
     @classmethod
     def constant(cls, c: int) -> "Poly":
-        c = int(c)
+        c = index(c)  # an int only: a float, Fraction or str raises TypeError
         return _wrap({0: c} if c else {})
 
     @classmethod
@@ -286,11 +282,12 @@ class Poly:
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, Mapping[str, int]]]) -> "Poly":
-        """Build from (coefficient, {variable: exponent}) pairs, combining duplicates."""
+        """Build from (coefficient, {variable: exponent}) pairs, combining duplicates;
+        a coefficient that is not an int raises TypeError."""
         acc: dict = {}
         for coeff, exps in terms:
             key = _pack_exps(exps)
-            acc[key] = acc.get(key, 0) + int(coeff)
+            acc[key] = acc.get(key, 0) + index(coeff)
         return _wrap({k: c for k, c in acc.items() if c})
 
     @staticmethod
@@ -551,7 +548,8 @@ class Poly:
             ]
         }
 
-    def terms(self) -> Iterator[tuple[Monomial, int]]:
+    def terms(self) -> Iterator[tuple[tuple, int]]:
+        """(exponents aligned with ``VARIABLES``, coefficient) for each term."""
         return ((_unpack(k), c) for k, c in self._terms.items())
 
 

@@ -13,7 +13,9 @@ It exits 0 only if pytest exits 1 (tests failed) on every row: a surviving
 mutant (0), a timeout or a pytest that could not run (2-5) makes it exit 1.
 
 Pytest does not collect this file; ``tests/test_mutants.py`` checks in tier-1
-that every anchor still holds its old text once.
+that every anchor still holds its old text once, and that each
+``report.record(`` call in ``src/`` is broken by a row or listed in
+``CANNOT_FAIL``.
 """
 
 from __future__ import annotations
@@ -86,31 +88,62 @@ MUTANTS = [
            "tests/test_qtnum.py"),
     Mutant("recurrence-drops-w-term", "orthopoly.py", "_recurrence",
            " + w_n * v", "", "tests/test_orthopoly.py"),
+    # each check's comparisons, every one shown able to fail
     Mutant("commutation-always-holds", "fock.py", "check_commutation",
            "report.record(lhs == rhs,", "report.record(True,", "tests/test_fock.py"),
+    Mutant("adjointness-always-holds", "fock.py", "check_adjointness",
+           "report.record(lhs == rhs,", "report.record(True,", "tests/test_fock.py"),
+    Mutant("gram-positivity-accepts-zero", "fock.py", "check_gram_positivity",
+           "minor > 0", "minor >= 0", "tests/test_fock.py"),
+    Mutant("orthogonality-always-holds", "orthopoly.py", "check_orthogonality",
+           "report.record(value == expected,", "report.record(True,", "tests/test_orthopoly.py"),
+    Mutant("charlier-fock-rows-always-hold", "orthopoly.py", "check_charlier_fock_identity",
+           "row == [0] * n + [LAMBDA**n],", "True,", "tests/test_orthopoly.py"),
+    Mutant("poisson-limit-epsilon-zero-always-holds", "orthopoly.py", "poisson_limit_check",
+           'report.record(mk.coefficient_of("x", 0) == pk,', "report.record(True,",
+           "tests/test_orthopoly.py"),
+    Mutant("poisson-limit-at-m-always-holds", "orthopoly.py", "poisson_limit_check",
+           "report.record(mk.eval(at_m) == bk,", "report.record(True,", "tests/test_orthopoly.py"),
     # verify's gate: each comparison, the failure test and the short line's status
     Mutant("moment-routes-always-agree", "cli.py", "_check_moments",
            "report.record(route(n) == expected,", "report.record(True,", "tests/test_cli.py"),
     Mutant("card-bijection-always-holds", "cli.py", "_check_cards",
            "report.record(exps == expected.get(owner) and owner not in seen,",
            "report.record(True,", "tests/test_cli.py"),
+    Mutant("card-count-always-holds", "cli.py", "_check_cards",
+           "report.record(len(seen) == len(expected),", "report.record(True,", "tests/test_cli.py"),
     Mutant("verify-ignores-failures", "cli.py", "cmd_verify",
            "if not report.passed:", "if False:", "tests/test_cli.py"),
     Mutant("short-line-always-ok", "cli.py", "cmd_verify",
            "'ok' if report.passed else", "'ok' if True else", "tests/test_cli.py"),
 ]
 
+#: (module file, anchor, message) of each ``report.record(`` call that no row
+#: covers, because its comparison cannot fail.
+CANNOT_FAIL = [
+    # the walk starts from the vacuum, so P_0 applied to it is the vacuum
+    ("orthopoly.py", "check_charlier_fock_identity", "P_0 vacuum is the vacuum"),
+]
+
+
+def anchor_node(tree: ast.Module, anchor: str) -> ast.AST | None:
+    """The function, or ``Class.method``, that ``anchor`` names in ``tree``."""
+    body, node = tree.body, None
+    for name in anchor.split("."):
+        node = next((n for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                     and n.name == name), None)
+        if node is None:
+            return None
+        body = node.body
+    return node
+
 
 def mutated(mutant: Mutant, text: str) -> str:
     """``text`` with the mutant's old text replaced inside its anchor;
     ValueError unless the anchor exists and holds the old text exactly once."""
-    body, node = ast.parse(text).body, None
-    for name in mutant.anchor.split("."):
-        node = next((n for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
-                     and n.name == name), None)
-        if node is None:
-            raise ValueError(f"{mutant.name}: no {mutant.anchor} in {mutant.path}")
-        body = node.body
+    node = anchor_node(ast.parse(text), mutant.anchor)
+    if node is None:
+        raise ValueError(f"{mutant.name}: no {mutant.anchor} in {mutant.path}")
     lines = text.splitlines(keepends=True)
     start = sum(map(len, lines[: node.lineno - 1]))
     end = sum(map(len, lines[: node.end_lineno]))

@@ -41,8 +41,9 @@ def graded_lex_terms(p: Poly) -> list:
 
 
 def poly_from_json(data) -> Poly:
-    """The polynomial of a ``Poly.to_json_dict`` record."""
-    return Poly.from_terms((entry["coeff"], entry["exps"]) for entry in data["terms"])
+    """The polynomial of a ``Poly.to_json_dict`` record, whose coefficients are
+    decimal strings."""
+    return Poly.from_terms((int(entry["coeff"]), entry["exps"]) for entry in data["terms"])
 
 
 def partition_from_blocks(blocks) -> SetPartition:

@@ -31,13 +31,13 @@ from qtmoments import (
     moments_by_motzkin,
     poisson_limit_check,
     qt_factorial,
-    qt_inner_product,
     qt_number,
-    restricted_crossings,
-    restricted_nestings,
     three_term_polys,
+    word_inner_product,
 )
 from qtmoments.cli import CHECKS
+
+from oracles import inversion_sum
 
 STRICT = ScalarGauge.IDENTITY
 COVERED = ScalarGauge.T_POWER_N
@@ -156,10 +156,16 @@ def test_criterion_06_specialization_ladder(strict_moments):
 
 def test_criterion_07_inner_product_factorial():
     ok = True
+    points = [(Fraction(1, 3), Fraction(1, 2)), (Fraction(-1, 4), Fraction(2, 3))]
     for n in range(1, 9):
-        gram = [[1] * n for _ in range(n)]
-        if qt_inner_product(gram) != qt_factorial(n):
+        if inversion_sum(n) != qt_factorial(n):
             ok = False
+        # the one-mode word inner product is the same sum at an exact point
+        word = (0,) * n
+        for q, t in points:
+            value = qt_factorial(n).eval({"q": q, "t": t})
+            if word_inner_product(word, word, [[1]], q, t) != value:
+                ok = False
     report(7, ok, "inversion sum over S_n equals the (q,t)-factorial for n <= 8")
 
 
@@ -200,10 +206,11 @@ def test_criterion_11_card_bijection():
         for word in enumerate_contributors(n):
             for gauge in (STRICT, COVERED):
                 for arr in expand_arrangements(word, gauge):
+                    blocks, rc, rn, cov = arr.partition.statistics
                     expected = Poly.from_terms([(1, {
-                        "lambda": arr.partition.block_count,
-                        "q": restricted_crossings(arr.partition),
-                        "t": restricted_nestings(arr.partition, gauge),
+                        "lambda": blocks,
+                        "q": rc,
+                        "t": rn + cov if gauge is COVERED else rn,
                     })])
                     if arr.weight != expected:
                         ok = False

@@ -400,6 +400,12 @@ def _overlong_owners(words, covered=False):
         yield text, cards, owner + (0,) if len(text) == 2 else owner, exps
 
 
+def _dropped_last_pair(words, covered=False):
+    # every arrangement left is right, so only the count of partitions met fails
+    states = list(_expansion_states(words, covered))
+    return states[:-1] if len(states[0][0]) == 2 else states
+
+
 def _not_converging(*args):
     report = poisson_limit_check(*args)
     report.record(False, "injected deviation failure")
@@ -422,6 +428,8 @@ BROKEN_CHECKS = [
     ("cards", "_expansion_states", _repeated_pairs,
      "cards bijection n=2: MISMATCH", "cards bijection n=2"),
     ("cards", "_expansion_states", _overlong_owners,
+     "cards bijection n=2: MISMATCH", "cards bijection n=2"),
+    ("cards", "_expansion_states", _dropped_last_pair,
      "cards bijection n=2: MISMATCH", "cards bijection n=2"),
     ("orthopoly", "poisson_limit_check", _not_converging,
      "poisson-limit: FAILED", "poisson-limit"),

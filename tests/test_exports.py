@@ -1,4 +1,5 @@
-"""Every name a ``qtmoments`` module exports in ``__all__`` exists.
+"""Every name a ``qtmoments`` module exports in ``__all__`` exists, and the
+package exports exactly those names.
 
 A deleted function whose ``__all__`` entry stayed behind breaks
 ``from qtmoments.<module> import *`` only when someone runs it; this catches
@@ -10,6 +11,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -30,6 +32,16 @@ def test_every_module_is_listed():
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []
+
+
+def test_the_package_exports_the_union_of_the_module_lists():
+    # the package star-imports each module, so its names are the __all__ lists
+    # and no hand-kept copy of them can drift
+    listed = [n for name in MODULES for n in getattr(importlib.import_module(name), "__all__", [])]
+    assert len(listed) == len(set(listed)), "a name is in two modules' __all__"
+    public = {n for n, value in vars(qtmoments).items()
+              if not n.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(listed)
 
 
 def test_the_bench_table_builder_imports(monkeypatch):

@@ -22,7 +22,6 @@ from qtmoments.fock import (
     leading_principal_minors,
     moment_by_operator,
     multimode_gram,
-    qt_inner_product,
     vacuum_expectation_word,
     word_inner_product,
     _letter_step,
@@ -31,13 +30,12 @@ from qtmoments.fock import (
 )
 from qtmoments.cards import expand_arrangements, moment_by_cards
 from qtmoments.orthopoly import charlier_strict, check_orthogonality, moments_by_motzkin
-from qtmoments.partitions import SetPartition, moment_by_partitions, restricted_nestings
+from qtmoments.partitions import moment_by_partitions
 from qtmoments.qtnum import qt_factorial, qt_number
 from qtmoments.ring import LAMBDA, Poly, Q, T
 
 from oracles import (
     blockwise_leading_minors,
-    inversion_sum,
     laplace_determinant,
     letterwise_poisson,
     letterwise_word,
@@ -88,7 +86,6 @@ _CONVENTION_TAKERS = {
     "vacuum_expectation_word-empty": lambda g: vacuum_expectation_word(OperatorWord(""), g),
     "moment_by_operator": lambda g: moment_by_operator(3, g),
     "moment_by_operator-n0": lambda g: moment_by_operator(0, g),
-    "restricted_nestings": lambda g: restricted_nestings(SetPartition(3, (0, 1, 0)), g),
     "moment_by_partitions": lambda g: moment_by_partitions(3, g),
     "expand_arrangements": lambda g: expand_arrangements(OperatorWord("ASC"), g),
     "moment_by_cards": lambda g: moment_by_cards(3, g),
@@ -205,34 +202,6 @@ def test_number_letter_expands_to_creation_annihilation():
             lhs = vacuum_expectation_word(w).substitute("lambda", 1)
             rhs = vacuum_expectation_word(expanded).substitute("lambda", 1)
             assert lhs == rhs, w.letters
-
-
-def test_inner_product_single_entry():
-    assert qt_inner_product([[7]]) == Poly.constant(7)
-
-
-def test_inner_product_identity_gram():
-    assert qt_inner_product([[1, 0], [0, 1]]) == T
-
-
-def test_inner_product_all_ones_matches_factorial():
-    for n in range(1, 9):
-        gram = [[1] * n for _ in range(n)]
-        assert qt_inner_product(gram) == qt_factorial(n) == inversion_sum(n)
-
-
-# zeros twice as likely, so that products often stop at a zero factor
-_ring_entries = st.sampled_from([0, 0, 1, -1, 2, Q, T - 1, 2 * Q * T + LAMBDA])
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 6).flatmap(
-        lambda n: st.lists(st.lists(_ring_entries, min_size=n, max_size=n), min_size=n, max_size=n)
-    )
-)
-def test_symbolic_inner_product_matches_permutation_sum(gram):
-    assert qt_inner_product(gram) == permutation_inner_product(gram)
 
 
 def test_commutation_symbolic_and_rational():

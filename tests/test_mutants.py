@@ -1,11 +1,13 @@
 """The mutation table in ``tests/mutants.py``: every row still finds its old
-text exactly once in its anchor, so the runner breaks the line it names."""
+text exactly once in its anchor, so the runner breaks the line it names, and
+every comparison a check records is broken by some row."""
 
+import ast
 import os
 
 import pytest
 
-from mutants import MUTANTS, ROOT, Mutant, mutated
+from mutants import CANNOT_FAIL, MUTANTS, ROOT, Mutant, anchor_node, mutated
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
@@ -16,6 +18,36 @@ def test_mutant_anchor_holds_its_old_text_once(mutant):
     assert changed != text
     assert len(changed) - len(text) == len(mutant.new) - len(mutant.old)
     assert os.path.isfile(os.path.join(ROOT, mutant.tests))
+
+
+def _covered(call: ast.Call, source: str, entries: list) -> bool:
+    """Whether some (anchor node, text) entry holds the call in its anchor and
+    the text in the call's source."""
+    return any(node.lineno <= call.lineno and call.end_lineno <= node.end_lineno
+               and text in source for node, text in entries)
+
+
+def test_every_recorded_comparison_is_broken_by_a_row():
+    src = os.path.join(ROOT, "src", "qtmoments")
+    calls, uncovered, exempt = 0, [], []
+    for path in sorted(p for p in os.listdir(src) if p.endswith(".py")):
+        with open(os.path.join(src, path)) as f:
+            text = f.read()
+        tree = ast.parse(text)
+        rows = [(anchor_node(tree, m.anchor), m.old) for m in MUTANTS if m.path == path]
+        listed = [(anchor_node(tree, a), message) for p, a, message in CANNOT_FAIL if p == path]
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "report.record"):
+                continue
+            calls += 1
+            source = ast.get_source_segment(text, call)
+            if _covered(call, source, listed):
+                exempt.append(f"{path}:{call.lineno}")
+            elif not _covered(call, source, rows):
+                uncovered.append(f"{path}:{call.lineno}")
+    assert calls > len(CANNOT_FAIL)
+    assert uncovered == []
+    assert len(exempt) == len(CANNOT_FAIL)
 
 
 @pytest.mark.parametrize(

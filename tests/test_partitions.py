@@ -15,8 +15,6 @@ from qtmoments.partitions import (
     enumerate_partitions,
     moment_by_partitions,
     partition_record,
-    restricted_crossings,
-    restricted_nestings,
 )
 from qtmoments.ring import LAMBDA, Poly
 
@@ -64,32 +62,27 @@ def test_from_blocks_round_trip():
 
 def test_worked_statistics_examples():
     p1 = partition_from_blocks([[1, 3, 4, 7], [2, 5, 10], [6, 9], [8]])
-    assert restricted_crossings(p1) == 4
-    assert restricted_nestings(p1, STRICT) == 2
+    assert p1.statistics[1:3] == (4, 2)
 
     p2 = partition_from_blocks([[1, 4, 6, 9], [2, 3, 10], [5], [7, 8]])
-    assert restricted_crossings(p2) == 1
-    assert restricted_nestings(p2, STRICT) == 5
+    assert p2.statistics[1:3] == (1, 5)
 
 
 def test_all_singletons_have_no_statistics():
     p = SetPartition(5, (0, 1, 2, 3, 4))
-    assert restricted_crossings(p) == 0
-    assert restricted_nestings(p, STRICT) == 0
-    assert restricted_nestings(p, COVERED) == 0
+    assert p.statistics == (5, 0, 0, 0)
 
 
 def test_covered_singleton_mode():
-    p = partition_from_blocks([[1, 3], [2]])
-    assert restricted_nestings(p, STRICT) == 0
-    assert restricted_nestings(p, COVERED) == 1
+    # strict nestings 0; the covered convention adds the covered singleton
+    _, _, rn, cov = partition_from_blocks([[1, 3], [2]]).statistics
+    assert (rn, rn + cov) == (0, 1)
 
 
 def test_statistics_match_quadruple_definition():
     for p in enumerate_partitions(7):
         blocks = p.blocks()
-        assert restricted_crossings(p) == quadruple_crossings(blocks)
-        assert restricted_nestings(p, STRICT) == quadruple_nestings(blocks)
+        assert p.statistics[1:3] == (quadruple_crossings(blocks), quadruple_nestings(blocks))
 
 
 def test_statistics_bounds():
@@ -98,8 +91,9 @@ def test_statistics_bounds():
     for p in enumerate_partitions(7):
         arc_count = p.n - p.block_count
         bound = comb(arc_count, 2)
-        assert 0 <= restricted_crossings(p) <= bound
-        assert 0 <= restricted_nestings(p, STRICT) <= bound
+        _, rc, rn, _ = p.statistics
+        assert 0 <= rc <= bound
+        assert 0 <= rn <= bound
 
 
 def test_first_moment_is_lambda():
@@ -210,10 +204,11 @@ def test_random_rgs_statistics_match_quadruple_oracles(rgs):
     p = SetPartition(len(rgs), rgs)
     blocks = p.blocks()
     nestings = quadruple_nestings(blocks)
-    assert restricted_crossings(p) == quadruple_crossings(blocks)
-    assert restricted_nestings(p, STRICT) == nestings
+    _, rc, rn, cov = p.statistics
+    assert rc == quadruple_crossings(blocks)
+    assert rn == nestings
     covered = quadruple_covered_singletons(blocks)
-    assert restricted_nestings(p, COVERED) == nestings + covered
+    assert rn + cov == nestings + covered
     assert partition_record(p) == {
         "rgs": list(rgs),
         "blocks": len(blocks),

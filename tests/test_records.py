@@ -42,6 +42,19 @@ def test_frozen_record(cls, args, names, text):
     assert tuple(getattr(record, name) for name in names) == args
 
 
+#: The frozen classes with a tuple field.
+TUPLE_HOLDERS = [row for row in FROZEN if tuple in map(type, row[1])]
+
+
+@pytest.mark.parametrize("cls, args, names, text", TUPLE_HOLDERS,
+                         ids=[row[0].__name__ for row in TUPLE_HOLDERS])
+def test_frozen_record_built_from_lists_holds_tuples(cls, args, names, text):
+    # a stored list would compare unequal, fail to hash and stay mutable
+    record = cls(*(list(arg) if type(arg) is tuple else arg for arg in args))
+    assert record == cls(*args) and hash(record) == hash(cls(*args))
+    assert repr(record) == text
+
+
 def test_frozen_records_differ_by_value():
     assert SetPartition(3, (0, 1, 0)) != SetPartition(3, (0, 1, 1))
     assert OperatorWord("AC") != OperatorWord("CA")

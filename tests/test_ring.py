@@ -128,6 +128,17 @@ def test_rational_entry_points_take_int_and_fraction_only(taker):
     assert call(_HALF) == at_half
 
 
+@pytest.mark.parametrize("coeff", [0.5, 2.9, Fraction(5, 2), Fraction(4, 2), "3"], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda c: Poly.constant(c),
+    lambda c: Poly.from_terms([(c, {"q": 1})]),
+], ids=["constant", "from_terms"])
+def test_coefficients_are_ints_only(build, coeff):
+    # int() would truncate 0.5 to 0 and 5/2 to 2, and read "3" as 3: none is a ring element
+    with pytest.raises(TypeError):
+        build(coeff)
+
+
 @given(polys, polys, points)
 @settings(max_examples=60, deadline=None)
 def test_eval_is_ring_homomorphism(a, b, pt):
