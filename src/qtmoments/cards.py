@@ -61,7 +61,7 @@ __all__ = [
 SOFT_LIMIT = 14
 
 
-class NotContributor(Exception):
+class NotContributor(ValueError):
     """The word has zero vacuum expectation, so it has no card arrangements."""
 
 
@@ -209,7 +209,6 @@ def expand_arrangements(
 ) -> list:
     """All admissible card arrangements of a contributor, with weights and
     induced partitions.  Raises :class:`NotContributor` otherwise."""
-    n = len(word)
     trusted = SetPartition._trusted
     out = []
     for _, cards, owner, (lam, q, t) in _expansion_states([word.application_order()],
@@ -217,7 +216,7 @@ def expand_arrangements(
         weight = Poly.from_terms([(1, {"lambda": lam, "q": q, "t": t})])
         # block ids are created in order of first appearance, which is
         # exactly the restricted-growth normalization
-        out.append(CardArrangement(word, cards, weight, trusted(n, owner)))
+        out.append(CardArrangement(word, cards, weight, trusted(owner)))
     return out
 
 

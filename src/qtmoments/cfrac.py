@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-class InsufficientDepth(Exception):
+class InsufficientDepth(ValueError):
     """The requested series order can see below the truncation depth."""
 
 
@@ -61,8 +61,6 @@ def cf_series(spec: ContinuedFractionSpec, order: int) -> list:
     Independent of the truncation depth once depth >= order // 2; shallower
     truncations would silently drop reachable levels, so they raise.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
     needed = order // 2
     if spec.depth < needed:
         raise InsufficientDepth(f"order {order} needs depth >= {needed}, got {spec.depth}")

@@ -29,11 +29,11 @@ e.g. "AASNCC" applies two creations first.
 
 Multi-mode layer
 ----------------
-For alphabet size d and level cap n, basis vectors are words over {0..d-1} of
-length <= n.  All arithmetic is over ints, with one denominator per word
-length, divided out only in the rationals returned (:class:`_WordForm`).  The
-deformed inner product of two equal-length words u, v with one-particle Gram g
-is defined as
+For a one-particle Gram g of size d = len(g) and level cap n, basis vectors
+are words over {0..d-1} of length <= n.  All arithmetic is over ints, with one
+denominator per word length, divided out only in the rationals returned
+(:class:`_WordForm`).  The deformed inner product of two equal-length words
+u, v is defined as
 
     sum over permutations sigma of  q^inv(sigma) t^(M - inv(sigma))
         * prod_k g[u_k][v_sigma(k)],      M = m(m-1)/2.
@@ -388,11 +388,6 @@ def check_commutation(depth: int) -> CheckReport:
 # -- multi-mode rational layer ---------------------------------------------------
 
 
-def _check_gram_shape(d: int, gram: Sequence[Sequence]) -> None:
-    if len(gram) != d or any(len(row) != d for row in gram):
-        raise ValueError("gram must be a d x d matrix")
-
-
 def basis_words(d: int, n: int) -> list:
     """All words over {0..d-1} of length <= n, ordered by (length, lex)."""
     out = []
@@ -406,9 +401,12 @@ class _WordForm:
     over ints: ``q``, ``t`` and ``g`` hold q D, t D and g G, for D and G the lcms
     of the denominators of q, t and of the Gram.  A length-m permutation sum then
     has the one denominator ``scale(m)`` = D^M G^m, M = m(m-1)/2, and a slot weight
-    of ``lower`` D^(m-1) G; both weights are tabulated once per word length."""
+    of ``lower`` D^(m-1) G; both weights are tabulated once per word length.
+    The alphabet size is len(gram), and the Gram must be square."""
 
     def __init__(self, gram: Sequence[Sequence], q: Fraction, t: Fraction):
+        if any(len(row) != len(gram) for row in gram):
+            raise ValueError("gram must be a square matrix")
         g, q, t = [[_rational(x) for x in row] for row in gram], _rational(q), _rational(t)
         self.dqt = math.lcm(q.denominator, t.denominator)
         self.dg = math.lcm(*(x.denominator for row in g for x in row))
@@ -446,28 +444,25 @@ class _WordForm:
 def word_inner_product(
     u: Sequence[int], v: Sequence[int], gram: Sequence[Sequence], q: Fraction, t: Fraction
 ) -> Fraction:
-    """Deformed inner product of two basis words (0 when lengths differ)."""
-    d = len(gram)
-    _check_gram_shape(d, gram)
+    """Deformed inner product of two basis words (0 when lengths differ), over
+    the alphabet range(len(gram))."""
+    form, d = _WordForm(gram, q, t), len(gram)
     if not all(a in range(d) for a in (*u, *v)):
         raise ValueError(f"words {tuple(u)}, {tuple(v)} have a letter outside range({d})")
-    form = _WordForm(gram, q, t)
     return Fraction(form.words(u, v), form.scale(len(u)))
 
 
-def check_adjointness(
-    d: int, n: int, gram: Sequence[Sequence], q: Fraction, t: Fraction
-) -> CheckReport:
-    """Verify <A*(xi_i) u | v> = <u | A(xi_i) v> on all basis pairs, exactly.
+def check_adjointness(n: int, gram: Sequence[Sequence], q: Fraction, t: Fraction) -> CheckReport:
+    """Verify <A*(xi_i) u | v> = <u | A(xi_i) v> on all basis pairs, exactly,
+    for the d = len(gram) letters and the words of length <= n.
 
     Both sides are permutation sums; the right one takes its annihilation
     weights from :meth:`_WordForm.lower`.  Past the level cap, (i, u) is longer
     than every v, so both sides are 0.  They are compared as ints over the one
     denominator scale(len(v)), as M_m = M_(m-1) + (m-1).
     """
-    _check_gram_shape(d, gram)
+    form, d = _WordForm(gram, q, t), len(gram)
     report = CheckReport(name=f"adjointness(d={d}, n={n}, q={q}, t={t})")
-    form = _WordForm(gram, q, t)
     words = basis_words(d, n)
     for i in range(d):
         lowered = [form.lower(i, v) for v in words]
@@ -480,10 +475,9 @@ def check_adjointness(
     return report
 
 
-def multimode_gram(
-    d: int, n: int, gram: Sequence[Sequence], q: Fraction, t: Fraction
-) -> list:
-    """Gram matrix of all basis words up to level n, exact rationals.
+def multimode_gram(n: int, gram: Sequence[Sequence], q: Fraction, t: Fraction) -> list:
+    """Gram matrix of all basis words over d = len(gram) letters up to level n,
+    exact rationals.
 
     Words of different lengths are orthogonal, so the matrix is block-diagonal
     by length.  The length-m block comes from the length-(m-1) block by pairing
@@ -495,8 +489,7 @@ def multimode_gram(
     m terms per entry in place of the m! of the permutation sum.  Block m is
     built over ints and divided by its one denominator scale(m) at the end.
     """
-    _check_gram_shape(d, gram)
-    form = _WordForm(gram, q, t)
+    form, d = _WordForm(gram, q, t), len(gram)
     zero = Fraction(0)
     blocks = [[[1]]]
     shorter = [()]
@@ -563,11 +556,12 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def check_gram_positivity(
-    d: int, n: int, gram: Sequence[Sequence], q: Fraction, t: Fraction
+    n: int, gram: Sequence[Sequence], q: Fraction, t: Fraction
 ) -> CheckReport:
-    """All leading principal minors of the multi-mode Gram matrix are positive."""
-    report = CheckReport(name=f"gram positivity(d={d}, n={n}, q={q}, t={t})")
-    minors = leading_principal_minors(multimode_gram(d, n, gram, q, t))
+    """All leading principal minors of the multi-mode Gram matrix over the
+    d = len(gram) letters and the words of length <= n are positive."""
+    report = CheckReport(name=f"gram positivity(d={len(gram)}, n={n}, q={q}, t={t})")
+    minors = leading_principal_minors(multimode_gram(n, gram, q, t))
     for k, minor in enumerate(minors, start=1):
         report.record(minor > 0, lambda: f"leading minor {k} = {minor} not positive")
     return report

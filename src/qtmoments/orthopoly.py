@@ -238,7 +238,7 @@ def _motzkin_walk(alpha: list, omega: list, n_max: int) -> list:
     return out
 
 
-class InsufficientMoments(Exception):
+class InsufficientMoments(ValueError):
     """The moment list does not reach the x-degree of the polynomial."""
 
 
@@ -392,6 +392,8 @@ def jfraction_series_from_arrays(b: Sequence, lam: Sequence, order: int) -> list
     coefficients z^0..z^(order-2h) can reach z^order; higher ones are never
     formed, and levels deeper than order // 2 are skipped.  Poly data run folded.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if len(lam) != len(b) - 1:
         raise ValueError("need exactly one lam entry per level below the surface")
     if any(isinstance(v, Poly) for v in (*b, *lam)):
@@ -418,6 +420,4 @@ def _jfraction_walk(b: list, lam: list, order: int) -> list:
 
 def jfraction_series(j: JacobiParams, order: int) -> list:
     """Moment series from the J-fraction of the Jacobi data (default depth)."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
     return jfraction_series_from_arrays(*_jacobi_arrays(j, default_jfraction_depth(order)), order)

@@ -56,30 +56,29 @@ SOFT_LIMIT = 16
 
 
 class SetPartition(_Record):
-    """A partition of {1..n} in restricted-growth-string form."""
+    """A partition of {1..n}, n = len(rgs), in restricted-growth-string form."""
 
     # no __slots__: the fields and the cached statistics live in __dict__
-    _fields = ("n", "rgs")
+    _fields = ("rgs",)
 
-    def __init__(self, n: int, rgs: Sequence[int]):
+    def __init__(self, rgs: Sequence[int]):
         rgs = tuple(rgs)
-        if n < 1 or len(rgs) != n:
-            raise ValueError("rgs length must equal n >= 1")
+        if not rgs:
+            raise ValueError("a partition needs at least one element")
         top = -1
         for v in rgs:
             if v < 0 or v > top + 1:
                 raise ValueError(f"not a restricted growth string: {rgs}")
             top = max(top, v)
-        self.__dict__.update(n=n, rgs=rgs)
+        self.__dict__["rgs"] = rgs
 
     @classmethod
-    def _trusted(cls, n: int, rgs: tuple, statistics: tuple | None = None) -> "SetPartition":
+    def _trusted(cls, rgs: tuple, statistics: tuple | None = None) -> "SetPartition":
         """A partition from a growth string this library generated itself,
         built without the checks of ``__init__``, with its
         :attr:`statistics` if the caller already knows them."""
         p = object.__new__(cls)
         fields = p.__dict__
-        fields["n"] = n
         fields["rgs"] = rgs
         if statistics is not None:
             fields["statistics"] = statistics
@@ -174,8 +173,8 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
                 covered = len(singles) - i
                 if i and singles[i - 1] == a:
                     covered -= crossed
-                yield trusted(n, rgs + (b,), (blocks, rc + crossed, rn + nested, cov + covered))
-            yield trusted(n, rgs + (blocks,), (blocks + 1, rc, rn, cov))
+                yield trusted(rgs + (b,), (blocks, rc + crossed, rn + nested, cov + covered))
+            yield trusted(rgs + (blocks,), (blocks + 1, rc, rn, cov))
             continue
         stack.append((rgs + (blocks,), last + (e,), arcs, singles + (e,), rc, rn, cov))
         for b in range(blocks - 1, -1, -1):

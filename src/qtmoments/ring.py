@@ -276,8 +276,6 @@ class Poly:
 
     @classmethod
     def variable(cls, name: str, power: int = 1) -> "Poly":
-        if power < 0:
-            raise ValueError("negative power")
         return _wrap({_pack_exps({name: power}): 1})
 
     @classmethod

@@ -88,6 +88,17 @@ MUTANTS = [
            "tests/test_qtnum.py"),
     Mutant("recurrence-drops-w-term", "orthopoly.py", "_recurrence",
            " + w_n * v", "", "tests/test_orthopoly.py"),
+    Mutant("statistics-rc-rn-swapped", "partitions.py", "_statistics",
+           "rc + crossed, rn + nested", "rc + nested, rn + crossed", "tests/test_partitions.py"),
+    Mutant("qt-factorial-one-factor-short", "qtnum.py", "qt_factorial",
+           "range(1, n + 1)", "range(1, n)", "tests/test_qtnum.py"),
+    Mutant("jfraction-walk-one-level-short", "orthopoly.py", "_jfraction_walk",
+           "order // 2), -1, -1)", "order // 2) - 1, -1, -1)", "tests/test_cfrac.py"),
+    Mutant("render-cf-prints-b-for-lam", "cfrac.py", "render_cf",
+           "lam_str = str(spec.lam[h])", "lam_str = str(spec.b[h])", "tests/test_cfrac.py"),
+    # a shallow fraction would drop reachable levels without a word
+    Mutant("cf-series-depth-guard-off", "cfrac.py", "cf_series",
+           "if spec.depth < needed:", "if False:", "tests/test_cfrac.py"),
     # each check's comparisons, every one shown able to fail
     Mutant("commutation-always-holds", "fock.py", "check_commutation",
            "report.record(lhs == rhs,", "report.record(True,", "tests/test_fock.py"),

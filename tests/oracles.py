@@ -54,7 +54,7 @@ def partition_from_blocks(blocks) -> SetPartition:
     for index, block in enumerate(sorted(blocks, key=min)):
         for e in block:
             rgs[e - 1] = index
-    return SetPartition(n, tuple(rgs))
+    return SetPartition(rgs)
 
 
 def schoolbook_mul(a_terms: list, b_terms: list) -> Poly:

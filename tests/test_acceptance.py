@@ -181,8 +181,8 @@ def test_criterion_08_commutation():
 def test_criterion_09_adjointness():
     identity = [[1, 0], [0, 1]]
     samples = [(Fraction(1, 3), Fraction(1, 2)), (Fraction(-1, 4), Fraction(2, 3))]
-    ok = all(check_adjointness(2, 4, identity, q, t).passed for q, t in samples)
-    ok = ok and all(check_adjointness(1, 4, [[1]], q, t).passed for q, t in samples)
+    ok = all(check_adjointness(4, identity, q, t).passed for q, t in samples)
+    ok = ok and all(check_adjointness(4, [[1]], q, t).passed for q, t in samples)
     report(9, ok, "creation/annihilation adjoint on all basis pairs, d <= 2, n <= 4")
 
 
@@ -194,8 +194,8 @@ def test_criterion_10_gram_positivity():
         (Fraction(0), Fraction(1)),
         (Fraction(9, 10), Fraction(1)),
     ]
-    ok = all(check_gram_positivity(2, 4, identity, q, t).passed for q, t in samples)
-    ok = ok and all(check_gram_positivity(1, 4, [[1]], q, t).passed for q, t in samples)
+    ok = all(check_gram_positivity(4, identity, q, t).passed for q, t in samples)
+    ok = ok and all(check_gram_positivity(4, [[1]], q, t).passed for q, t in samples)
     report(10, ok, "leading principal Gram minors positive at the four sample points")
 
 

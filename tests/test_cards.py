@@ -110,7 +110,7 @@ def test_expansion_matches_recursive_oracle():
                     t_total = t_exp + (single_lv if gauge is TPOWER else 0)
                     assert arr.word == word
                     assert arr.cards == cards
-                    assert arr.partition == SetPartition(n, owner)
+                    assert arr.partition == SetPartition(owner)
                     assert arr.weight == Poly.from_terms(
                         [(1, {"lambda": lam, "q": q_exp, "t": t_total})]
                     ), word.letters
@@ -170,7 +170,7 @@ def test_scalar_word_expansion():
     arrs = expand_arrangements(OperatorWord.from_string("S"), IDENTITY)
     assert len(arrs) == 1
     assert arrs[0].weight == Poly.parse("lambda")
-    assert arrs[0].partition == SetPartition(1, (0,))
+    assert arrs[0].partition == SetPartition((0,))
 
 
 def test_non_contributor_raises():

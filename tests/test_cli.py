@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,18 +22,26 @@ from qtmoments.cards import (
     moment_by_cards,
 )
 from qtmoments.cli import SCHEMA, SUITES, build_parser, main, rational
-from qtmoments.fock import CheckReport, OperatorWord, ScalarGauge, check_commutation
+from qtmoments.fock import (
+    CheckReport,
+    OperatorWord,
+    ScalarGauge,
+    check_commutation,
+    moment_by_operator,
+)
 from qtmoments.orthopoly import (
+    binomial,
     charlier_strict,
+    jfraction_series,
     moments_by_motzkin,
     poisson_limit_check,
     three_term_polys,
 )
-from qtmoments.partitions import enumerate_partitions, partition_record
+from qtmoments.partitions import enumerate_partitions, moment_by_partitions, partition_record
 from qtmoments.qtnum import qt_factorial
 from qtmoments.ring import LAMBDA, VARIABLES, Poly
 
-from oracles import factorwise_canonical_str
+from oracles import factorwise_canonical_str, poly_from_json
 
 
 def run(capsys, *argv):
@@ -42,8 +51,6 @@ def run(capsys, *argv):
 
 
 def test_rational_parsing():
-    from fractions import Fraction
-
     assert rational("1/3") == Fraction(1, 3)
     assert rational("-2") == Fraction(-2)
     with pytest.raises(Exception):
@@ -358,6 +365,50 @@ def test_word_command(capsys):
     code, out, _ = run(capsys, "word", "--word", "AC", "--output", "pretty")
     assert code == 0
     assert out.strip() == "lambda"
+
+
+def test_symbolic_moments_csv_is_the_partition_sum(capsys):
+    code, out, _ = run(capsys, "moments", "--n", "5", "--mode", "covered", "--output", "csv")
+    assert code == 0
+    moment = moment_by_partitions(5, ScalarGauge.T_POWER_N).canonical_str()
+    assert out.splitlines() == ["method,n,moment"] + [
+        f"{name},5,{moment}" for name in ("partitions", "operator", "cards", "motzkin", "cfrac")]
+
+
+def test_rational_charlier_json_is_the_operator_route_at_the_point(capsys):
+    code, out, _ = run(capsys, "charlier", "--n-max", "6", "--preset", "tgauge", "--q=-1/4",
+                       "--t=2/3", "--lambda=3/2", "--output", "json")
+    assert code == 0
+    point = {"q": Fraction(-1, 4), "t": Fraction(2, 3), "lambda": Fraction(3, 2)}
+    moments = [moment_by_operator(n, ScalarGauge.T_POWER_N).eval(point) for n in range(7)]
+    record = {"moments": [{"lambda": "3/2", "moment": str(v), "n": n, "q": "-1/4", "t": "2/3"}
+                          for n, v in enumerate(moments)],
+              "preset": "tgauge", "schema": SCHEMA}
+    assert out == json.dumps(record, sort_keys=True) + "\n"
+
+
+def test_binomial_json_is_the_j_fraction_of_its_data(capsys):
+    code, out, _ = run(capsys, "binomial", "--n-max", "8", "--m", "7/2", "--p", "2/5",
+                       "--q=-1/2", "--t=3/4", "--output", "json")
+    assert code == 0
+    m, p, q, t = Fraction(7, 2), Fraction(2, 5), Fraction(-1, 2), Fraction(3, 4)
+    moments = jfraction_series(binomial(m, p, q, t), 8)
+    record = {"m": "7/2", "moments": [str(v) for v in moments], "p": "2/5", "q": "-1/2",
+              "schema": SCHEMA, "t": "3/4"}
+    assert out == json.dumps(record, sort_keys=True) + "\n"
+
+
+def test_word_json_is_the_sum_of_its_card_weights(capsys):
+    code, out, _ = run(capsys, "word", "--word", "AASNCC", "--mode", "covered", "--output", "json")
+    assert code == 0
+    arrangements = expand_arrangements(OperatorWord("AASNCC"), ScalarGauge.T_POWER_N)
+    value = sum((arr.weight for arr in arrangements), Poly.zero())
+    record = json.loads(out)
+    assert record.keys() == {"canonical", "poly", "schema", "word"}
+    assert (record["schema"], record["word"]) == (SCHEMA, "AASNCC")
+    assert record["canonical"] == value.canonical_str()
+    assert poly_from_json(record["poly"]) == value
+    assert out == json.dumps(record, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("mode", ["strict", "covered"])

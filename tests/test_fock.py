@@ -130,6 +130,20 @@ def test_fock_vector_rejects_a_coefficient_outside_the_ring(bad):
     assert FockVector(1, [LAMBDA, 2]).coeffs == [LAMBDA, Poly.constant(2)]
 
 
+def test_fock_vector_equality_sum_and_scaling():
+    a, b = FockVector(2, [1, LAMBDA, 0]), FockVector(2, [Q, 0, T])
+    assert a == FockVector(2, [Poly.one(), LAMBDA, Poly.zero()]) and a != b
+    assert FockVector(2) == FockVector(2, [0, 0, 0]) != FockVector(3)
+    assert a != FockVector(3, [1, LAMBDA, 0, 0])  # equal coefficients up to f_2, another dim
+    assert a.__eq__([1, LAMBDA, 0]) is NotImplemented
+    assert a + b == b + a == FockVector(2, [1 + Q, LAMBDA, T])
+    assert a.scaled(T) == FockVector(2, [T, LAMBDA * T, 0])
+    assert FockVector.basis(2, 1).scaled(LAMBDA) == FockVector(2, [0, LAMBDA, 0])
+    assert a.scaled(0) == FockVector(2)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        a + FockVector(3)
+
+
 def test_word_parsing_and_levels():
     w = OperatorWord.from_string("AASNCC")
     assert str(w) == w.letters == "AASNCC"
@@ -250,14 +264,14 @@ def _agrees_with_the_oracle(d, n, gram, q, t):
     """Every word pair's inner product and Gram entry equal the n! sum, and
     adjointness passes."""
     words = basis_words(d, n)
-    matrix = multimode_gram(d, n, gram, q, t)
+    matrix = multimode_gram(n, gram, q, t)
     for u, row in zip(words, matrix):
         for v, entry in zip(words, row):
             expected = 0
             if len(u) == len(v):
                 expected = permutation_inner_product([[gram[a][b] for b in v] for a in u], q, t)
             assert word_inner_product(u, v, gram, q, t) == entry == expected, (u, v)
-    report = check_adjointness(d, n, gram, q, t)
+    report = check_adjointness(n, gram, q, t)
     assert report.passed and report.checked == d * len(words) ** 2, report.failures[:3]
 
 
@@ -294,7 +308,7 @@ def test_wrong_annihilation_weights_fail_both_multimode_routes(monkeypatch):
     # the q and t exponents swapped, both must disagree with the permutation sum
     monkeypatch.setattr(_WordForm, "lower", _lower_with_q_and_t_swapped)
     identity, q, t = [[1, 0], [0, 1]], Fraction(1, 3), Fraction(1, 2)
-    report = check_adjointness(2, 3, identity, q, t)
+    report = check_adjointness(3, identity, q, t)
     assert report.checked == 450 and len(report.failures) == 20
     # each side is shown as the rational it stands for: <01|01> = t, but the
     # swapped slot-0 weight of lower(0, 01) is q
@@ -303,7 +317,7 @@ def test_wrong_annihilation_weights_fail_both_multimode_routes(monkeypatch):
         "letter 0, u=(1,), v=(1, 0): 1/3 != 1/2",
     ]
     words = basis_words(2, 3)
-    matrix = multimode_gram(2, 3, identity, q, t)
+    matrix = multimode_gram(3, identity, q, t)
     wrong = [
         (u, v)
         for u, row in zip(words, matrix)
@@ -317,18 +331,18 @@ def test_wrong_annihilation_weights_fail_both_multimode_routes(monkeypatch):
 def test_adjointness_samples():
     identity = [[1, 0], [0, 1]]
     for q, t in [(Fraction(1, 3), Fraction(1, 2)), (Fraction(-1, 4), Fraction(2, 3))]:
-        report = check_adjointness(2, 4, identity, q, t)
+        report = check_adjointness(4, identity, q, t)
         assert report.passed, report.failures[:3]
 
 
 def test_adjointness_one_mode():
-    report = check_adjointness(1, 4, [[1]], Fraction(1, 3), Fraction(1, 2))
+    report = check_adjointness(4, [[1]], Fraction(1, 3), Fraction(1, 2))
     assert report.passed
 
 
 def test_adjointness_with_nontrivial_gram():
     gram = [[Fraction(1), Fraction(1, 2)], [Fraction(1, 2), Fraction(1)]]
-    report = check_adjointness(2, 3, gram, Fraction(1, 3), Fraction(1, 2))
+    report = check_adjointness(3, gram, Fraction(1, 3), Fraction(1, 2))
     assert report.passed
 
 
@@ -341,14 +355,14 @@ def test_gram_positivity_samples():
         (Fraction(9, 10), Fraction(1)),
     ]
     for q, t in samples:
-        assert check_gram_positivity(2, 4, identity, q, t).passed
-        assert check_gram_positivity(1, 4, [[1]], q, t).passed
+        assert check_gram_positivity(4, identity, q, t).passed
+        assert check_gram_positivity(4, [[1]], q, t).passed
 
 
 def test_a_check_that_checks_nothing_fails():
     for report in (
         check_commutation(0),
-        check_adjointness(0, 3, [], Fraction(1, 3), Fraction(1, 2)),
+        check_adjointness(3, [], Fraction(1, 3), Fraction(1, 2)),
     ):
         assert report.checked == 0
         assert not report.passed
@@ -371,8 +385,8 @@ def test_passing_checks_format_no_failure_text(monkeypatch):
         str(Fraction(1, 3))
     reports = [
         check_orthogonality(j, 6, moments),
-        check_adjointness(2, 3, gram, 0, 1),
-        check_gram_positivity(2, 3, [[1, 0], [0, 1]], 0, 1),
+        check_adjointness(3, gram, 0, 1),
+        check_gram_positivity(3, [[1, 0], [0, 1]], 0, 1),
         check_commutation(8),
     ]
     assert all(report.passed for report in reports)
@@ -383,7 +397,7 @@ def test_multimode_gram_matches_symbolic_inner_product():
     # permutation weight q^inv t^(M-inv) each term gets
     gram = [[2, 1], [0, 3]]
     q, t = Fraction(1, 3), Fraction(1, 2)
-    matrix = multimode_gram(2, 3, gram, q, t)
+    matrix = multimode_gram(3, gram, q, t)
     for u, row in zip(basis_words(2, 3), matrix):
         for v, entry in zip(basis_words(2, 3), row):
             if len(u) == len(v):
@@ -428,9 +442,9 @@ def test_one_pass_minors_match_blockwise_determinants(matrix):
 def test_gram_positivity_fails_with_blockwise_messages(q, sign):
     # at t = 1 the two-letter word 00 has norm [2] = 1 + q: 0 at q = -1, -1 at q = -2
     identity, t = [[1, 0], [0, 1]], Fraction(1)
-    minors = blockwise_leading_minors(multimode_gram(2, 4, identity, q, t))
+    minors = blockwise_leading_minors(multimode_gram(4, identity, q, t))
     assert any((m > 0) - (m < 0) == sign for m in minors)
-    report = check_gram_positivity(2, 4, identity, q, t)
+    report = check_gram_positivity(4, identity, q, t)
     assert report.checked == 31
     assert report.failures == [
         f"leading minor {k} = {m} not positive" for k, m in enumerate(minors, 1) if not m > 0
@@ -454,7 +468,7 @@ def test_block_recursion_matches_permutation_sum(case):
     # negative: every entry, in or out of the length blocks, against the n! sum
     d, n, gram, q, t = case
     words = basis_words(d, n)
-    matrix = multimode_gram(d, n, gram, q, t)
+    matrix = multimode_gram(n, gram, q, t)
     assert len(matrix) == len(words) and all(len(row) == len(words) for row in matrix)
     for u, row in zip(words, matrix):
         for v, entry in zip(words, row):
@@ -485,24 +499,32 @@ def test_word_inner_product_matches_permutation_sum(case):
 
 
 @pytest.mark.parametrize(
-    "d, gram",
-    [
-        (3, [[1, 0], [0, 1]]),
-        (2, [[1, 0], [0]]),
-        (2, [[1]]),
-        (1, [[1, 5], [5, 1]]),
-        (1, [[1, 0]]),
-    ],
-    ids=["too-small", "ragged", "one-by-one", "too-large", "one-by-two"],
+    "gram",
+    [[[1], [0]], [[1, 0], [0]], [[1, 5, 0], [5, 1, 0]], [[1, 0]]],
+    ids=["too-small", "ragged", "too-large", "one-by-two"],
 )
-def test_gram_of_wrong_size_is_rejected(d, gram):
+def test_gram_of_wrong_size_is_rejected(gram):
+    # the alphabet size is len(gram), so only a Gram that is not square is wrong
+    # ("too-small" and "too-large": rows shorter or longer than the Gram is tall)
     for check in (check_gram_positivity, check_adjointness, multimode_gram):
-        with pytest.raises(ValueError, match="gram must be a d x d matrix"):
-            check(d, 2, gram, Fraction(1, 3), Fraction(1, 2))
-    # two words carry no d: their Gram is wrong only when it is not square
-    if any(len(row) != len(gram) for row in gram):
-        with pytest.raises(ValueError, match="gram must be a d x d matrix"):
-            word_inner_product((0,), (0,), gram, Fraction(1, 3), Fraction(1, 2))
+        with pytest.raises(ValueError, match="^gram must be a square matrix$"):
+            check(2, gram, Fraction(1, 3), Fraction(1, 2))
+    with pytest.raises(ValueError, match="^gram must be a square matrix$"):
+        word_inner_product((0,), (0,), gram, Fraction(1, 3), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_alphabet_size_is_read_from_the_gram(d):
+    identity = [[int(a == b) for b in range(d)] for a in range(d)]
+    words = basis_words(d, 2)
+    q, t = Fraction(1, 3), Fraction(1, 2)
+    assert len(multimode_gram(2, identity, q, t)) == len(words)
+    report = check_adjointness(2, identity, q, t)
+    assert report.name == f"adjointness(d={d}, n=2, q=1/3, t=1/2)"
+    assert report.passed and report.checked == d * len(words) ** 2
+    report = check_gram_positivity(2, identity, q, t)
+    assert report.name == f"gram positivity(d={d}, n=2, q=1/3, t=1/2)"
+    assert report.passed and report.checked == len(words)
 
 
 @pytest.mark.parametrize(
@@ -543,7 +565,7 @@ def test_gram_positivity_reach(d, n, words, q, t, sign):
     # all minors positive inside |q| < t <= 1; at t = 1 outside it, the first
     # failure is the minor that closes on the word 00, whose norm is 1 + q
     identity = [[int(a == b) for b in range(d)] for a in range(d)]
-    report = check_gram_positivity(d, n, identity, q, t)
+    report = check_gram_positivity(n, identity, q, t)
     assert report.checked == words
     if sign > 0:
         assert report.passed, report.failures[:3]
@@ -552,7 +574,7 @@ def test_gram_positivity_reach(d, n, words, q, t, sign):
     assert report.failures[0] == f"leading minor {d + 2} = {1 + q} not positive"
     if sign < 0:
         # every minor, not just the first failure, against block-by-block elimination
-        matrix = multimode_gram(d, n, identity, q, t)
+        matrix = multimode_gram(n, identity, q, t)
         assert leading_principal_minors(matrix) == blockwise_leading_minors(matrix)
 
 

@@ -49,9 +49,9 @@ def test_enumeration_is_lexicographic_and_unique():
 
 def test_rgs_validation():
     with pytest.raises(ValueError):
-        SetPartition(3, (0, 2, 0))  # skips block index 1
+        SetPartition((0, 2, 0))  # skips block index 1
     with pytest.raises(ValueError):
-        SetPartition(2, (1, 0))
+        SetPartition((1, 0))
 
 
 def test_from_blocks_round_trip():
@@ -69,7 +69,7 @@ def test_worked_statistics_examples():
 
 
 def test_all_singletons_have_no_statistics():
-    p = SetPartition(5, (0, 1, 2, 3, 4))
+    p = SetPartition((0, 1, 2, 3, 4))
     assert p.statistics == (5, 0, 0, 0)
 
 
@@ -89,7 +89,7 @@ def test_statistics_bounds():
     from math import comb
 
     for p in enumerate_partitions(7):
-        arc_count = p.n - p.block_count
+        arc_count = len(p.rgs) - p.block_count
         bound = comb(arc_count, 2)
         _, rc, rn, _ = p.statistics
         assert 0 <= rc <= bound
@@ -201,7 +201,7 @@ def growth_strings(draw, min_len: int = 1, max_len: int = 12) -> tuple:
 @settings(max_examples=200, deadline=None)
 @given(growth_strings())
 def test_random_rgs_statistics_match_quadruple_oracles(rgs):
-    p = SetPartition(len(rgs), rgs)
+    p = SetPartition(rgs)
     blocks = p.blocks()
     nestings = quadruple_nestings(blocks)
     _, rc, rn, cov = p.statistics
@@ -224,7 +224,7 @@ def test_enumerated_partitions_pass_the_checks_and_match_oracles():
         census = _oracle_census(n)
         assert len(listed) == len(census)
         for p, (rgs, (blocks, rc, rn, cov)) in zip(listed, census):
-            assert SetPartition(n, p.rgs) == p
+            assert SetPartition(p.rgs) == p
             assert partition_record(p) == {
                 "rgs": list(rgs),
                 "blocks": blocks,
@@ -257,7 +257,7 @@ def test_enumerated_partitions_carry_their_statistics():
     for n in range(1, 10):
         for p in enumerate_partitions(n):
             assert p.__dict__["statistics"] == _statistics(p.rgs), p.rgs
-            assert partition_record(p) == partition_record(SetPartition(n, p.rgs))
+            assert partition_record(p) == partition_record(SetPartition(p.rgs))
 
 
 def test_one_census_serves_both_conventions(monkeypatch):

@@ -12,15 +12,15 @@ from qtmoments.partitions import SetPartition, _statistics
 from qtmoments.ring import LAMBDA, Q
 
 WORD = OperatorWord("AC")
-PART = SetPartition(2, (0, 0))
+PART = SetPartition((0, 0))
 
 #: (class, positional arguments, field names, repr text) per frozen class.
 FROZEN = [
-    (SetPartition, (3, (0, 1, 0)), ("n", "rgs"), "SetPartition(n=3, rgs=(0, 1, 0))"),
+    (SetPartition, ((0, 1, 0),), ("rgs",), "SetPartition(rgs=(0, 1, 0))"),
     (OperatorWord, ("ASC",), ("letters",), "OperatorWord(letters='ASC')"),
     (CardArrangement, (WORD, ("C0", "A1_1"), LAMBDA, PART), ("word", "cards", "weight", "partition"),
      "CardArrangement(word=OperatorWord(letters='AC'), cards=('C0', 'A1_1'), "
-     "weight=Poly(lambda), partition=SetPartition(n=2, rgs=(0, 0)))"),
+     "weight=Poly(lambda), partition=SetPartition(rgs=(0, 0)))"),
     (JacobiParams, ("j", abs, len), ("name", "alpha", "omega"),
      f"JacobiParams(name='j', alpha={abs!r}, omega={len!r})"),
     (ContinuedFractionSpec, ((LAMBDA, Q), (Q,)), ("b", "lam"),
@@ -56,7 +56,7 @@ def test_frozen_record_built_from_lists_holds_tuples(cls, args, names, text):
 
 
 def test_frozen_records_differ_by_value():
-    assert SetPartition(3, (0, 1, 0)) != SetPartition(3, (0, 1, 1))
+    assert SetPartition((0, 1, 0)) != SetPartition((0, 1, 1))
     assert OperatorWord("AC") != OperatorWord("CA")
     assert OperatorWord("AC") != ("AC",)
     assert JacobiParams("j", abs, len) != JacobiParams("j", len, abs)
@@ -65,9 +65,8 @@ def test_frozen_records_differ_by_value():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: SetPartition(3, (0, 2, 0)), r"^not a restricted growth string: \(0, 2, 0\)$"),
-    (lambda: SetPartition(3, (0, 1)), r"^rgs length must equal n >= 1$"),
-    (lambda: SetPartition(0, ()), r"^rgs length must equal n >= 1$"),
+    (lambda: SetPartition((0, 2, 0)), r"^not a restricted growth string: \(0, 2, 0\)$"),
+    (lambda: SetPartition(()), r"^a partition needs at least one element$"),
     (lambda: OperatorWord("AX"), r"^not a word over CANS: 'AX'$"),
     (lambda: OperatorWord(letters=None), r"^not a word over CANS: None$"),
     (lambda: ContinuedFractionSpec(b=(Q,), lam=(Q,)),
@@ -80,12 +79,12 @@ def test_validation_messages(make, message):
 
 def test_partition_statistics_are_cached_and_trusted():
     rgs = (0, 1, 0, 1)
-    p = SetPartition(4, rgs)
+    p = SetPartition(rgs)
     assert p.statistics == _statistics(rgs) and p.statistics is p.statistics
-    trusted = SetPartition._trusted(4, rgs)
+    trusted = SetPartition._trusted(rgs)
     assert trusted == p and hash(trusted) == hash(p) and repr(trusted) == repr(p)
     assert trusted.statistics == _statistics(rgs)
-    assert SetPartition._trusted(4, rgs, ("given",)).statistics == ("given",)
+    assert SetPartition._trusted(rgs, ("given",)).statistics == ("given",)
 
 
 def test_check_report_is_mutable_with_its_own_failures():

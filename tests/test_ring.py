@@ -103,10 +103,10 @@ _RATIONAL_TAKERS = {
     "_WordForm": (lambda v: _WordForm([[v]], 1, 1).scale(2), 1, 4),
     # <00|00> = [2] = q + t
     "word_inner_product": (lambda v: word_inner_product((0, 0), (0, 0), [[1]], v, 1), 2, 1 + _HALF),
-    "check_adjointness": (lambda v: check_adjointness(1, 2, [[v]], Fraction(1, 3), 1).passed, True, True),
+    "check_adjointness": (lambda v: check_adjointness(2, [[v]], Fraction(1, 3), 1).passed, True, True),
     # the norm of 00 at q = 0, t = 1 is g^2
-    "multimode_gram": (lambda v: multimode_gram(1, 2, [[v]], 0, 1)[-1][-1], 1, Fraction(1, 4)),
-    "check_gram_positivity": (lambda v: check_gram_positivity(1, 2, [[1]], v, 1).passed, True, True),
+    "multimode_gram": (lambda v: multimode_gram(2, [[v]], 0, 1)[-1][-1], 1, Fraction(1, 4)),
+    "check_gram_positivity": (lambda v: check_gram_positivity(2, [[1]], v, 1).passed, True, True),
     "leading_principal_minors": (lambda v: leading_principal_minors([[v, 1], [1, 1]]), [1, 0], [_HALF, -_HALF]),
     # alpha_2 = lambda + q + t
     "specialize": (lambda v: specialize(charlier_strict(), {"q": v, "t": 1, "lambda": 1}).alpha(2), 3, 2 + _HALF),
