@@ -212,6 +212,8 @@ class FockVector:
         return self.dim == other.dim and self.coeffs == other.coeffs
 
     def __add__(self, other: "FockVector") -> "FockVector":
+        if not isinstance(other, FockVector):
+            return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return FockVector(self.dim, [a + b for a, b in zip(self.coeffs, other.coeffs)])

@@ -41,6 +41,10 @@ polynomials in epsilon, and so are their moments; poisson_limit_check proves
 that the epsilon^0 part of every moment is the charlier_strict moment (the
 Poisson limit m -> infinity) and that the epsilon moments at 1/m are exactly
 the binomial moments at each sampled m.
+
+The symbolic presets read their entries from memoised module functions, as
+``qt_number`` does: every caller shares one immutable Poly per n.  The
+binomial forms m p, 1 - 2p and p (1 - p), the factors free of n, once per call.
 """
 
 from __future__ import annotations
@@ -81,6 +85,7 @@ class JacobiParams(_Record):
 
     Symbolic presets return Poly and rationally specialized ones Fraction;
     three_term_polys and check_orthogonality run folded, on Poly or int data only.
+    A preset's entries are memoised and shared, so they must not be mutated.
     """
 
     __slots__ = _fields = ("name", "alpha", "omega")
@@ -91,28 +96,31 @@ class JacobiParams(_Record):
         object.__setattr__(self, "omega", omega)
 
 
+@cache
+def _charlier_alpha(n: int) -> Poly:
+    return LAMBDA + qt_number(n)
+
+
+@cache
+def _t_gauge_alpha(n: int) -> Poly:
+    return LAMBDA * T**n + qt_number(n)
+
+
+@cache
+def _charlier_omega(n: int) -> Poly:
+    return LAMBDA * qt_number(n)
+
+
 def charlier_strict() -> JacobiParams:
-    return JacobiParams(
-        name="charlier-strict",
-        alpha=lambda n: LAMBDA + qt_number(n),
-        omega=lambda n: LAMBDA * qt_number(n),
-    )
+    return JacobiParams(name="charlier-strict", alpha=_charlier_alpha, omega=_charlier_omega)
 
 
 def charlier_t_gauge() -> JacobiParams:
-    return JacobiParams(
-        name="charlier-tgauge",
-        alpha=lambda n: LAMBDA * T**n + qt_number(n),
-        omega=lambda n: LAMBDA * qt_number(n),
-    )
+    return JacobiParams(name="charlier-tgauge", alpha=_t_gauge_alpha, omega=_charlier_omega)
 
 
 def ejsmont() -> JacobiParams:
-    return JacobiParams(
-        name="ejsmont",
-        alpha=lambda n: qt_number(n),
-        omega=lambda n: qt_number(n),
-    )
+    return JacobiParams(name="ejsmont", alpha=qt_number, omega=qt_number)
 
 
 def specialize(j: JacobiParams, point: Mapping[str, Fraction | int]) -> JacobiParams:
@@ -145,14 +153,15 @@ def binomial(m: Fraction, p: Fraction, q: Fraction, t: Fraction) -> JacobiParams
     """
     m, p, q, t = map(_rational, (m, p, q, t))
     num = cache(lambda k: qt_number(k).eval({"q": q, "t": t}))  # k -> [k] at (q, t)
+    mean, drift, variance = m * p, 1 - 2 * p, p * (1 - p)  # the factors free of n
 
     def alpha(n: int) -> Fraction:
-        return m * p + (1 - 2 * p) * num(n)
+        return mean + drift * num(n)
 
     def omega(n: int) -> Fraction:
         if num(n - 1) >= m:
             return Fraction(0)
-        return num(n) * (m - num(n - 1)) * p * (1 - p)
+        return num(n) * (m - num(n - 1)) * variance
 
     return JacobiParams(name=f"binomial(m={m}, p={p})", alpha=alpha, omega=omega)
 

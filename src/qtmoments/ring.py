@@ -133,6 +133,10 @@ def _pack_exps(exps: Mapping[str, int]) -> int:
     key = deg = 0
     for name, e in exps.items():
         shift = _shift_of(name)
+        try:
+            e = index(e)
+        except TypeError:
+            raise TypeError(f"exponent for {name!r} must be an int, got {e!r}") from None
         if e < 0:
             raise ValueError(f"negative exponent for {name!r}")
         key += e << shift

@@ -13,9 +13,9 @@ It exits 0 only if pytest exits 1 (tests failed) on every row: a surviving
 mutant (0), a timeout or a pytest that could not run (2-5) makes it exit 1.
 
 Pytest does not collect this file; ``tests/test_mutants.py`` checks in tier-1
-that every anchor still holds its old text once, and that each
+that every anchor still holds its old text once, that each
 ``report.record(`` call in ``src/`` is broken by a row or listed in
-``CANNOT_FAIL``.
+``CANNOT_FAIL``, and that ``main`` exits 1 unless every row is killed.
 """
 
 from __future__ import annotations
@@ -88,6 +88,11 @@ MUTANTS = [
            "tests/test_qtnum.py"),
     Mutant("recurrence-drops-w-term", "orthopoly.py", "_recurrence",
            " + w_n * v", "", "tests/test_orthopoly.py"),
+    # the Jacobi entries built once: the binomial's variance factor, a preset's memo
+    Mutant("binomial-variance-without-one-minus-p", "orthopoly.py", "binomial",
+           "p * (1 - p)", "p", "tests/test_orthopoly.py"),
+    Mutant("t-gauge-alpha-one-power-short", "orthopoly.py", "_t_gauge_alpha",
+           "T**n", "T**(n - 1)", "tests/test_orthopoly.py"),
     Mutant("statistics-rc-rn-swapped", "partitions.py", "_statistics",
            "rc + crossed, rn + nested", "rc + nested, rn + crossed", "tests/test_partitions.py"),
     Mutant("qt-factorial-one-factor-short", "qtnum.py", "qt_factorial",

@@ -142,6 +142,11 @@ def test_fock_vector_equality_sum_and_scaling():
     assert a.scaled(0) == FockVector(2)
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         a + FockVector(3)
+    # a non-vector operand is refused by both sides' __add__, not read as a vector
+    for other in (1, Poly.one(), [1, LAMBDA, 0]):
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            a + other
+    assert a.__add__(1) is NotImplemented
 
 
 def test_word_parsing_and_levels():

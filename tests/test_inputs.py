@@ -3,6 +3,7 @@ exact message, and the three size warnings of the brute-force routes."""
 
 import re
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -54,6 +55,14 @@ REJECTED = [
      ValueError, "negative exponent for 'q'"),
     ("Poly.variable negative power", lambda: Poly.variable("q", -1),
      ValueError, "negative exponent for 'q'"),
+    ("Poly.variable float power", lambda: Poly.variable("q", 1.5),
+     TypeError, "exponent for 'q' must be an int, got 1.5"),
+    ("Poly.from_terms float exponent", lambda: Poly.from_terms([(1, {"t": 2.0})]),
+     TypeError, "exponent for 't' must be an int, got 2.0"),
+    ("Poly.from_terms Fraction exponent", lambda: Poly.from_terms([(1, {"q": Fraction(1, 2)})]),
+     TypeError, "exponent for 'q' must be an int, got Fraction(1, 2)"),
+    ("Poly.from_terms str exponent", lambda: Poly.from_terms([(1, {"lambda": "2"})]),
+     TypeError, "exponent for 'lambda' must be an int, got '2'"),
     ("substitute a float", lambda: (Q + T).substitute("q", 0.5),
      TypeError, "replacement must be a Poly or int"),
     ("rename not injective", lambda: (Q + T).rename({"q": "lambda", "t": "lambda"}),

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+import mutants
 from mutants import CANNOT_FAIL, MUTANTS, ROOT, Mutant, anchor_node, mutated
 
 
@@ -70,3 +71,22 @@ def test_mutated_edits_only_inside_a_method_anchor():
     text = "def f():\n    return 1\n\n\nclass K:\n    def f(self):\n        return 1\n"
     changed = mutated(Mutant("m", "m.py", "K.f", "return 1", "return 2", "tests/t.py"), text)
     assert changed == text.replace("        return 1", "        return 2")
+
+
+@pytest.mark.parametrize(
+    "statuses, exit_code",
+    [
+        ({}, 0),
+        ({0: 0}, 1),  # one row survives: its tests passed
+        ({-1: None}, 1),  # one row ran past the timeout
+        ({1: 2}, 1),  # pytest could not run one row's tests
+    ],
+    ids=["all-killed", "one-survives", "one-times-out", "one-errors"],
+)
+def test_main_exits_nonzero_unless_every_row_is_killed(monkeypatch, capsys, statuses, exit_code):
+    # no subprocess runs: each row's pytest status is stubbed, 1 (killed) by default
+    status = {MUTANTS[i].name: s for i, s in statuses.items()}
+    monkeypatch.setattr(mutants, "run", lambda mutant: status.get(mutant.name, 1))
+    assert mutants.main() == exit_code
+    killed = len(MUTANTS) - len(statuses)
+    assert capsys.readouterr().out.endswith(f"{killed} of {len(MUTANTS)} mutants killed\n")

@@ -339,12 +339,55 @@ def test_free_and_classical_specializations():
     assert classical == [Fraction(b) for b in bell[:9]]
 
 
+def _written_qt_number(n: int):
+    """[n] = t^(n-1) + t^(n-2) q + ... + q^(n-1), summed from its terms."""
+    return sum((T ** (n - 1 - k) * Q**k for k in range(n)), Poly.zero())
+
+
+#: Each symbolic preset's (alpha_n, omega_n) as the module docstring writes them.
+PRESET_FORMULAS = {
+    charlier_strict: lambda n: (LAMBDA + _written_qt_number(n), LAMBDA * _written_qt_number(n)),
+    charlier_t_gauge: lambda n: (LAMBDA * T**n + _written_qt_number(n),
+                                 LAMBDA * _written_qt_number(n)),
+    ejsmont: lambda n: (_written_qt_number(n), _written_qt_number(n)),
+}
+
+
+@pytest.mark.parametrize("preset", PRESET_FORMULAS, ids=lambda p: p.__name__)
+def test_preset_entries_match_their_formulas(preset):
+    j = preset()
+    for n in range(31):
+        assert (j.alpha(n), j.omega(n)) == PRESET_FORMULAS[preset](n)
+
+
+@pytest.mark.parametrize("preset", PRESET_FORMULAS, ids=lambda p: p.__name__)
+def test_preset_entries_are_shared_across_calls(preset):
+    # memoised like qt_number: every caller reads the same immutable Poly
+    for n in (0, 1, 7):
+        assert preset().alpha(n) is preset().alpha(n)
+        assert preset().omega(n) is preset().omega(n)
+
+
+#: (m, p, q, t, the first n whose omega_n the clamp sets to 0, or None below 14).
+BINOMIAL_POINTS = [
+    (Fraction(10), Fraction(1, 10), Fraction(1, 3), Fraction(2, 3), None),
+    (Fraction(7, 2), Fraction(2, 5), Fraction(3, 2), Fraction(1), 4),  # [3] = 19/4
+    (Fraction(9), Fraction(-1, 3), Fraction(1, 4), Fraction(5, 4), 11),  # [10] > 9 > [9]
+    (Fraction(6), Fraction(3, 7), Fraction(1), Fraction(1), 7),  # [n] = n
+]
+
+
 def test_binomial_preset_values():
-    q, t = Fraction(1, 3), Fraction(2, 3)
-    j = binomial(Fraction(10), Fraction(1, 10), q, t)
-    assert j.alpha(0) == 1  # m p
-    one = qt_number(1).eval({"q": q, "t": t})
-    assert j.omega(1) == one * 10 * Fraction(1, 10) * Fraction(9, 10)
+    for m, p, q, t, first_clamped in BINOMIAL_POINTS:
+        j = binomial(m, p, q, t)
+        num = lambda n: _written_qt_number(n).eval({"q": q, "t": t})
+        for n in range(14):
+            assert j.alpha(n) == m * p + (1 - 2 * p) * num(n)
+        clamped = [n for n in range(1, 14) if num(n - 1) >= m]
+        for n in range(1, 14):
+            expected = 0 if n in clamped else num(n) * (m - num(n - 1)) * p * (1 - p)
+            assert j.omega(n) == expected
+        assert clamped == ([] if first_clamped is None else list(range(first_clamped, 14)))
 
 
 def hankel_minors(moments, k_max: int) -> list:
