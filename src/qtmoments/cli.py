@@ -7,7 +7,10 @@ stdout, diagnostics to stderr.  All JSON output carries a schema tag.  The
 each from one f-string with sorted keys: the bytes of ``json.dumps(record,
 sort_keys=True)`` for :func:`partition_record` and :func:`arrangement_record`.
 The symbolic ``charlier`` table streams one decoded P_k at a time, in text chunks.
-A request naming a command is parsed by its subparser alone, not the whole tree.
+A request naming a command and then only that command's options, each spelled in
+full, given once and with one value, its required options among them, is read
+straight from the command's option table.  Help, and unknown, repeated or
+abbreviated options, go through the whole tree.
 """
 
 from __future__ import annotations
@@ -464,20 +467,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(parser, argv: list) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, without the top-level parse when ``argv`` names a command."""
-    if not argv or argv[0] not in parser.commands:
+def _parse_args(parser, argv):
+    """``parser.parse_args(argv)``, read from the named command's option table when each
+    argument after the command is one of its store options, spelled exactly and given once,
+    as ``--opt=v`` or as ``--opt v`` with ``v`` not starting with ``-``, and the command's
+    required options and exclusive group hold.  Anything else, help, abbreviations and
+    ``--`` included, goes through the whole tree.  A value that fails its type or choices
+    gets argparse's own error from the subparser, as the tree gives it; that also reads an
+    explicit ``--opt=--`` as ``--``, which Python 3.10-3.12's tree reads as ``[]``."""
+    tokens, given = iter(argv), {}
+    # With no command named, the tree's own table: no option gives its required command.
+    sub = parser.commands.get(next(tokens, ""), parser)
+    for token in tokens:  # each argument the reader cannot take is filed under None
+        option, eq, text = token.partition("=")
+        action = sub._option_string_actions.get(option)
+        text = text if eq else next(tokens, "-")
+        given[None if type(action) is not argparse._StoreAction or action in given
+              or not eq and text[:1] == "-" else action] = text
+    if None in given or any(a.required and a not in given for a in sub._actions) or any(
+            not g.required <= len(given.keys() & g._group_actions) <= 1
+            for g in sub._mutually_exclusive_groups):
         return parser.parse_args(argv)
-    args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    values = {a.dest: a.default for a in sub._actions[1:]} | sub._defaults  # [0] is -h
+    try:  # in argv's order, as the tree reads it, so the first bad value is the tree's
+        for action, text in given.items():
+            values[action.dest] = value = sub._get_value(action, text)
+            sub._check_value(action, value)
+    except argparse.ArgumentError as err:
+        sub.error(err)
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def main(argv=None) -> int:
     """Run one request; the parser is built once per process and reused.  Every
-    message and exit code is the tree's, though a command's subparser reads it."""
+    message and exit code is the tree's, though most requests skip the tree, but for
+    an explicit ``--opt=--``, which :func:`_parse_args` reads as Python 3.13 does."""
     parser = build_parser()
     args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
 

@@ -1,5 +1,5 @@
 """Mutation runner: each row of ``MUTANTS`` breaks one line of a copy of
-``src/`` and names the test file that must catch it.
+``src/`` and names the test file, or one test's node id, that must catch it.
 
     python tests/mutants.py
 
@@ -7,7 +7,7 @@ For each row, the runner copies ``src/`` to a temporary directory and
 replaces the row's old text there.  The old text must occur exactly once
 inside the row's anchor: a function, or ``Class.method``.
 The runner checks that ``qtmoments`` imports from the copy, then runs pytest
-on the row's test file against it, with a 600 s timeout and a limit on the
+on the row's tests against it, with a 600 s timeout and a limit on the
 child's address space, so a mutant that loops or grows without bound ends.
 It exits 0 only if pytest exits 1 (tests failed) on every row: a surviving
 mutant (0), a timeout or a pytest that could not run (2-5) makes it exit 1.
@@ -40,7 +40,7 @@ class Mutant(NamedTuple):
     anchor: str  # the enclosing function, "Class.method" for a method
     old: str
     new: str
-    tests: str  # the test file that must fail, relative to the repo root
+    tests: str  # the test file, or one test's node id, that must fail; from the repo root
 
 
 MUTANTS = [
@@ -74,9 +74,16 @@ MUTANTS = [
     Mutant("fold-pays-without-gap-test", "ring.py", "_fold_pays",
            "if len(top) + sum(top.values()) > _GAP_LIMIT * len(terms):", "if False:",
            "tests/test_ring.py"),
-    # a subparser's leftover arguments would be dropped, not the tree's error
-    Mutant("dispatch-drops-leftover-arguments", "cli.py", "_parse_args",
-           "if extras:", "if False:", "tests/test_cli.py"),
+    # the reader's own checks: each would take a request that the tree refuses
+    Mutant("reader-skips-required-options", "cli.py", "_parse_args",
+           "any(a.required and a not in given for a in sub._actions)", "False",
+           "tests/test_cli.py::test_subparser_fails_as_the_tree_fails"),
+    Mutant("reader-takes-a-dash-value-after-a-space", "cli.py", "_parse_args",
+           'not eq and text[:1] == "-"', "False",
+           "tests/test_cli.py::test_subparser_fails_as_the_tree_fails"),
+    Mutant("reader-skips-choices", "cli.py", "_parse_args",
+           "sub._check_value(action, value)", "None",
+           "tests/test_cli.py::test_subparser_fails_as_the_tree_fails"),
     # every chunk after the first would lose the " + " or " - " that joins it
     Mutant("leading-sign-fix-on-every-chunk", "ring.py", "Poly._text_chunks",
            "if not start:", "if True:", "tests/test_ring.py"),
@@ -88,6 +95,30 @@ MUTANTS = [
            "tests/test_qtnum.py"),
     Mutant("recurrence-drops-w-term", "orthopoly.py", "_recurrence",
            " + w_n * v", "", "tests/test_orthopoly.py"),
+    # the census's leaf level: n joining a block after the singleton e, which n's arc
+    # now covers, and an arc closed at n nesting inside the later arcs from below
+    Mutant("census-drops-last-covered-singleton", "partitions.py", "_weight_census",
+           "keys += [k + 1 + x for x in ds]", "keys += [k + x for x in ds]",
+           "tests/test_partitions.py"),
+    Mutant("census-last-arc-without-nesting-shift", "partitions.py", "_weight_census",
+           "k + incs[i] + nst - crs", "k + incs[i] - crs", "tests/test_partitions.py"),
+    # a closed arc from a singleton would still count as covering it
+    Mutant("join-keeps-covered-count-of-a-joined-singleton", "partitions.py", "_join",
+           "covered -= crossed", "covered -= 0", "tests/test_partitions.py"),
+    Mutant("card-walk-scalar-without-level-shift", "cards.py", "_contributor_walk",
+           "t_shift + level", "t_shift", "tests/test_cards.py"),
+    Mutant("motzkin-integer-omega-one-d-short", "orthopoly.py", "moments_by_motzkin",
+           "(d // v.denominator) * d for v in omega", "(d // v.denominator) for v in omega",
+           "tests/test_orthopoly.py"),
+    Mutant("poisson-step-down-product-one-level-low", "fock.py", "_poisson_step",
+           "shared = c * nums[k]", "shared = c * nums[k - 1]", "tests/test_fock.py"),
+    Mutant("poisson-step-scalar-read-as-lambda", "fock.py", "_poisson_step",
+           "own = created if scalars[k] == lam else c * scalars[k]", "own = created",
+           "tests/test_fock.py"),
+    # the borrow's digit side: dropping its ``packed += 1`` instead never ends on a
+    # negative leading digit, since the loop then reads -1 until memory runs out
+    Mutant("decoder-negative-digit-one-high", "ring.py", "_undiagonals",
+           "coeff -= mask + 1", "coeff -= mask", "tests/test_folded.py"),
     # the Jacobi entries built once: the binomial's variance factor, a preset's memo
     Mutant("binomial-variance-without-one-minus-p", "orthopoly.py", "binomial",
            "p * (1 - p)", "p", "tests/test_orthopoly.py"),

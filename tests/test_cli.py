@@ -1,9 +1,14 @@
 """CLI surface: subcommands, exit codes, output formats, determinism."""
 
+import argparse
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -42,6 +47,7 @@ from qtmoments.qtnum import qt_factorial
 from qtmoments.ring import LAMBDA, VARIABLES, Poly
 
 from oracles import factorwise_canonical_str, poly_from_json
+from test_readme import COMMANDS as README_COMMANDS
 
 
 def run(capsys, *argv):
@@ -635,6 +641,96 @@ def test_subparser_reads_what_the_tree_reads(argv):
     assert cli._parse_args(parser, argv) == parser.parse_args(argv)
 
 
+def _bench_workloads():
+    """``perfbench/workloads.py``, loaded from its file without touching it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tree_refuses(argv):
+    raise AssertionError(f"the whole tree read {argv}")
+
+
+def test_every_bench_and_readme_request_is_read_from_its_table(monkeypatch):
+    workloads = _bench_workloads()
+    requests = [argv for name in workloads.WORKLOADS for argv in workloads.universe(name)]
+    requests += [shlex.split(line)[1:] for line in README_COMMANDS]
+    parser = build_parser()
+    expected = [parser.parse_args(argv) for argv in requests]
+    monkeypatch.setattr(parser, "parse_args", _tree_refuses)
+    assert [cli._parse_args(parser, argv) for argv in requests] == expected
+    assert len(requests) > 1400
+
+
+def test_each_store_option_takes_one_value():
+    """The reader takes one value per store option; one with ``nargs`` needs the tree."""
+    stores = [action for sub in build_parser().commands.values() for action in sub._actions
+              if type(action) is argparse._StoreAction]
+    assert len(stores) > 20 and all(action.nargs is None for action in stores)
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` gives: its Namespace, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+#: Values for drawn requests, by option type: good ones, bad ones, empty and dash-led.
+#: Every option may also draw "sideways"; an explicit ``--opt=--`` is left to
+#: DASH_VALUE_ARGVS.
+DRAWN_VALUES = {int: ["3", "1", "0", "x", "-1"], cli.rational: ["1/3", "-1/2", "", "2/0"],
+                str: ["AC", "CNA", "", "-h"]}
+
+
+@st.composite
+def _drawn_requests(draw):
+    """A command and its options in any order, each as ``--opt=v`` or ``--opt v``, the
+    required ones mostly present, cards' ``--n`` and ``--word`` each half the time; then
+    up to two more tokens: an option again, exact or abbreviated (``--mod``, ``--o``),
+    with or without a value, ``-h``, ``--`` or an unknown option."""
+    command = draw(st.sampled_from(sorted(build_parser().commands)))
+    table = build_parser().commands[command]._option_string_actions
+    argv = []
+    for action in draw(st.permutations(list(dict.fromkeys(table.values()))[1:])):
+        if draw(st.integers(0, 9)) < (9 if action.required else 5):
+            value = draw(st.sampled_from([*(action.choices or DRAWN_VALUES[action.type]),
+                                          "sideways"]))
+            option = action.option_strings[0]
+            argv += draw(st.sampled_from([[f"{option}={value}"], [option, value]]))
+    spellings = sorted({o[:k] for o in table for k in (3, len(o) - 1, len(o))}
+                       | {"--bogus", "-h", "--"})
+    for token in draw(st.lists(st.sampled_from(spellings), max_size=2)):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = [token, *draw(st.sampled_from([[], ["3"], ["covered"]]))]
+    return [command, *argv]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_drawn_requests())
+@example(["moments", "--n", "3", "--mod", "covered"])
+@example(["moments", "--q", "-1/2", "--n", "3"])
+@example(["moments", "--n", "3", "-h", "--mode", "strict"])
+@example(["moments", "--n=3", "--q="])
+@example(["moments", "--n", "3", "--n=4"])
+@example(["moments", "--mode", "sideways", "--n", "x"])
+@example(["moments", "--n", "x", "--m", "y"])
+@example(["cards", "--n", "3", "--word", "AC"])
+@example(["cards", "--n", "3", "--word", "AC", "--mode", "sideways"])
+@example(["cards", "--output", "json"])
+@example(["verify", "--n-max=2", "--suite=orthopoly"])
+def test_drawn_request_reads_as_the_tree_reads_it(argv):
+    parser = build_parser()
+    assert _parsed(lambda argv: cli._parse_args(parser, argv), argv) == _parsed(parser.parse_args, argv)
+
+
 #: Arguments that argparse or main rejects, or that ask for help.
 REJECTED_ARGVS = [
     ["moments", "--n", "3", "--bogus"],
@@ -664,7 +760,17 @@ def test_subparser_fails_as_the_tree_fails(capsys, monkeypatch, argv):
     assert own[0] == (0 if "-h" in argv or "--help" in argv else 2)
 
 
-@pytest.mark.parametrize("argv", INVALID_ARGVS, ids=" ".join)
+#: An explicit ``--`` value.  Python 3.10-3.12's tree stores it as ``[]``, so these
+#: crashed with a traceback; the reader reads ``--`` as the value, as Python 3.13 does.
+DASH_VALUE_ARGVS = [
+    ["moments", "--n=--"],
+    ["word", "--word=--"],
+    ["charlier", "--n-max=--"],
+    ["verify", "--n-max=--"],
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGVS + DASH_VALUE_ARGVS, ids=" ".join)
 def test_invalid_input_is_a_usage_error(argv):
     src = os.path.dirname(os.path.dirname(qtmoments.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -676,6 +782,17 @@ def test_invalid_input_is_a_usage_error(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("error:") == 1
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["moments", "--n=--"], "argument --n: invalid int value: '--'"),
+    (["moments", "--n", "3", "--mode=--"], "argument --mode: invalid choice: '--' (choose from "),
+    (["word", "--word=--"], "error: ValueError: not a word over CANS: '--'"),
+])
+def test_an_explicit_dash_value_is_read_as_it_is(capsys, argv, message):
+    code, out, err = _outcome(capsys, argv)
+    assert (code, out, err.count("error:")) == (2, "", 1)
+    assert message in err
 
 
 @pytest.mark.parametrize("command", ["moments", "partitions", "cards"])

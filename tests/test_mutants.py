@@ -18,7 +18,7 @@ def test_mutant_anchor_holds_its_old_text_once(mutant):
     changed = mutated(mutant, text)
     assert changed != text
     assert len(changed) - len(text) == len(mutant.new) - len(mutant.old)
-    assert os.path.isfile(os.path.join(ROOT, mutant.tests))
+    assert os.path.isfile(os.path.join(ROOT, mutant.tests.partition("::")[0]))
 
 
 def _covered(call: ast.Call, source: str, entries: list) -> bool:
