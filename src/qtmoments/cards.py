@@ -220,10 +220,9 @@ def expand_arrangements(
     return out
 
 
-@cache
-def _card_moments(n: int) -> tuple:
-    """(strict, covered) moments from one :func:`_contributor_walk` of the
-    contributors of length n.
+def _card_histogram(n: int) -> dict:
+    """{(blocks, q-exponent, strict t-exponent, covered-singleton t-exponent): count > 0}
+    over the arrangements of the length-n contributors, from one :func:`_contributor_walk`.
 
     Every arrangement of every contributor is still counted one by one, with
     no grouping of contributors.  A choice j at level i adds j-1 to q and i-j
@@ -239,10 +238,14 @@ def _card_moments(n: int) -> tuple:
     top = max(t_top for _, t_top, _ in rows)
     if top > 255:
         raise OverflowError(f"q-exponents up to {top} at n={n} do not fit a byte")
-    return _histogram_moments({(blocks, q_exp, t_top - q_exp, t_shift): count
-                               for (blocks, t_top, t_shift), words in rows.items()
-                               for q_exp, count in enumerate(map(b"".join(words).count,
-                                                                 range(t_top + 1))) if count})
+    return {(blocks, q_exp, t_top - q_exp, t_shift): count
+            for (blocks, t_top, t_shift), words in rows.items()
+            for q_exp, count in enumerate(map(b"".join(words).count, range(t_top + 1))) if count}
+
+
+@cache
+def _card_moments(n: int) -> tuple:
+    return _histogram_moments(_card_histogram(n))
 
 
 def moment_by_cards(n: int, gauge: ScalarGauge = ScalarGauge.IDENTITY) -> Poly:

@@ -397,12 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "(scalar lambda*t^N)")
         p.add_argument("--output", choices=outputs, default="pretty")
 
+    def add_point(p):
+        p.add_argument("--q", type=rational, default=None)
+        p.add_argument("--t", type=rational, default=None)
+        p.add_argument("--lambda", dest="lam", type=rational, default=None)
+
     p = sub.add_parser("moments", help="moment polynomial by one or all methods")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=[*_routes("strict", 0), "all"], default="all")
-    p.add_argument("--q", type=rational, default=None)
-    p.add_argument("--t", type=rational, default=None)
-    p.add_argument("--lambda", dest="lam", type=rational, default=None)
+    add_point(p)
     add_common(p, ("json", "csv", "pretty"))
     p.set_defaults(func=cmd_moments)
 
@@ -418,9 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--preset", choices=sorted(PRESETS), default="strict")
-    p.add_argument("--q", type=rational, default=None)
-    p.add_argument("--t", type=rational, default=None)
-    p.add_argument("--lambda", dest="lam", type=rational, default=None)
+    add_point(p)
     p.add_argument("--output", choices=["json", "csv", "pretty"], default="pretty")
     p.set_defaults(func=cmd_charlier)
 
@@ -500,10 +501,13 @@ def _parse_args(parser, argv):
 
 def main(argv=None) -> int:
     """Run one request; the parser is built once per process and reused.  Every
-    message and exit code is the tree's, though most requests skip the tree, but for
-    an explicit ``--opt=--``, which :func:`_parse_args` reads as Python 3.13 does."""
+    message and exit code is the tree's, though most requests skip the tree, but for an
+    explicit ``--opt=--``: :func:`_parse_args` reads it as Python 3.13 does, and main refuses
+    the ``[]`` that Python 3.10-3.12's tree makes of it."""
     parser = build_parser()
     args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
+    if list in map(type, vars(args).values()):
+        parser.error("invalid value: '--'")
 
     if args.command in ("moments", "charlier"):
         given = {"q": args.q, "t": args.t, "lambda": args.lam}

@@ -63,7 +63,7 @@ MUTANTS = [
            "bytes(range(j, 256)) + bytes(range(j))",
            "bytes(range(j + 1, 256)) + bytes(range(j + 1))", "tests/test_cards.py"),
     # a q-exponent byte past 255 would wrap; only the fake t_top 256 leaf reaches it
-    Mutant("card-byte-guard-off", "cards.py", "_card_moments",
+    Mutant("card-byte-guard-off", "cards.py", "_card_histogram",
            "if top > 255:", "if False:", "tests/test_cards.py"),
     Mutant("histogram-drops-covered-exponent", "partitions.py", "_histogram_moments",
            "te + cov", "te", "tests/test_partitions.py"),

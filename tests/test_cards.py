@@ -27,14 +27,13 @@ from qtmoments.fock import (
 )
 from qtmoments.partitions import (
     SetPartition,
-    _histogram_moments,
-    _weight_census,
     enumerate_partitions,
     moment_by_partitions,
 )
 from qtmoments.orthopoly import charlier_strict, charlier_t_gauge, moments_by_motzkin
 from qtmoments.ring import Poly
 
+import ci_checks
 from oracles import (
     CENSUS_SHA256,
     bell_numbers,
@@ -371,47 +370,21 @@ def test_one_card_walk_serves_both_conventions(monkeypatch):
     assert walks == [6, 7]
 
 
-def test_card_walk_counts_every_arrangement_once(monkeypatch):
-    histograms = []
-
-    def kept(histogram):
-        histograms.append(histogram)
-        return _histogram_moments(histogram)
-
-    monkeypatch.setattr(cards, "_histogram_moments", kept)
-    cards._card_moments.cache_clear()
-    try:
-        for n in range(1, 11):
-            cards._card_moments(n)
-    finally:
-        cards._card_moments.cache_clear()
-    assert [sum(h.values()) for h in histograms] == bell_numbers(10)[1:]
-    assert all(count > 0 for h in histograms for count in h.values())
+def test_card_walk_counts_every_arrangement_once():
     # the joint histogram, not only its two projected moments, is the census's
-    for n, histogram in enumerate(histograms, 1):
-        assert histogram == _weight_census(n), n
+    ci_checks.card_histogram(*range(1, 11))
 
 
 def test_card_walk_refuses_a_q_exponent_past_a_byte(monkeypatch):
     # t_top bounds a word's q-exponents, one byte each; from 256 they would wrap
     monkeypatch.setattr(cards, "_contributor_walk", lambda n: iter([("CA", b"\0", 1, 256, 0)]))
-    cards._card_moments.cache_clear()
-    try:
-        with pytest.raises(OverflowError, match="256"):
-            cards._card_moments(2)
-    finally:
-        cards._card_moments.cache_clear()
+    with pytest.raises(OverflowError, match="256"):
+        cards._card_histogram(2)
 
 
-def test_card_walk_histogram_at_n11_matches_its_pinned_digest(monkeypatch):
-    histograms = []
-    monkeypatch.setattr(cards, "_histogram_moments", histograms.append)
-    cards._card_moments.cache_clear()
-    try:
-        cards._card_moments(11)
-    finally:
-        cards._card_moments.cache_clear()
-    digest = hashlib.sha256(repr(sorted(histograms[0].items())).encode()).hexdigest()
+def test_card_walk_histogram_at_n11_matches_its_pinned_digest():
+    histogram = ci_checks.card_histogram(11)[11]
+    digest = hashlib.sha256(repr(sorted(histogram.items())).encode()).hexdigest()
     assert digest == CENSUS_SHA256[11]
 
 

@@ -22,7 +22,6 @@ from qtmoments import cli
 from qtmoments.cards import (
     _expansion_states,
     arrangement_record,
-    enumerate_contributors,
     expand_arrangements,
     moment_by_cards,
 )
@@ -42,10 +41,11 @@ from qtmoments.orthopoly import (
     poisson_limit_check,
     three_term_polys,
 )
-from qtmoments.partitions import enumerate_partitions, moment_by_partitions, partition_record
+from qtmoments.partitions import moment_by_partitions
 from qtmoments.qtnum import qt_factorial
 from qtmoments.ring import LAMBDA, VARIABLES, Poly
 
+import ci_checks
 from oracles import factorwise_canonical_str, poly_from_json
 from test_readme import COMMANDS as README_COMMANDS
 
@@ -163,15 +163,8 @@ def test_charlier_table(capsys):
 
 @pytest.mark.parametrize("n_max", [0, 1, 6, 10])
 @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
-def test_streamed_charlier_table_is_json_dumps_of_the_polys(capsys, preset, n_max):
-    # the expected text comes from the factor-by-factor oracle, not the printer under test
-    polys = three_term_polys(cli.PRESETS[preset](), n_max)
-    strings = [factorwise_canonical_str(p) for p in polys]
-    argv = ["charlier", "--n-max", str(n_max), "--preset", preset, "--output"]
-    expected = json.dumps({"polys": strings, "preset": preset, "schema": SCHEMA}, sort_keys=True)
-    assert run(capsys, *argv, "json") == (0, expected + "\n", "")
-    pretty = "".join(f"P_{k} = {s}\n" for k, s in enumerate(strings))
-    assert run(capsys, *argv, "pretty") == (0, pretty, "")
+def test_streamed_charlier_table_is_json_dumps_of_the_polys(preset, n_max):
+    ci_checks.charlier_table(n_max, [preset])
 
 
 def _assert_needs_no_json_escaping(text):
@@ -259,51 +252,16 @@ def test_cards_dump_all(capsys):
 # -- listing lines, byte for byte ------------------------------------------------
 
 
-def _partition_line(p, output):
-    record = partition_record(p)
-    if output == "json":
-        return json.dumps({**record, "schema": SCHEMA}, sort_keys=True)
-    return (f"{p}  blocks={record['blocks']} rc={record['rc']} "
-            f"rn_strict={record['rn_strict']} rn_covered={record['rn_covered']}")
-
-
-def _card_line(arr, output):
-    record = arrangement_record(arr)
-    if output == "json":
-        return json.dumps({**record, "schema": SCHEMA}, sort_keys=True)
-    return (f"{record['word']}  cards={','.join(record['cards'])}  "
-            f"weight={record['weight']}  partition={record['partition']}")
-
-
-#: (argv, the records each listing line is formatted from): partitions for
-#: k <= 9, cards for k <= 8 in both modes, and one word's cards.
-LISTINGS = [
-    *((["partitions", "--n", str(k)], lambda k=k: enumerate_partitions(k)) for k in range(1, 10)),
-    *((["cards", "--n", str(k), "--mode", mode],
-       lambda k=k, gauge=gauge: [arr for word in enumerate_contributors(k)
-                                 for arr in expand_arrangements(word, gauge)])
-      for k in range(1, 9) for mode, (gauge, _) in cli.MODES.items()),
-    *((["cards", "--word", "AASNCC", "--mode", mode],
-       lambda gauge=gauge: expand_arrangements(OperatorWord.from_string("AASNCC"), gauge))
-      for mode, (gauge, _) in cli.MODES.items()),
-]
-
-
 @pytest.mark.parametrize("output", ["json", "pretty"])
-def test_listing_lines_are_the_records_byte_for_byte(capsys, output):
-    for argv, records in LISTINGS:
-        line = _partition_line if argv[0] == "partitions" else _card_line
-        code, out, _ = run(capsys, *argv, "--output", output)
-        assert code == 0
-        assert out.splitlines() == [line(r, output) for r in records()], argv
-        assert out.endswith("\n")
+def test_listing_lines_are_the_records_byte_for_byte(output):
+    ci_checks.listings(9, [output])
 
 
 def test_listing_fields_need_no_json_escaping():
     # the listing templates quote card names, words and weights without escaping
     plain = re.compile(r"[A-Za-z0-9_^*+-]*")
     texts = 0
-    for argv, records in LISTINGS:
+    for argv, records, _ in ci_checks._listings(9):
         if argv[0] == "cards":
             for arr in records():
                 record = arrangement_record(arr)
@@ -558,23 +516,13 @@ MIXED_REQUESTS = [
 ]
 
 
-def _outcome(capsys, argv):
-    """The exit code, stdout and stderr of one ``main`` call, usage errors included."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def _serve(requests) -> dict:
+    return {" ".join(argv): ci_checks._main(argv) for argv in requests}
 
 
-def _serve(capsys, requests) -> dict:
-    return {" ".join(argv): _outcome(capsys, argv) for argv in requests}
-
-
-def test_one_parser_serves_requests_in_any_order(capsys):
-    forward = _serve(capsys, MIXED_REQUESTS)
-    shuffled = _serve(capsys, [MIXED_REQUESTS[i] for i in (2, 0, 5, 1, 4, 3)])
+def test_one_parser_serves_requests_in_any_order():
+    forward = _serve(MIXED_REQUESTS)
+    shuffled = _serve([MIXED_REQUESTS[i] for i in (2, 0, 5, 1, 4, 3)])
     assert forward == shuffled
     codes = [code for code, _, _ in forward.values()]
     assert codes == [2, 0, 0, 0, 0, 0]
@@ -752,21 +700,24 @@ REJECTED_ARGVS = [
 
 @pytest.mark.parametrize("argv", REJECTED_ARGVS + INVALID_ARGVS,
                          ids=lambda argv: " ".join(argv) or "no arguments")
-def test_subparser_fails_as_the_tree_fails(capsys, monkeypatch, argv):
-    own = _outcome(capsys, argv)
+def test_subparser_fails_as_the_tree_fails(monkeypatch, argv):
+    own = ci_checks._main(argv)
     monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
-    tree = _outcome(capsys, argv)
+    tree = ci_checks._main(argv)
     assert own == tree
     assert own[0] == (0 if "-h" in argv or "--help" in argv else 2)
 
 
-#: An explicit ``--`` value.  Python 3.10-3.12's tree stores it as ``[]``, so these
-#: crashed with a traceback; the reader reads ``--`` as the value, as Python 3.13 does.
+#: An explicit ``--`` value, which Python 3.10-3.12's tree stores as ``[]``.  The reader
+#: reads it as Python 3.13 does; main refuses the tree's ``[]`` for the last three.
 DASH_VALUE_ARGVS = [
     ["moments", "--n=--"],
     ["word", "--word=--"],
     ["charlier", "--n-max=--"],
     ["verify", "--n-max=--"],
+    ["moments", "--n=--", "--n=--"],
+    ["moments", "--mod", "covered", "--n=--"],
+    ["charlier", "--n-m=--"],
 ]
 
 
@@ -789,8 +740,8 @@ def test_invalid_input_is_a_usage_error(argv):
     (["moments", "--n", "3", "--mode=--"], "argument --mode: invalid choice: '--' (choose from "),
     (["word", "--word=--"], "error: ValueError: not a word over CANS: '--'"),
 ])
-def test_an_explicit_dash_value_is_read_as_it_is(capsys, argv, message):
-    code, out, err = _outcome(capsys, argv)
+def test_an_explicit_dash_value_is_read_as_it_is(argv, message):
+    code, out, err = ci_checks._main(argv)
     assert (code, out, err.count("error:")) == (2, "", 1)
     assert message in err
 
